@@ -8,16 +8,16 @@ Usage (from the repository root; needs only the Python standard library)::
 Each *pass* is a fresh worker process (``worker.py``) that draws the
 workload's inputs from ``--seed``, runs every operation in that one
 process (no ``TaskPool`` fan-out), checks every output outside the timed
-section, and reports.  A run repeats passes of the same
-draw until the next one would end past ``--seconds`` (at least
-``MIN_PASSES``), and prints the medians.  The last line of standard output
-is one JSON object: ``correct``, ``attempted`` and ``failed`` operations,
-and the metrics with their units.  Failed operations are named on the
-lines before it.
+section, and reports.  A run repeats passes of the same draw until the
+next one would end past ``--seconds`` (at least ``MIN_PASSES``) and
+reports medians over its passes.  The last line of standard output is one
+JSON object: ``correct``, ``attempted`` and ``failed`` operations, and the
+metrics with their units.  Failed operations are named on the lines
+before it, and the passes' raw figures on the line before those.
 
-Workloads (one operation is one drawn item; costs are single operations on
-a 2-CPU x86-64 host, whose speed drifts by about 15% from minute to
-minute; ``worker.py`` holds the exact draws):
+Workloads (one operation is one drawn item; costs are single operations
+on an unloaded 2-CPU x86-64 host; ``worker.py`` holds the exact draws, and
+every draw does the same amount of work):
 
 ``hpf-synth``
     HPF-CEGIS (``HpfCegis.synthesize_for``) on an 8-bit datapath, multisets
@@ -26,35 +26,53 @@ minute; ``worker.py`` holds the exact draws):
     from ADDI, XORI and ORI.  Algorithm 1's priority dictionary carries
     over from case to case, and that is what the workload measures: SUB
     finds nothing from fresh priorities but takes one multiset after ADD,
-    and the drawn case takes 29.  The paper's Figure 3 claim, and the only
+    and each drawn case takes 29.  The paper's Figure 3 claim, and the only
     workload with no transition system: thousands of small push/pop CEGIS
-    queries.  ADD 0.3 s, SUB 0.2 s, the drawn case 4-7 s.
+    queries.  ADD 0.27 s, SUB 0.17 s, the drawn case 3.9-4.1 s.
 ``bug-hunt``
     One seeded single-instruction bug per target instruction, as in
     Table 1: the first instance of each of the ten SEPE-SQED verification
-    configurations in an 84-recipe round-robin draw of the SEPE families
-    (``generate_recipes``), each through ``run_instance`` with the BMC leg
-    only: build the mutated model, lint it, run BMC to the first
-    counterexample and replay it on the golden ISA executor.  Table 1's
-    user loop: a fresh model, COI and absint fixpoint per operation, an
-    UNSAT prefix, then a SAT answer and a trace.  0.4-1.0 s per instance.
+    configurations in a round-robin draw of the SEPE families
+    (``generate_recipes``, 84 recipes, more if those miss a
+    configuration), each through ``run_instance`` with the BMC leg only:
+    build the mutated model, lint it, run BMC to the first counterexample
+    and replay it on the golden ISA executor.  Table 1's user loop: a fresh
+    model, COI and absint fixpoint per operation, an UNSAT prefix, then a
+    SAT answer and a trace.  0.37-0.5 s per instance.
 ``golden-pdr``
     ``SqedFlow.prove(None, engine="pdr", max_frames=3)`` on the bug-free
-    4-bit, 4-register QED model with a seed-drawn pair of R-type ops, plus
-    the nine ``repro.pdr.designs`` gallery designs against their known
-    verdicts.  Many cheap, mostly-SAT relative-induction and lifting
-    queries with model extension on every SAT answer: the query profile of
-    Een, Mishchenko and Brayton (FMCAD 2011).  6-8 s per golden run
-    (about 500 consecution queries), 0.01-0.3 s per gallery design.
+    4-bit, 4-register QED model with a seed-drawn pair of ADD, SUB, XOR,
+    OR and AND, plus the nine ``repro.pdr.designs`` gallery designs
+    against their known verdicts.  Many cheap, mostly-SAT
+    relative-induction and lifting queries with model extension on every
+    SAT answer: the query profile of Een, Mishchenko and Brayton (FMCAD
+    2011).  5.5 s per golden run (499-527 consecution queries), 0.01-0.3 s
+    per gallery design.
 
-End-to-end metrics (``--trace 0``; timings are medians over the passes):
+End-to-end metrics (``--trace 0``; medians over the run's passes):
 
 ``setup_s``
     Seconds from a pass process's start to its first operation: imports,
     configuration, component libraries, drawing and instantiating inputs.
-``wall_s``
-    Seconds for all operations of one pass, untraced.  Wall-clock; CPU time
-    matches it on these single-threaded workloads.
+    Given at the reference speed: the measured seconds times
+    ``reference.REFERENCE_S`` (20 ms) over the reference's time just after
+    set-up, so that host load cancels as in ``wall_refs`` (host load moved
+    raw set-up medians from 0.15 s to 0.51 s within six minutes).  The raw
+    seconds are printed per pass.
+``wall_refs``
+    Wall-clock time of all operations of one pass, untraced, in units of
+    ``reference.py``'s fixed computation: each operation's seconds over
+    the mean of the reference's seconds just before and just after it,
+    summed.  The host is shared, and as other tenants load it the same
+    pass takes up to 2.5 times as long for seconds to minutes at a time,
+    CPU time included; the reference slows alike, so the ratio holds where
+    seconds do not: over ten seeds per workload the quartile spread of
+    this metric was 0.03-0.11 of its median, and two sets of ten seeds
+    agreed within 3.1%, where the spread of raw seconds was 0.2-0.5
+    whether taken as a median, mean or per-operation minimum over the
+    passes.  The reference never imports the program, so only a
+    change to the program moves this figure.  The raw seconds are printed
+    per pass, and ``trace.wall_s`` reports them for the traced run.
 ``peak_rss_mb``
     Peak resident memory of a pass process.  Every pass is a fresh
     process, so hash-consed terms and the COI/absint caches start empty, as
@@ -71,14 +89,14 @@ End-to-end metrics (``--trace 0``; timings are medians over the passes):
 
 Per-layer metrics (``--trace 1``): one traced pass per untraced pass of the
 same draw; ``tracer.py`` wraps the layers' public calls from outside the
-program.  ``*_s`` values are self times (span time minus child spans),
-counters are deterministic, and ``trace.overhead_ratio`` is traced over
-untraced ``wall_s`` minus 1.  Every workload is single-threaded, so every
-span is on the blocking path and a layer can save at most its self-time
-share of ``wall_s``.
+program.  ``*_s`` values are self times (span time minus child spans) of
+the traced pass with the median wall time, counters are deterministic, and
+``trace.overhead_ratio`` is traced over untraced ``wall_refs`` minus 1.
+Every workload is single-threaded, so every span is on the blocking path
+and a layer can save at most its self-time share of ``wall_refs``.
 
 ================  =================================================  ==========================  ==============
-layer             metrics                                            should move wall_s on       little work on
+layer             metrics                                            should move wall_refs on    little work on
 ================  =================================================  ==========================  ==============
 synth             synth.self_s, .cegis_calls, .iterations,           hpf-synth                   the other two
                   .queries, .programs, .hit_rate
@@ -109,7 +127,7 @@ How they interact: preprocessing also reshapes the CNF the kernel
 searches, so read ``sat.preprocess.self_s`` together with
 ``sat.conflicts`` and ``sat.solve_s``.  PDR query counts drive
 ``solve.checks``, ``sat.solve_calls`` and ``sat.preprocess.extend_calls``,
-and those drive ``wall_s`` on ``golden-pdr``; a PDR-only change should
+and those drive ``wall_refs`` on ``golden-pdr``; a PDR-only change should
 move them there and leave the other workloads alone.  ``smt.cnf_clauses``,
 ``aig.nodes`` and ``sat.learned`` drive ``peak_rss_mb``; work moved into
 start-up shows as ``setup_s``.
@@ -143,6 +161,8 @@ class BenchError(RuntimeError):
 
 
 def unit(name: str) -> str:
+    if name.endswith("_refs"):
+        return "ref"
     if name.endswith("_s"):
         return "s"
     if name.endswith("_mb"):
@@ -166,7 +186,6 @@ def run_pass(args, trace: bool, deadline: float) -> dict:
         "--seed", str(args.seed),
         "--scale", args.scale,
         "--trace", str(int(trace)),
-        "--spans", str(ROOT / ".perfbench" / f"spans-{args.workload}.tsv"),
     ]
     t0 = time.monotonic()
     try:
@@ -220,12 +239,14 @@ def untraced(args, deadline: float) -> dict:
         f"{args.workload} seed {args.seed}: {len(passes)} passes of "
         f"{len(passes[0]['ops'])} operations; wall_s "
         + " ".join(f"{p['wall_s']:.3f}" for p in passes)
+        + "; wall_refs "
+        + " ".join(f"{p['wall_refs']:.2f}" for p in passes)
         + "; setup_s "
         + " ".join(f"{p['setup_s']:.3f}" for p in passes)
     )
     metrics = {
-        "setup_s": statistics.median(p["setup_s"] for p in passes),
-        "wall_s": statistics.median(p["wall_s"] for p in passes),
+        "setup_s": statistics.median(p["setup_ref_s"] for p in passes),
+        "wall_refs": statistics.median(p["wall_refs"] for p in passes),
         "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in passes),
         "ok_rate": (attempted - failed) / attempted,
     }
@@ -250,8 +271,8 @@ def traced(args, deadline: float) -> dict:
     metrics = {name: chosen["layers"][name] for name in LAYER_METRICS}
     metrics["trace.wall_s"] = chosen["wall_s"]
     metrics["trace.overhead_ratio"] = (
-        statistics.median(r["wall_s"] for r in runs)
-        / statistics.median(p["wall_s"] for p in plain)
+        statistics.median(r["wall_refs"] for r in runs)
+        / statistics.median(p["wall_refs"] for p in plain)
         - 1.0
     )
     print(
@@ -276,9 +297,6 @@ def main(argv: list[str] | None = None) -> int:
         help="draw size per pass (tiny: the self-test's)",
     )
     args = parser.parse_args(argv)
-    if not (ROOT / "src" / "repro" / "__init__.py").is_file():
-        print(f"perfbench: no repro sources under {ROOT / 'src'}", file=sys.stderr)
-        return 2
     deadline = started + HARD_LIMIT_S
     try:
         result = traced(args, deadline) if args.trace else untraced(args, deadline)

@@ -2,11 +2,14 @@
 
 ``run.py`` starts this script once per pass.  The pass draws its inputs
 from ``--seed`` (the same seed always gives the same inputs; the program
-only ever sees the drawn inputs), times every operation, checks every
+only ever sees the drawn inputs), times every operation and the
+:mod:`reference` computation between operations, checks every
 operation's output outside the timed section, and prints one JSON line:
-set-up time, summed operation time, peak resident memory, the failed
+set-up time (in seconds and at reference speed), summed operation time
+(in seconds and in reference units), peak resident memory, the failed
 operations by name and, with ``--trace 1``, the per-layer metrics of
-:mod:`tracer`.
+:mod:`tracer`.  A traced pass also writes its spans to
+``.perfbench/spans-<workload>.tsv``.
 
 Set-up time runs from ``--t0`` (the parent's ``time.monotonic()`` just
 before it started this process; the clock is system-wide) to the first
@@ -31,6 +34,8 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
+
+from reference import REFERENCE_S, reference_seconds
 
 
 @dataclass
@@ -107,6 +112,13 @@ def hpf_synth(seed: int, size: dict) -> list[Op]:
 # ---------------------------------------------------------------------------
 
 
+#: Distinct SEPE-SQED verification configurations (``control_key()``): one
+#: per target op, the seven R-type ops of ``alu_op_swap``,
+#: ``alu_result_offset`` and ``operand_swap`` and the three I-type ops of
+#: ``imm_sext_flip``.
+BUG_HUNT_CONFIGS = 10
+
+
 def bug_hunt(seed: int, size: dict) -> list[Op]:
     from repro.zoo.campaign import CampaignConfig, generate_recipes
     from repro.zoo.families import FAMILIES, FLOW_SEPE, instantiate
@@ -116,19 +128,26 @@ def bug_hunt(seed: int, size: dict) -> list[Op]:
     # One seeded single-instruction bug per target instruction, as in the
     # paper's Table 1: the first instance of each distinct verification
     # configuration (``control_key()``, as campaigns deduplicate controls)
-    # in a round-robin draw of the SEPE-SQED families.  The draw reaches
-    # every configuration, so the seed picks the bugs and their order while
-    # the set of models, and with it the amount of work, stays the same.
-    # The SQED hazard families stay out: their cost is set by a coin-flip
-    # mode (0.2 s or 2.5 s per instance), so no pass-sized draw of them is
-    # steady across seeds.
+    # in a round-robin draw of the SEPE-SQED families.  The draw grows until
+    # it reaches every configuration, so the seed picks the bugs and their
+    # order while the set of models, and with it the amount of work, stays
+    # the same.  The SQED hazard families stay out: their cost is set by a
+    # coin-flip mode (0.2 s or 2.5 s per instance), so no pass-sized draw
+    # of them is steady across seeds.
     sepe = tuple(sorted(n for n, f in FAMILIES.items() if f.flow_kind == FLOW_SEPE))
-    recipes = generate_recipes(
-        CampaignConfig(count=size["instances"], seed=seed, families=sepe)
-    )
     chosen: dict = {}
-    for instance in map(instantiate, recipes):
-        chosen.setdefault(instance.control_key(), instance)
+    drawn = 0
+    while len(chosen) < size["configs"]:
+        if drawn >= 8 * size["instances"]:
+            raise RuntimeError(
+                f"{drawn} recipes reach {len(chosen)} of {size['configs']} configurations"
+            )
+        recipes = generate_recipes(
+            CampaignConfig(count=drawn + size["instances"], seed=seed, families=sepe)
+        )
+        for instance in map(instantiate, recipes[drawn:]):
+            chosen.setdefault(instance.control_key(), instance)
+        drawn = len(recipes)
 
     def op(instance) -> Op:
         def check(report) -> Optional[str]:
@@ -149,8 +168,10 @@ def bug_hunt(seed: int, size: dict) -> list[Op]:
 # golden-pdr: frame-bounded PDR on the golden QED model + the design gallery
 # ---------------------------------------------------------------------------
 
-#: R-type ops the golden model's pair is drawn from.
-PDR_OPS = ("ADD", "SUB", "XOR", "OR", "AND", "SLT")
+#: R-type ops the golden model's pair is drawn from.  At three frames every
+#: pair of them makes 499-527 consecution queries; a pair with SLT or SLTU
+#: makes 332-520, so those stay out to keep the work the same across seeds.
+PDR_OPS = ("ADD", "SUB", "XOR", "OR", "AND")
 
 
 def golden_pdr(seed: int, size: dict) -> list[Op]:
@@ -236,20 +257,32 @@ WORKLOADS = {
 SIZES = {
     "full": {
         "hpf-synth": {"lead": ("ADD", "SUB"), "pool": ("ADDI", "XORI", "ORI"), "draw": 1},
-        "bug-hunt": {"instances": 84},
+        "bug-hunt": {"instances": 84, "configs": BUG_HUNT_CONFIGS},
         "golden-pdr": {"golden": 1, "golden_frames": 3, "designs": 9},
     },
     "tiny": {
         "hpf-synth": {"lead": ("ADD", "SUB"), "pool": ("ADDI", "XORI", "ORI"), "draw": 0},
-        "bug-hunt": {"instances": 1},
+        "bug-hunt": {"instances": 1, "configs": 1},
         "golden-pdr": {"golden": 1, "golden_frames": 1, "designs": 2},
     },
 }
 
 
-def run_ops(ops: list[Op], tracer=None) -> tuple[float, list[str]]:
-    """Time every operation, check every output; returns (seconds, failures)."""
-    wall_s = 0.0
+def spans_path(workload: str) -> Path:
+    """Where a traced pass of ``workload`` writes its spans."""
+    return Path(__file__).resolve().parent.parent / ".perfbench" / f"spans-{workload}.tsv"
+
+
+def run_ops(ops: list[Op], before: float, tracer=None) -> tuple[float, float, list[str]]:
+    """Time every operation and check every output.
+
+    ``before`` is the reference time taken just before the first
+    operation.  Returns the operations' summed seconds, their summed time
+    in units of the reference computation (each operation's seconds over
+    the mean of the reference times taken just before and just after it),
+    and the failures.
+    """
+    wall_s = wall_refs = 0.0
     failures: list[str] = []
     for op in ops:
         if tracer is not None:
@@ -261,9 +294,13 @@ def run_ops(ops: list[Op], tracer=None) -> tuple[float, list[str]]:
         except Exception as exc:  # a raising operation fails; the pass goes on
             traceback.print_exc()
             error = f"raised {type(exc).__name__}: {exc}"
-        wall_s += time.perf_counter() - start
+        seconds = time.perf_counter() - start
         if tracer is not None:
             tracer.active = False
+        after = reference_seconds()
+        wall_s += seconds
+        wall_refs += 2.0 * seconds / (before + after)
+        before = after
         if error is None:
             try:
                 error = op.check(result)
@@ -272,7 +309,7 @@ def run_ops(ops: list[Op], tracer=None) -> tuple[float, list[str]]:
                 error = f"check raised {type(exc).__name__}: {exc}"
         if error is not None:
             failures.append(f"{op.name}: {error}")
-    return wall_s, failures
+    return wall_s, wall_refs, failures
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -282,21 +319,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--t0", type=float, required=True)
     parser.add_argument("--scale", choices=sorted(SIZES), default="full")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--spans", type=Path, help="where a traced pass writes its spans")
     args = parser.parse_args(argv)
 
     ops = WORKLOADS[args.workload](args.seed, SIZES[args.scale][args.workload])
     setup_s = time.monotonic() - args.t0
+    reference_s = reference_seconds()
     tracer = None
     if args.trace:
         from tracer import Tracer, install
 
         tracer = Tracer()
         install(tracer)
-    wall_s, failures = run_ops(ops, tracer)
+    wall_s, wall_refs, failures = run_ops(ops, reference_s, tracer)
     report = {
         "setup_s": setup_s,
+        "setup_ref_s": setup_s * REFERENCE_S / reference_s,
         "wall_s": wall_s,
+        "wall_refs": wall_refs,
         # ru_maxrss is in KiB on Linux.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "ops": [op.name for op in ops],
@@ -304,8 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     if tracer is not None:
         report["layers"] = tracer.metrics(wall_s)
-        if args.spans is not None:
-            tracer.write_spans(args.spans)
+        tracer.write_spans(spans_path(args.workload))
     print(json.dumps(report))
     return 0
 
