@@ -52,8 +52,6 @@ from repro.qed.equivalents import (
 )
 from repro.qed.mapping import RegisterPartition, MemoryPartition
 from repro.par import (
-    PortfolioConfig,
-    PortfolioSolver,
     TaskPool,
     check_frames_sharded,
     check_properties_parallel,
@@ -111,8 +109,6 @@ __all__ = [
     "verify_equivalences",
     "RegisterPartition",
     "MemoryPartition",
-    "PortfolioConfig",
-    "PortfolioSolver",
     "TaskPool",
     "check_frames_sharded",
     "check_properties_parallel",

@@ -1,13 +1,10 @@
-"""Parallel portfolio and sharded verification (:mod:`repro.par`).
+"""Parallel, sharded verification (:mod:`repro.par`).
 
-The subsystem has three layers:
+The subsystem has two layers:
 
 * :mod:`repro.par.pool` — a fork-based :class:`TaskPool` with deterministic
   result ordering, graceful worker-failure handling and a true sequential
   degenerate case at ``jobs=1``,
-* :mod:`repro.par.portfolio` — :class:`PortfolioSolver`, racing
-  complementary solver configurations on one query (first verdict wins,
-  losers are cancelled),
 * sharded drivers — :func:`verify_equivalences_parallel` for batch QED
   equivalence checking, :func:`check_properties_parallel` /
   :func:`prove_properties_parallel` for property sweeps, and
@@ -24,20 +21,10 @@ from repro.par.bmc import (
     prove_properties_parallel,
 )
 from repro.par.pool import ParError, TaskPool, TaskResult, resolve_jobs
-from repro.par.portfolio import (
-    DEFAULT_PORTFOLIO,
-    PortfolioConfig,
-    PortfolioResult,
-    PortfolioSolver,
-)
 from repro.par.qed import verify_equivalences_parallel
 
 __all__ = [
-    "DEFAULT_PORTFOLIO",
     "ParError",
-    "PortfolioConfig",
-    "PortfolioResult",
-    "PortfolioSolver",
     "TaskPool",
     "TaskResult",
     "check_frames_sharded",

@@ -6,10 +6,20 @@ obligation storms that dominate full-scale runs, the propagation loop then
 pays an attribute lookup, a method call and a list indirection *per visited
 literal* — the profile is pure interpreter overhead, not search.
 
-:class:`ArenaSolver` keeps the exact MiniSat recipe (two-watched-literal
+:class:`ArenaSolver` keeps the MiniSat recipe (two-watched-literal
 propagation with blockers, first-UIP learning, VSIDS, phase saving, Luby
-restarts, ``analyzeFinal`` assumption cores) but rebuilds the data layout
-around a single flat ``array('i')``:
+restarts, ``analyzeFinal`` assumption cores) with one fixed set of
+conflict-quality heuristics on top:
+
+* **LBD-tiered retention** (glucose-style): *core* learned clauses (LBD <=
+  2) survive every reduction, *locals* (LBD > 6) go before *mids*, and the
+  least active go first within a tier.
+* **Recursive minimisation**: MiniSat's ``litRedundant`` over the whole
+  implication graph, not just one reason level.
+* **Target phases**: phase saving plus a snapshot of the deepest trail of
+  the call, restored on every restart.
+
+It rebuilds the data layout around a single flat ``array('i')``:
 
 * **Clause arena.**  Every clause lives inline in one int array as
   ``[size, act_slot, lit0, .., lit_{n-1}]``; a *clause ref* is the index of
@@ -31,12 +41,12 @@ around a single flat ``array('i')``:
   *compacted* into a fresh arena (refs remapped, watchers rebuilt from the
   watched positions), so long runs neither fragment nor leak.
 
-The public surface — constructor knobs, ``add_clause``/``add_cnf``/
-``reserve``, ``solve(assumptions, conflict_budget, need_model)``, failed-
-assumption cores, per-call budgets, root-UNSAT latching vs reusable
-assumption-UNSAT, ``stats`` — matches :class:`SatSolver` exactly; the
-reference solver stays alive as the differential baseline (see
-``REPRO_SAT_BACKEND`` in :mod:`repro.solve.backend`).
+The public surface — ``add_clause``/``add_cnf``/``reserve``,
+``solve(assumptions, conflict_budget, need_model)``, failed-assumption
+cores, per-call budgets, root-UNSAT latching vs reusable assumption-UNSAT,
+``stats`` — matches :class:`SatSolver` exactly; the plain-MiniSat reference
+solver stays alive as the differential baseline (see ``REPRO_SAT_BACKEND``
+in :mod:`repro.solve.backend`).
 """
 
 from __future__ import annotations
@@ -57,10 +67,20 @@ from repro.sat.sanitize import (
     check_arena_watches,
     resolve_sanitize,
 )
-from repro.sat.solver import _LBD_CORE, _LBD_MID, SatResult, SolverStats, _luby
+from repro.sat.solver import (
+    _CLA_DECAY,
+    _INITIAL_LEARNED_LIMIT,
+    _RESTART_UNIT,
+    _VAR_DECAY,
+    SatResult,
+    SolverStats,
+    _luby,
+)
 
-#: Initial learned-clause cap; grows geometrically on every reduction.
-_INITIAL_LEARNED_LIMIT = 2000
+#: LBD retention tiers.  Core clauses (LBD <= _LBD_CORE) are never deleted;
+#: mid clauses (LBD <= _LBD_MID) are only deleted after every local clause.
+_LBD_CORE = 2
+_LBD_MID = 6
 
 
 class ArenaSolver:
@@ -75,25 +95,8 @@ class ArenaSolver:
         assert result.satisfiable
     """
 
-    def __init__(
-        self,
-        cnf: CNF | None = None,
-        var_decay: float = 0.95,
-        default_phase: bool = False,
-        restart_interval: int = 100,
-        sanitize: Optional[bool] = None,
-        lbd_tiers: bool = True,
-        phase_saving: bool = True,
-        minimize: bool = True,
-    ):
-        if not (0.0 < var_decay <= 1.0):
-            raise SatError(f"var_decay must be in (0, 1], got {var_decay}")
-        if restart_interval < 1:
-            raise SatError(f"restart_interval must be >= 1, got {restart_interval}")
+    def __init__(self, cnf: CNF | None = None, sanitize: Optional[bool] = None):
         self._sanitize = resolve_sanitize(sanitize)
-        self._lbd_tiers = bool(lbd_tiers)
-        self._phase_saving = bool(phase_saving)
-        self._minimize = bool(minimize)
         # Target phases: snapshot of the deepest trail seen, restored on
         # restart so the search re-approaches its best partial assignment.
         self._target_phase: Optional[list[bool]] = None
@@ -114,14 +117,11 @@ class ArenaSolver:
         self._values: list[int] = [0, 0]
         self._level: list[int] = [0]
         self._reason: list[int] = [-1]  # per var: clause ref or -1
-        self._default_phase = default_phase
-        self._restart_interval = restart_interval
-        self._phase: list[bool] = [default_phase]
+        self._restart_interval = _RESTART_UNIT
+        self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
         self._var_inc = 1.0
-        self._var_decay = var_decay
         self._cla_inc = 1.0
-        self._cla_decay = 0.999
         self._order_heap: list[tuple[float, int]] = []
         self._trail: list[int] = []  # encoded literals
         self._trail_lim: list[int] = []
@@ -142,7 +142,7 @@ class ArenaSolver:
             self._values.append(0)
             self._level.append(0)
             self._reason.append(-1)
-            self._phase.append(self._default_phase)
+            self._phase.append(False)
             self._activity.append(0.0)
             self._watches.append([])
             self._watches.append([])
@@ -248,8 +248,7 @@ class ArenaSolver:
         var = enc >> 1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason_ref
-        if self._phase_saving:
-            self._phase[var] = not (enc & 1)
+        self._phase[var] = not (enc & 1)
         self._trail.append(enc)
         return True
 
@@ -352,10 +351,13 @@ class ArenaSolver:
     ) -> bool:
         """MiniSat's ``litRedundant`` over arena refs (encoded literal ``q``).
 
-        Same contract as the reference kernel's method: iterative DFS over
-        the implication graph, memoised per learned clause through
+        A learned-clause literal is redundant when every literal of its
+        reason clause is assigned at level 0, already in the learned clause,
+        or itself (recursively) redundant.  Iterative DFS over the
+        implication graph, memoised per learned clause through
         ``removable``/``failed``, pruned by the set of decision ``levels``
-        present in the clause.
+        present in the clause (a level absent from the clause cannot be
+        cancelled).
         """
         arena = self._arena
         level = self._level
@@ -466,10 +468,10 @@ class ArenaSolver:
         learned[0] = p ^ 1
         self._var_inc = var_inc
 
-        # Recursive conflict-clause minimisation (mirrors the reference
-        # solver): self-subsuming resolution over the whole implication
-        # graph, so literals also drop through chains of implications.
-        if self._minimize and len(learned) > 1:
+        # Recursive conflict-clause minimisation: self-subsuming resolution
+        # over the whole implication graph, so literals also drop through
+        # chains of implications.
+        if len(learned) > 1:
             in_learned = {q >> 1 for q in learned}
             levels = {level[q >> 1] for q in learned[1:]}
             removable: set[int] = set()
@@ -550,7 +552,6 @@ class ArenaSolver:
         activity = self._activity
         heap = self._order_heap
         limit = self._trail_lim[target]
-        phase_saving = self._phase_saving
         count = len(trail) - limit
         if count > 64 and count * 8 >= len(heap):
             # Bulk unassignment (the per-query backtrack from a full SAT
@@ -563,8 +564,7 @@ class ArenaSolver:
             for index in range(len(trail) - 1, limit - 1, -1):
                 enc = trail[index]
                 var = enc >> 1
-                if phase_saving:
-                    phase[var] = not (enc & 1)
+                phase[var] = not (enc & 1)
                 values[enc] = 0
                 values[enc ^ 1] = 0
                 reason[var] = -1
@@ -575,8 +575,7 @@ class ArenaSolver:
             for index in range(len(trail) - 1, limit - 1, -1):
                 enc = trail[index]
                 var = enc >> 1
-                if phase_saving:
-                    phase[var] = not (enc & 1)
+                phase[var] = not (enc & 1)
                 values[enc] = 0
                 values[enc ^ 1] = 0
                 reason[var] = -1
@@ -603,38 +602,32 @@ class ArenaSolver:
     # ------------------------------------------------------------ learned DB
 
     def _reduce_db(self) -> None:
-        """Drop the least active half of the learned clauses and compact.
+        """Drop about half of the learned clauses, tier by tier, and compact.
 
         Only runs once the learned database outgrows the current limit; the
         limit then grows geometrically so long incremental runs keep more
-        of what they learn instead of thrashing a fixed-size cache.
+        of what they learn instead of thrashing a fixed-size cache.  Core
+        clauses (LBD <= 2) survive every reduction, locals (LBD > 6) go
+        before mids, and the least active go first within a tier.
         """
         if len(self._learned_refs) < self._learned_limit:
             return
         self._learned_limit += self._learned_limit >> 1
         arena = self._arena
         cla_act = self._cla_act
+        cla_lbd = self._cla_lbd
         target = len(self._learned_refs) // 2
-        if self._lbd_tiers:
-            # Tiered retention (see SatSolver._reduce_db): core clauses
-            # (LBD <= 2) survive every reduction, locals (LBD > 6) go
-            # before mids, least active first within a tier.
-            cla_lbd = self._cla_lbd
-            ordered = [
-                ref
-                for ref in self._learned_refs
-                if cla_lbd[arena[ref - 1]] > _LBD_CORE
-            ]
-            ordered.sort(
-                key=lambda ref: (
-                    cla_lbd[arena[ref - 1]] <= _LBD_MID,
-                    cla_act[arena[ref - 1]],
-                )
+        ordered = [
+            ref
+            for ref in self._learned_refs
+            if cla_lbd[arena[ref - 1]] > _LBD_CORE
+        ]
+        ordered.sort(
+            key=lambda ref: (
+                cla_lbd[arena[ref - 1]] <= _LBD_MID,
+                cla_act[arena[ref - 1]],
             )
-        else:
-            ordered = sorted(
-                self._learned_refs, key=lambda ref: cla_act[arena[ref - 1]]
-            )
+        )
         # Never drop clauses that are the reason of a current assignment.
         locked = {ref for ref in self._reason if ref >= 0}
         drop = {ref for ref in ordered[:target] if ref not in locked}
@@ -842,7 +835,7 @@ class ArenaSolver:
                     self._ok = False
                     stats.propagations += props
                     return SatResult(False, stats=stats.copy(), core=[])
-                if self._phase_saving and len(trail) > self._best_trail:
+                if len(trail) > self._best_trail:
                     # Deepest trail of this call so far: snapshot the trail
                     # polarities as the target restored on restart.  (The
                     # inline propagation loop skips per-enqueue phase
@@ -864,8 +857,8 @@ class ArenaSolver:
                     stats.learned_clauses += 1
                     stats.lbd_sum += lbd
                     self._enqueue(learned[0], ref)
-                self._var_inc /= self._var_decay
-                self._cla_inc /= self._cla_decay
+                self._var_inc /= _VAR_DECAY
+                self._cla_inc /= _CLA_DECAY
                 if conflict_budget is not None and conflicts_spent >= conflict_budget:
                     self._backtrack(0)
                     stats.propagations += props
@@ -878,7 +871,7 @@ class ArenaSolver:
                         restart_count + 1
                     )
                     self._backtrack(0)
-                    if self._phase_saving and self._target_phase is not None:
+                    if self._target_phase is not None:
                         # Target-phase reset: re-approach the deepest partial
                         # assignment seen instead of a drifted phase mix.
                         phase = self._phase
@@ -943,10 +936,7 @@ class ArenaSolver:
                     self._backtrack(0)
                     return result
                 stats.decisions += 1
-                phase = self._phase[var]
-                if phase != self._default_phase:
-                    stats.saved_phase_hits += 1
-                next_enc = var + var if phase else var + var + 1
+                next_enc = var + var if self._phase[var] else var + var + 1
             trail_lim.append(len(trail))
             if len(trail_lim) > stats.max_decision_level:
                 stats.max_decision_level = len(trail_lim)

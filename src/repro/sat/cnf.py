@@ -86,28 +86,37 @@ def to_dimacs(cnf: CNF) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dimacs_int(token: str, number: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise SatError(f"DIMACS line {number}: {token!r} is not an integer") from None
+
+
 def parse_dimacs(text: str) -> CNF:
     """Parse DIMACS text into a :class:`CNF`.
 
     Comment lines (``c ...``) are ignored; the problem line is optional but,
     when present, its variable count is honoured even if larger than any
-    literal actually used.
+    literal actually used.  Malformed text raises :class:`SatError` naming
+    the 1-based line.
     """
     cnf = CNF()
     declared_vars = 0
     current: list[int] = []
-    for raw_line in text.splitlines():
+    for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise SatError(f"malformed problem line: {line!r}")
-            declared_vars = int(parts[2])
+                raise SatError(f"DIMACS line {number}: malformed problem line {line!r}")
+            declared_vars = _dimacs_int(parts[2], number)
+            _dimacs_int(parts[3], number)
             continue
         for token in line.split():
-            lit = int(token)
+            lit = _dimacs_int(token, number)
             if lit == 0:
                 cnf.add_clause(current)
                 current = []

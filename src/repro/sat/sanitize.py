@@ -23,7 +23,7 @@ structure invariants at every quiescent point of the search:
 * **model soundness** — every SAT answer is checked against *every* clause
   (problem and learned) before it is returned;
 * **learned-clause implication** — after every conflict analysis the
-  (recursively minimised) learned clause must still be falsified by the
+  (minimised) learned clause must still be falsified by the
   conflicting assignment with its asserting literal at the conflict level,
   so a minimisation pass that drops a load-bearing literal is caught at the
   conflict that produced it.

@@ -1,9 +1,9 @@
-"""Conflict-driven clause-learning (CDCL) SAT solver.
+"""Conflict-driven clause-learning (CDCL) SAT solver: the reference kernel.
 
-The implementation follows the classic MiniSat recipe:
+The implementation is plain MiniSat (Een & Sorensson, SAT 2003):
 
 * two-watched-literal unit propagation,
-* first-UIP conflict analysis with clause learning,
+* first-UIP conflict analysis with one-level clause minimisation,
 * VSIDS variable activities with phase saving,
 * Luby-sequence restarts,
 * learned-clause database reduction based on activity.
@@ -14,6 +14,13 @@ carries a *failed-assumption core* (MiniSat's ``analyzeFinal``): the subset
 of assumptions that already forces the conflict.  Assumption-UNSAT leaves
 the solver reusable; only a root-level (assumption-free) contradiction
 latches the instance unsatisfiable for good.
+
+:class:`SatSolver` is the readable differential baseline for the production
+kernel, :class:`~repro.sat.arena.ArenaSolver`, which adds LBD-tiered
+retention, recursive minimisation and target phases on a flat clause
+arena.  This module also holds what both kernels share:
+:class:`SolverStats`, :class:`SatResult`, the Luby sequence and the search
+constants.
 """
 
 from __future__ import annotations
@@ -39,16 +46,20 @@ _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
 
-#: LBD retention tiers (glucose-style).  Core clauses (LBD <= _LBD_CORE)
-#: are never deleted; mid clauses (LBD <= _LBD_MID) are only deleted after
-#: every local clause; local clauses go least-active-first.
-_LBD_CORE = 2
-_LBD_MID = 6
+#: VSIDS decay: variable activities shrink by this factor per conflict.
+_VAR_DECAY = 0.95
+#: Clause-activity decay per conflict.
+_CLA_DECAY = 0.999
+#: Conflicts per Luby step: restart ``i`` comes after ``_RESTART_UNIT *
+#: luby(i)`` conflicts.
+_RESTART_UNIT = 100
+#: Initial learned-clause cap; grows geometrically on every reduction.
+_INITIAL_LEARNED_LIMIT = 2000
 
 
 @dataclass
 class SolverStats:
-    """Counters describing the work done by a single :class:`SatSolver`."""
+    """Counters describing the work done by one CDCL kernel instance."""
 
     decisions: int = 0
     propagations: int = 0
@@ -58,11 +69,11 @@ class SolverStats:
     max_decision_level: int = 0
     #: Sum of LBD scores over stored learned clauses (avg = lbd_sum /
     #: learned_clauses); low averages mean high-quality conflict clauses.
+    #: Counted by the arena kernel only.
     lbd_sum: int = 0
-    #: Literals removed from learned clauses by conflict-clause minimisation.
+    #: Literals removed from learned clauses by recursive minimisation.
+    #: Counted by the arena kernel only.
     minimized_literals: int = 0
-    #: Decisions whose polarity came from a saved (non-default) phase.
-    saved_phase_hits: int = 0
 
     def copy(self) -> "SolverStats":
         """A detached snapshot of the counters."""
@@ -83,7 +94,6 @@ class SolverStats:
             max_decision_level=self.max_decision_level,
             lbd_sum=self.lbd_sum - earlier.lbd_sum,
             minimized_literals=self.minimized_literals - earlier.minimized_literals,
-            saved_phase_hits=self.saved_phase_hits - earlier.saved_phase_hits,
         )
 
     def merge(self, other: "SolverStats") -> None:
@@ -96,7 +106,6 @@ class SolverStats:
         self.max_decision_level = max(self.max_decision_level, other.max_decision_level)
         self.lbd_sum += other.lbd_sum
         self.minimized_literals += other.minimized_literals
-        self.saved_phase_hits += other.saved_phase_hits
 
 
 @dataclass
@@ -144,15 +153,14 @@ def _luby(i: int) -> int:
 
 
 class _Clause:
-    """Internal clause representation with an activity score and LBD."""
+    """Internal clause representation with an activity score."""
 
-    __slots__ = ("lits", "learned", "activity", "lbd")
+    __slots__ = ("lits", "learned", "activity")
 
-    def __init__(self, lits: list[int], learned: bool = False, lbd: int = 0):
+    def __init__(self, lits: list[int], learned: bool = False):
         self.lits = lits
         self.learned = learned
         self.activity = 0.0
-        self.lbd = lbd
 
 
 class SatSolver:
@@ -167,29 +175,8 @@ class SatSolver:
         assert result.satisfiable
     """
 
-    def __init__(
-        self,
-        cnf: CNF | None = None,
-        var_decay: float = 0.95,
-        default_phase: bool = False,
-        restart_interval: int = 100,
-        sanitize: Optional[bool] = None,
-        lbd_tiers: bool = True,
-        phase_saving: bool = True,
-        minimize: bool = True,
-    ):
-        if not (0.0 < var_decay <= 1.0):
-            raise SatError(f"var_decay must be in (0, 1], got {var_decay}")
-        if restart_interval < 1:
-            raise SatError(f"restart_interval must be >= 1, got {restart_interval}")
+    def __init__(self, cnf: CNF | None = None, sanitize: Optional[bool] = None):
         self._sanitize = resolve_sanitize(sanitize)
-        self._lbd_tiers = bool(lbd_tiers)
-        self._phase_saving = bool(phase_saving)
-        self._minimize = bool(minimize)
-        # Target phases: snapshot of the deepest trail seen, restored on
-        # restart so the search re-approaches its best partial assignment.
-        self._target_phase: Optional[list[bool]] = None
-        self._best_trail = 0
         self._num_vars = 0
         self._clauses: list[_Clause] = []
         self._learned: list[_Clause] = []
@@ -198,20 +185,17 @@ class SatSolver:
         self._assign: list[int] = [_UNASSIGNED]
         self._level: list[int] = [0]
         self._reason: list[Optional[_Clause]] = [None]
-        self._default_phase = default_phase
-        self._restart_interval = restart_interval
-        self._phase: list[bool] = [default_phase]
+        self._restart_interval = _RESTART_UNIT
+        self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
         self._var_inc = 1.0
-        self._var_decay = var_decay
         self._cla_inc = 1.0
-        self._cla_decay = 0.999
         self._order_heap: list[tuple[float, int]] = []
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._ok = True
-        self._learned_limit = 2000
+        self._learned_limit = _INITIAL_LEARNED_LIMIT
         self.stats = SolverStats()
         if cnf is not None:
             self.add_cnf(cnf)
@@ -230,7 +214,7 @@ class SatSolver:
             self._assign.append(_UNASSIGNED)
             self._level.append(0)
             self._reason.append(None)
-            self._phase.append(self._default_phase)
+            self._phase.append(False)
             self._activity.append(0.0)
             self._watches.append([])
             self._watches.append([])
@@ -322,8 +306,7 @@ class SatSolver:
         self._assign[var] = _TRUE if lit > 0 else _FALSE
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        if self._phase_saving:
-            self._phase[var] = lit > 0
+        self._phase[var] = lit > 0
         self._trail.append(lit)
         return True
 
@@ -389,69 +372,11 @@ class SatSolver:
                 c.activity *= 1e-20
             self._cla_inc *= 1e-20
 
-    def _lit_redundant(
-        self,
-        q: int,
-        in_learned: set[int],
-        levels: set[int],
-        removable: set[int],
-        failed: set[int],
-    ) -> bool:
-        """MiniSat's ``litRedundant``: iterative DFS over the implication graph.
-
-        A learned-clause literal ``q`` is redundant when every literal of its
-        reason clause is assigned at level 0, already in the learned clause,
-        or itself (recursively) redundant.  ``removable``/``failed`` memoise
-        verdicts across the literals of one learned clause; the ``levels``
-        filter prunes branches that can never resolve into the clause (a
-        decision level absent from the clause cannot be cancelled).
-        """
-        var0 = abs(q)
-        if var0 in removable:
-            return True
-        if var0 in failed:
-            return False
-        reason0 = self._reason[var0]
-        if reason0 is None:
-            return False
-        # Explicit DFS stack of (var, reason clause, next literal index).
-        stack: list[tuple[int, _Clause, int]] = [(var0, reason0, 0)]
-        while stack:
-            var, reason, idx = stack.pop()
-            descended = False
-            lits = reason.lits
-            while idx < len(lits):
-                r = lits[idx]
-                idx += 1
-                rv = abs(r)
-                if (
-                    rv == var
-                    or self._level[rv] == 0
-                    or rv in in_learned
-                    or rv in removable
-                ):
-                    continue
-                r_reason = self._reason[rv]
-                if r_reason is None or self._level[rv] not in levels or rv in failed:
-                    # The whole path from var0 down to here depends on a
-                    # non-redundant literal.
-                    failed.add(var)
-                    for v, _, _ in stack:
-                        failed.add(v)
-                    return False
-                stack.append((var, reason, idx))
-                stack.append((rv, r_reason, 0))
-                descended = True
-                break
-            if not descended:
-                removable.add(var)
-        return True
-
-    def _analyze(self, conflict: _Clause) -> tuple[list[int], int, int]:
+    def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
         """First-UIP conflict analysis.
 
-        Returns the learned clause (with the asserting literal first), the
-        backjump level, and the clause's LBD (distinct decision levels).
+        Returns the learned clause (with the asserting literal first) and the
+        backjump level.
         """
         learned: list[int] = [0]
         seen = [False] * (self._num_vars + 1)
@@ -488,26 +413,23 @@ class SatSolver:
                 break
         learned[0] = -lit
 
-        # Recursive conflict-clause minimisation: self-subsuming resolution
-        # over the whole implication graph (not just one reason level), so a
-        # literal is also dropped when its reason resolves into the clause
-        # through a chain of intermediate implications.
-        if self._minimize and len(learned) > 1:
-            in_learned = {abs(q) for q in learned}
-            levels = {self._level[abs(q)] for q in learned[1:]}
-            removable: set[int] = set()
-            not_removable: set[int] = set()
+        # One-level clause minimisation: a literal q can be dropped when every
+        # other literal of its reason clause is either assigned at level 0 or
+        # already present in the learned clause (self-subsuming resolution).
+        if len(learned) > 1:
+            in_learned = {abs(q) for q in learned[1:]}
             minimized = [learned[0]]
             for q in learned[1:]:
-                if not self._lit_redundant(
-                    q, in_learned, levels, removable, not_removable
+                reason = self._reason[abs(q)]
+                if reason is None or not all(
+                    abs(r) == abs(q)
+                    or self._level[abs(r)] == 0
+                    or abs(r) in in_learned
+                    for r in reason.lits
                 ):
                     minimized.append(q)
-            self.stats.minimized_literals += len(learned) - len(minimized)
             learned = minimized
 
-        lbd = len({self._level[abs(q)] for q in learned if self._level[abs(q)] > 0})
-        lbd = max(lbd, 1)
         if len(learned) == 1:
             backjump = 0
         else:
@@ -518,7 +440,7 @@ class SatSolver:
                     max_i = i
             learned[1], learned[max_i] = learned[max_i], learned[1]
             backjump = self._level[abs(learned[1])]
-        return learned, backjump, lbd
+        return learned, backjump
 
     def _analyze_final(self, failed: int) -> list[int]:
         """Failed-assumption core for assumption ``failed`` found falsified.
@@ -562,11 +484,9 @@ class SatSolver:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
-        phase_saving = self._phase_saving
         for lit in reversed(self._trail[limit:]):
             var = abs(lit)
-            if phase_saving:
-                self._phase[var] = self._assign[var] == _TRUE
+            self._phase[var] = self._assign[var] == _TRUE
             self._assign[var] = _UNASSIGNED
             self._reason[var] = None
             heapq.heappush(self._order_heap, (-self._activity[var], var))
@@ -588,32 +508,18 @@ class SatSolver:
         return 0
 
     def _reduce_db(self) -> None:
-        """Remove roughly half the learned clauses, best-LBD-first retention.
+        """Remove the least active half of the learned clauses.
 
         The trigger threshold starts at 2000 clauses and grows geometrically
         on every reduction, so long incremental runs (PDR's thousands of
         consecution queries on one instance) keep more of what they learn
         instead of thrashing a fixed-size cache.
-
-        With ``lbd_tiers`` (the default), retention is tiered by clause LBD
-        rather than pure activity: *core* clauses (LBD <= 2) are never
-        deleted, the *mid* tier (LBD <= 6) is only dropped once every
-        *local* clause (LBD > 6) is gone, and within a tier the least
-        active clauses go first.
         """
         if len(self._learned) < self._learned_limit:
             return
         self._learned_limit += self._learned_limit >> 1
-        target = len(self._learned) // 2
-        if self._lbd_tiers:
-            candidates = [c for c in self._learned if c.lbd > _LBD_CORE]
-            # Locals (lbd > _LBD_MID) sort before mids; least active first
-            # within a tier.
-            candidates.sort(key=lambda c: (c.lbd <= _LBD_MID, c.activity))
-            drop = set(id(c) for c in candidates[:target])
-        else:
-            self._learned.sort(key=lambda c: c.activity)
-            drop = set(id(c) for c in self._learned[:target])
+        self._learned.sort(key=lambda c: c.activity)
+        drop = set(id(c) for c in self._learned[: len(self._learned) // 2])
         # Never drop clauses that are the reason of a current assignment.
         locked = set(id(c) for c in self._reason if c is not None)
         drop -= locked
@@ -651,7 +557,6 @@ class SatSolver:
         if not self._ok:
             return SatResult(False, stats=self.stats.copy(), core=[])
         self._backtrack(0)
-        self._best_trail = 0  # target phases track the deepest trail per call
         conflict = self._propagate()
         if conflict is not None:
             self._ok = False
@@ -675,26 +580,20 @@ class SatSolver:
                     # clause set alone: latch the instance root-UNSAT.
                     self._ok = False
                     return SatResult(False, stats=self.stats.copy(), core=[])
-                if self._phase_saving and len(self._trail) > self._best_trail:
-                    # Deepest trail of this call so far: snapshot the phases
-                    # as the target assignment restored on restart.
-                    self._best_trail = len(self._trail)
-                    self._target_phase = self._phase.copy()
-                learned, backjump, lbd = self._analyze(conflict)
+                learned, backjump = self._analyze(conflict)
                 if self._sanitize:
                     check_reference_learned(self, learned)
                 self._backtrack(backjump)
                 if len(learned) == 1:
                     self._enqueue(learned[0], None)
                 else:
-                    clause = _Clause(list(learned), learned=True, lbd=lbd)
+                    clause = _Clause(list(learned), learned=True)
                     self._learned.append(clause)
                     self.stats.learned_clauses += 1
-                    self.stats.lbd_sum += lbd
                     self._attach(clause)
                     self._enqueue(learned[0], clause)
-                self._var_inc /= self._var_decay
-                self._cla_inc /= self._cla_decay
+                self._var_inc /= _VAR_DECAY
+                self._cla_inc /= _CLA_DECAY
                 if conflict_budget is not None and conflicts_spent >= conflict_budget:
                     self._backtrack(0)
                     return SatResult(None, stats=self.stats.copy())
@@ -707,11 +606,6 @@ class SatSolver:
                         restart_count + 1
                     )
                     self._backtrack(0)
-                    if self._phase_saving and self._target_phase is not None:
-                        # Target-phase reset: re-approach the deepest partial
-                        # assignment seen instead of a drifted phase mix.
-                        n = min(len(self._phase), len(self._target_phase))
-                        self._phase[:n] = self._target_phase[:n]
                     if self._sanitize:
                         check_reference_trail(self)
                         learned_before = len(self._learned)
@@ -754,17 +648,9 @@ class SatSolver:
                     self._backtrack(0)
                     return result
                 self.stats.decisions += 1
-                phase = self._phase[var]
-                if phase != self._default_phase:
-                    self.stats.saved_phase_hits += 1
-                next_lit = var if phase else -var
+                next_lit = var if self._phase[var] else -var
             self._trail_lim.append(len(self._trail))
             self.stats.max_decision_level = max(
                 self.stats.max_decision_level, len(self._trail_lim)
             )
             self._enqueue(next_lit, None)
-
-
-def solve_cnf(cnf: CNF, assumptions: Iterable[int] = ()) -> SatResult:
-    """Convenience one-shot solve of a :class:`CNF` formula."""
-    return SatSolver(cnf).solve(assumptions=assumptions)

@@ -113,36 +113,13 @@ class CdclBackend:
     not eroded by the conflicts of earlier queries on the same context
     (both kernels count conflicts per call).  UNSAT cores come straight
     from the solver's final-conflict analysis.
-
-    The conflict-quality knobs thread straight through to both kernels:
-    ``lbd_tiers`` (glucose-style LBD-tiered learned-clause retention),
-    ``phase_saving`` (saved polarities with a target-phase reset on
-    restart) and ``minimize`` (recursive conflict-clause minimisation).
-    All three default on; turning one off reverts to the pre-heuristic
-    behaviour, which the differential fuzz suite exercises.
     """
 
     name = "cdcl"
 
-    def __init__(
-        self,
-        var_decay: float = 0.95,
-        default_phase: bool = False,
-        restart_interval: int = 100,
-        kernel: Optional[str] = None,
-        lbd_tiers: bool = True,
-        phase_saving: bool = True,
-        minimize: bool = True,
-    ) -> None:
+    def __init__(self, kernel: Optional[str] = None) -> None:
         self.kernel = resolve_sat_kernel(kernel)
-        self._solver = _KERNEL_CLASSES[self.kernel](
-            var_decay=var_decay,
-            default_phase=default_phase,
-            restart_interval=restart_interval,
-            lbd_tiers=lbd_tiers,
-            phase_saving=phase_saving,
-            minimize=minimize,
-        )
+        self._solver = _KERNEL_CLASSES[self.kernel]()
 
     @property
     def stats(self) -> SolverStats:
@@ -302,7 +279,13 @@ class DimacsBackend:
                     satisfiable = False
             elif line.startswith("v "):
                 saw_values = True
-                values.extend(int(tok) for tok in line[2:].split())
+                try:
+                    values.extend(int(tok) for tok in line[2:].split())
+                except ValueError:
+                    raise SolveError(
+                        f"solver {self.executable!r} printed a malformed "
+                        f"model line {line!r}"
+                    ) from None
         if satisfiable is None:
             if proc.returncode == 10:
                 satisfiable = True
@@ -336,24 +319,10 @@ class DimacsBackend:
 #: Specs naming the builtin CDCL backend (the default everywhere).
 DEFAULT_BACKEND_SPECS = ("cdcl", "builtin")
 
-#: Builtin specs that accept solver tuning knobs, mapped to the kernel they
-#: pin (``None`` = follow the process default / ``REPRO_SAT_BACKEND``).
-TUNABLE_BACKEND_SPECS: dict = {
-    "cdcl": None,
-    "builtin": None,
-    "arena": "arena",
-    "reference": "reference",
-}
-
 
 def is_default_backend(spec: "str | SatBackend") -> bool:
     """True when ``spec`` names the default builtin backend."""
     return isinstance(spec, str) and spec in DEFAULT_BACKEND_SPECS
-
-
-def is_builtin_backend(spec: "str | SatBackend") -> bool:
-    """True when ``spec`` names any builtin CDCL backend (either kernel)."""
-    return isinstance(spec, str) and spec in TUNABLE_BACKEND_SPECS
 
 
 def dimacs_solver_available(executable: str) -> bool:
@@ -374,8 +343,10 @@ def create_backend(spec: "str | SatBackend") -> SatBackend:
         if isinstance(spec, SatBackend):
             return spec
         raise SolveError(f"object {spec!r} does not implement the SatBackend protocol")
-    if spec in TUNABLE_BACKEND_SPECS:
-        return CdclBackend(kernel=TUNABLE_BACKEND_SPECS[spec])
+    if spec in DEFAULT_BACKEND_SPECS:
+        return CdclBackend()
+    if spec in SAT_KERNELS:
+        return CdclBackend(kernel=spec)
     if spec.startswith("dimacs:"):
         executable = spec.split(":", 1)[1]
         if not executable:

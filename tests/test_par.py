@@ -22,8 +22,6 @@ from repro.proc.bugs import get_bug
 from repro.proc.config import ProcessorConfig
 from repro.par import (
     ParError,
-    PortfolioConfig,
-    PortfolioSolver,
     TaskPool,
     check_frames_sharded,
     check_properties_parallel,
@@ -33,7 +31,6 @@ from repro.par import (
 )
 from repro.qed.equivalents import default_equivalent_programs, verify_equivalences
 from repro.smt import terms as T
-from repro.solve.context import SolverContext
 from repro.ts.system import TransitionSystem
 
 
@@ -96,52 +93,6 @@ class TestTaskPool:
         assert resolve_jobs(0) == (os.cpu_count() or 1)
         with pytest.raises(ParError):
             resolve_jobs(-1)
-
-
-class TestPortfolioSolver:
-    def setup_method(self):
-        x = T.bv_var("pft_x", 8)
-        self.sat_query = [
-            T.bv_ult(x, T.bv_const(10, 8)),
-            T.bv_eq(T.bv_and(x, T.bv_const(3, 8)), T.bv_const(3, 8)),
-        ]
-        self.unsat_query = [
-            T.bv_eq(x, T.bv_const(1, 8)),
-            T.bv_eq(x, T.bv_const(2, 8)),
-        ]
-        self.x = x
-
-    def test_race_matches_direct_solve(self):
-        solver = PortfolioSolver(jobs=4)
-        result = solver.check(self.sat_query)
-        assert result.satisfiable is True
-        assert result.winner is not None
-        model_value = result.model["pft_x"]
-        assert model_value < 10 and (model_value & 3) == 3
-
-        context = SolverContext()
-        for term in self.sat_query:
-            context.add(term)
-        assert context.check().satisfiable is True
-
-    def test_race_unsat(self):
-        result = PortfolioSolver(jobs=4).check(self.unsat_query)
-        assert result.satisfiable is False
-
-    def test_single_config_runs_inline(self):
-        solver = PortfolioSolver([PortfolioConfig("only")], jobs=4)
-        result = solver.check(self.sat_query)
-        assert result.satisfiable is True
-        assert result.winner == "only"
-        assert result.racers == 1
-
-    def test_duplicate_config_names_rejected(self):
-        with pytest.raises(ParError):
-            PortfolioSolver([PortfolioConfig("a"), PortfolioConfig("a")])
-
-    def test_empty_portfolio_rejected(self):
-        with pytest.raises(ParError):
-            PortfolioSolver([])
 
 
 @pytest.fixture(scope="module")

@@ -451,13 +451,23 @@ class TestBackends:
         with pytest.raises(SolveError):
             SolverContext(backend=backend)
 
+    @staticmethod
+    def _install_script(tmp_path, monkeypatch, name: str, body: str) -> str:
+        """Put an executable Python script called ``name`` first on PATH."""
+        script = tmp_path / name
+        script.write_text(f"#!{sys.executable}\n{body}")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        monkeypatch.setenv("PATH", str(tmp_path), prepend=os.pathsep)
+        return name
+
     @pytest.fixture()
     def stub_solver(self, tmp_path, monkeypatch):
         """A DIMACS 'solver' that answers with the builtin CDCL engine."""
-        script = tmp_path / "stub-sat-solver"
         repo_src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        script.write_text(
-            "#!%s\n"
+        return self._install_script(
+            tmp_path,
+            monkeypatch,
+            "stub-sat-solver",
             "import sys\n"
             "sys.path.insert(0, %r)\n"
             "from repro.sat.cnf import parse_dimacs\n"
@@ -471,11 +481,24 @@ class TestBackends:
             "    print('v ' + ' '.join(map(str, lits)) + ' 0')\n"
             "    sys.exit(10)\n"
             "print('s UNSATISFIABLE')\n"
-            "sys.exit(20)\n" % (sys.executable, os.path.abspath(repo_src))
+            "sys.exit(20)\n" % os.path.abspath(repo_src),
         )
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        monkeypatch.setenv("PATH", str(tmp_path), prepend=os.pathsep)
-        return script.name
+
+    def test_dimacs_backend_rejects_malformed_model_line(self, tmp_path, monkeypatch):
+        name = self._install_script(
+            tmp_path,
+            monkeypatch,
+            "garbled-sat-solver",
+            "import sys\n"
+            "print('s SATISFIABLE')\n"
+            "print('v 1 -2 oops 0')\n"
+            "sys.exit(10)\n",
+        )
+        ctx = SolverContext(backend=f"dimacs:{name}")
+        x, _ = _vars("garbled")
+        ctx.add(T.bv_eq(x, T.bv_const(1, W)))
+        with pytest.raises(SolveError, match="garbled-sat-solver"):
+            ctx.check()
 
     def test_dimacs_backend_roundtrip(self, stub_solver):
         ctx = SolverContext(backend=f"dimacs:{stub_solver}")
