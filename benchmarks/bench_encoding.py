@@ -79,8 +79,6 @@ def _encoding_sizes(bug, size_bound: int, opt_level: int) -> dict:
         "units_found": encoding.units_found,
         "coi_states_dropped": encoding.coi_states_dropped,
         "coi_state_bits_dropped": encoding.coi_state_bits_dropped,
-        "blast_seconds": round(encoding.blast_seconds, 3),
-        "preprocess_seconds": round(encoding.preprocess_seconds, 3),
     }
 
 

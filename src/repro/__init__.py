@@ -51,13 +51,7 @@ from repro.qed.equivalents import (
     verify_equivalences,
 )
 from repro.qed.mapping import RegisterPartition, MemoryPartition
-from repro.par import (
-    TaskPool,
-    check_frames_sharded,
-    check_properties_parallel,
-    prove_properties_parallel,
-    verify_equivalences_parallel,
-)
+from repro.par import TaskPool
 from repro.core.flow import SqedFlow, SepeSqedFlow, pool_for_bug
 from repro.core.results import ProofOutcome, VerificationOutcome
 from repro.bmc.engine import BmcEngine, BmcSession
@@ -110,10 +104,6 @@ __all__ = [
     "RegisterPartition",
     "MemoryPartition",
     "TaskPool",
-    "check_frames_sharded",
-    "check_properties_parallel",
-    "prove_properties_parallel",
-    "verify_equivalences_parallel",
     "SqedFlow",
     "SepeSqedFlow",
     "pool_for_bug",

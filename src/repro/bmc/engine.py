@@ -18,7 +18,6 @@ base-case schedule.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,18 +40,15 @@ class BmcStats:
 
     solver_calls: int = 0
     frames_checked: int = 0
-    elapsed_seconds: float = 0.0
-    per_frame_seconds: list[float] = field(default_factory=list)
     solver_stats: SolverStats = field(default_factory=SolverStats)
     #: Compilation-pipeline counters (AIG size, CNF before/after
     #: preprocessing, cone-of-influence reduction) of the session's context.
     encoding: EncodingStats = field(default_factory=EncodingStats)
 
     def copy(self) -> "BmcStats":
-        """A detached snapshot (lists and nested stats copied)."""
+        """A detached snapshot (nested stats copied)."""
         return dataclasses.replace(
             self,
-            per_frame_seconds=list(self.per_frame_seconds),
             solver_stats=self.solver_stats.copy(),
             encoding=self.encoding.copy(),
         )
@@ -87,8 +83,7 @@ def load_frame_constraints(
 ) -> int:
     """Assert the global constraints of frames ``loaded..frame`` into ``context``.
 
-    Returns the new count of loaded frames.  Shared by the incremental
-    session and the sharded workers so the two paths cannot drift.
+    Returns the new count of loaded frames.
     """
     while loaded <= frame:
         for constraint in unroller.constraints_at(loaded):
@@ -111,8 +106,7 @@ def prepare_property_system(
     At ``opt_level >= 1`` the transition system is restricted to the
     property's cone of influence; the returned reduction (``None`` when
     nothing was dropped or COI is off) carries what a trace builder needs to
-    reconstruct the dropped signals.  Shared by the incremental session and
-    the sharded workers so the two paths cannot drift.
+    reconstruct the dropped signals.
     """
     if not pipeline.coi:
         return ts, None
@@ -131,8 +125,6 @@ def prepare_absint_fold(ts: TransitionSystem, pipeline: PipelineConfig):
     last case means the constraints are unsatisfiable on the abstract
     reachable set, and the unfolded path must keep reporting it through
     its own semantics (``load_frame_constraints``) rather than ours.
-    Shared by the incremental session and the sharded workers so the two
-    paths cannot drift.
     """
     if not pipeline.use_absint:
         return None
@@ -350,12 +342,10 @@ class BmcSession:
         if bound < 0:
             raise BmcError(f"bound must be non-negative, got {bound}")
         stats = self.stats
-        start_time = time.perf_counter()
         remaining_budget = conflict_budget
         stats_origin = self.context.stats.copy()
 
         def finish(holds: Optional[bool], bound_out: int, trace=None) -> BmcResult:
-            stats.elapsed_seconds += time.perf_counter() - start_time
             self._session_solver_stats.merge(self.context.stats.since(stats_origin))
             stats.solver_stats = self._session_solver_stats
             stats.encoding = self._encoding_snapshot()
@@ -374,13 +364,11 @@ class BmcSession:
             if frame < self.start_frame:
                 self._next_frame = frame + 1
                 continue
-            frame_start = time.perf_counter()
             property_term = self.unroller.property_at(self.property_name, frame)
             violation = T.bv_not(property_term)
             if violation.is_const and violation.const_value() == 0:
                 # The property reduced to true at this frame; no query needed.
                 stats.frames_checked += 1
-                stats.per_frame_seconds.append(time.perf_counter() - frame_start)
                 self._next_frame = frame + 1
                 continue
             if remaining_budget is not None and remaining_budget <= 0:
@@ -399,10 +387,9 @@ class BmcSession:
             if result.satisfiable is None:
                 # Undecided: the frame stays pending (and uncounted), so a
                 # re-extend with a fresh budget retries it without skewing
-                # frames_checked / per_frame_seconds.
+                # frames_checked.
                 return finish(None, frame)
             stats.frames_checked += 1
-            stats.per_frame_seconds.append(time.perf_counter() - frame_start)
             if result.satisfiable:
                 trace = self._build_trace(result.model, frame)
                 return finish(False, frame, trace=trace)

@@ -20,7 +20,6 @@ depth.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,7 +41,6 @@ class KInductionResult:
     k: int
     property_name: str
     base_result: Optional[BmcResult] = None
-    elapsed_seconds: float = 0.0
     step_solver_stats: SolverStats = field(default_factory=SolverStats)
 
 
@@ -92,7 +90,6 @@ class KInductionEngine:
         """Try to prove ``property_name`` with induction depth up to ``max_k``."""
         if property_name not in self.ts.properties:
             raise BmcError(f"unknown property {property_name!r}")
-        start = time.perf_counter()
         prop = self.ts.properties[property_name]
 
         # The inductive step only needs the property's cone of influence;
@@ -136,7 +133,6 @@ class KInductionEngine:
                     k=k,
                     property_name=property_name,
                     base_result=base,
-                    elapsed_seconds=time.perf_counter() - start,
                     step_solver_stats=step_ctx.stats.copy(),
                 )
             if base.holds is None:
@@ -145,7 +141,6 @@ class KInductionEngine:
                     k=k,
                     property_name=property_name,
                     base_result=base,
-                    elapsed_seconds=time.perf_counter() - start,
                     step_solver_stats=step_ctx.stats.copy(),
                 )
             # Inductive step at depth k: extend the symbolic unrolling by one
@@ -169,7 +164,6 @@ class KInductionEngine:
                     k=k,
                     property_name=property_name,
                     base_result=base,
-                    elapsed_seconds=time.perf_counter() - start,
                     step_solver_stats=step_ctx.stats.copy(),
                 )
         # max_k exhausted: the last base result still tells the caller the
@@ -180,6 +174,5 @@ class KInductionEngine:
             k=max_k,
             property_name=property_name,
             base_result=base,
-            elapsed_seconds=time.perf_counter() - start,
             step_solver_stats=step_ctx.stats.copy(),
         )

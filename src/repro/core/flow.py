@@ -61,14 +61,7 @@ def pool_for_bug(
 
 
 class _BaseFlow:
-    """Shared machinery of the two flows.
-
-    ``jobs`` controls parallel execution: with ``jobs > 1`` a single
-    :meth:`run` shards the BMC frames across worker processes
-    (:func:`repro.par.bmc.check_frames_sharded`) and :meth:`run_many`
-    distributes independent bug variants across workers.  ``jobs=1`` (the
-    default) is the plain sequential incremental path.
-    """
+    """Shared machinery of the two flows."""
 
     method = "base"
 
@@ -78,7 +71,6 @@ class _BaseFlow:
         fifo_depth: int = 2,
         compare_memory: bool = True,
         backend: str = "cdcl",
-        jobs: int = 1,
         opt_level: Optional[int] = None,
         lint: Optional[str] = None,
         absint: Optional[bool] = None,
@@ -87,7 +79,6 @@ class _BaseFlow:
         self.fifo_depth = fifo_depth
         self.compare_memory = compare_memory
         self.backend = backend
-        self.jobs = jobs
         self.opt_level = opt_level
         #: Pre-solve lint gate mode ("error"/"warn"/"off"); ``None`` defers
         #: to ``$REPRO_LINT_GATE`` (default off).
@@ -120,38 +111,21 @@ class _BaseFlow:
         bug: Optional[Bug] = None,
         bound: int = 12,
         conflict_budget: Optional[int] = None,
-        jobs: Optional[int] = None,
     ) -> VerificationOutcome:
         """Build the verification model, run BMC and summarise the outcome.
 
-        ``jobs`` overrides the flow-level knob for this run.  In sharded
-        mode (``jobs > 1``) the ``conflict_budget`` caps each frame's query
-        instead of the whole run — frames race, so a cumulative cap has no
-        sequential order to follow.
+        ``conflict_budget`` caps the conflicts of the whole run, summed over
+        its frames.
         """
-        effective_jobs = self.jobs if jobs is None else jobs
         start = time.perf_counter()
         model = self._gate_model(self.build_model(bug))
-        if effective_jobs == 1:
-            # lint="off": the gate above already covered this exact system.
-            engine = BmcEngine(
-                model.ts, backend=self.backend, opt_level=self._opt(), lint="off"
-            )
-            result = engine.check(
-                model.property_name, bound=bound, conflict_budget=conflict_budget
-            )
-        else:
-            from repro.par.bmc import check_frames_sharded
-
-            result = check_frames_sharded(
-                model.ts,
-                model.property_name,
-                bound=bound,
-                jobs=effective_jobs,
-                backend=self.backend,
-                conflict_budget=conflict_budget,
-                opt_level=self._opt(),
-            )
+        # lint="off": the gate above already covered this exact system.
+        engine = BmcEngine(
+            model.ts, backend=self.backend, opt_level=self._opt(), lint="off"
+        )
+        result = engine.check(
+            model.property_name, bound=bound, conflict_budget=conflict_budget
+        )
         elapsed = time.perf_counter() - start
         detected: Optional[bool]
         if result.holds is None:
@@ -240,29 +214,6 @@ class _BaseFlow:
             model=model,
         )
 
-    def run_many(
-        self,
-        bugs: Iterable[Optional[Bug]],
-        bound: int = 12,
-        conflict_budget: Optional[int] = None,
-        jobs: Optional[int] = None,
-    ) -> list[VerificationOutcome]:
-        """Verify independent bug variants, ``jobs`` at a time.
-
-        Results come back in input order; each variant runs the plain
-        sequential engine inside its worker, so per-variant verdicts are
-        identical to calling :meth:`run` in a loop.
-        """
-        from repro.par.pool import TaskPool
-
-        bug_list = list(bugs)
-        effective_jobs = self.jobs if jobs is None else jobs
-
-        def task(bug: Optional[Bug]) -> VerificationOutcome:
-            return self.run(bug, bound=bound, conflict_budget=conflict_budget, jobs=1)
-
-        return TaskPool(effective_jobs).map(task, bug_list)
-
 
 class SqedFlow(_BaseFlow):
     """Classic SQED: EDDI-V duplication plus the self-consistency property."""
@@ -296,7 +247,6 @@ class SepeSqedFlow(_BaseFlow):
         compare_memory: bool = True,
         num_temps: Optional[int] = None,
         backend: str = "cdcl",
-        jobs: int = 1,
         opt_level: Optional[int] = None,
         lint: Optional[str] = None,
         absint: Optional[bool] = None,
@@ -306,7 +256,6 @@ class SepeSqedFlow(_BaseFlow):
             fifo_depth=fifo_depth,
             compare_memory=compare_memory,
             backend=backend,
-            jobs=jobs,
             opt_level=opt_level,
             lint=lint,
             absint=absint,

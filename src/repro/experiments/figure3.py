@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa.config import IsaConfig
-from repro.par.pool import TaskPool, resolve_jobs
 from repro.solve.pipeline import PipelineConfig
 from repro.synth.cegis import CegisConfig
 from repro.synth.components import build_default_library
 from repro.synth.hpf import HpfCegis
 from repro.synth.iterative import IterativeCegis
-from repro.synth.program import ProgramSlot, SynthesizedProgram
 from repro.synth.search import SynthesisRun
 from repro.synth.spec import spec_from_instruction, synthesis_case_names
 from repro.utils.tables import TextTable
@@ -45,9 +43,6 @@ class Figure3Config:
     max_multisets: Optional[int] = 60
     shuffle_seed: int = 2024
     max_cegis_iterations: int = 12
-    #: Cases synthesized concurrently (each case runs both algorithms in its
-    #: worker).  ``0`` means one per CPU.
-    jobs: int = 1
     #: Compilation-pipeline level for every CEGIS solver context
     #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
     opt_level: Optional[int] = None
@@ -98,63 +93,11 @@ class Figure3Result:
         return "\n".join(lines)
 
 
-def _encode_run(run: SynthesisRun) -> dict:
-    """A picklable summary of a run: programs become component recipes."""
-    return {
-        "spec_name": run.spec_name,
-        "elapsed_seconds": run.elapsed_seconds,
-        "cegis_calls": run.cegis_calls,
-        "multisets_tried": run.multisets_tried,
-        "multisets_total": run.multisets_total,
-        "exhausted": run.exhausted,
-        "programs": [
-            [
-                (slot.component.name, slot.input_sources, slot.attributes)
-                for slot in program.slots
-            ]
-            for program in run.programs
-        ],
-    }
-
-
-def _decode_run(payload: dict, isa: IsaConfig, library) -> SynthesisRun:
-    """Rebuild a run in the parent from the worker's recipe encoding."""
-    spec = spec_from_instruction(payload["spec_name"], isa)
-    programs = [
-        SynthesizedProgram(
-            spec,
-            [
-                ProgramSlot(
-                    component=library.by_name(name),
-                    input_sources=sources,
-                    attributes=attributes,
-                )
-                for name, sources, attributes in slots
-            ],
-        )
-        for slots in payload["programs"]
-    ]
-    return SynthesisRun(
-        spec_name=payload["spec_name"],
-        programs=programs,
-        elapsed_seconds=payload["elapsed_seconds"],
-        cegis_calls=payload["cegis_calls"],
-        multisets_tried=payload["multisets_tried"],
-        multisets_total=payload["multisets_total"],
-        exhausted=payload["exhausted"],
-    )
-
-
 def run_figure3(config: Figure3Config | None = None) -> Figure3Result:
     """Run the HPF vs iterative comparison and return the per-case runs.
 
-    With ``jobs > 1`` the cases shard across worker processes; each worker
-    synthesizes one case with both algorithms, so the per-case comparison
-    stays apples-to-apples (same process, same warmed caches).  ``jobs=1``
-    runs the historical batch path on shared engine objects, where HPF's
-    priority weights carry over from case to case; sharded cases instead
-    start from the initial priority dictionary (fresh engines per case, so
-    results do not depend on which worker served which case).
+    Each algorithm runs every case on one shared engine, so HPF's priority
+    weights carry over from case to case, as in Algorithm 1.
     """
     config = config or Figure3Config()
     isa = IsaConfig.small(xlen=config.xlen, num_regs=config.num_regs)
@@ -167,51 +110,26 @@ def run_figure3(config: Figure3Config | None = None) -> Figure3Result:
         max_iterations=config.max_cegis_iterations, opt_level=opt_level
     )
 
-    def build_engines() -> tuple[HpfCegis, IterativeCegis]:
-        hpf = HpfCegis(
-            library,
-            multiset_size=config.multiset_size,
-            target_programs=config.target_programs,
-            cegis_config=cegis_cfg,
-            max_multisets=config.max_multisets,
-        )
-        iterative = IterativeCegis(
-            library,
-            multiset_size=config.multiset_size,
-            target_programs=config.target_programs,
-            cegis_config=cegis_cfg,
-            shuffle_seed=config.shuffle_seed,
-            max_multisets=config.max_multisets,
-        )
-        return hpf, iterative
-
-    if resolve_jobs(config.jobs) == 1:
-        # Historical batch path: one engine pair across every case, HPF
-        # priority weights carrying over from case to case.
-        hpf, iterative = build_engines()
-        specs = [spec_from_instruction(name, isa) for name in config.cases]
-        return Figure3Result(
-            hpf=hpf.synthesize_all(specs),
-            iterative=iterative.synthesize_all(specs),
-        )
-
-    def case_task(name: str) -> tuple[dict, dict]:
-        # Fresh engines per case: a worker serves several cases, so reusing
-        # engines would leak HPF priorities between whichever cases happen
-        # to land on the same worker — schedule-dependent, nondeterministic.
-        hpf, iterative = build_engines()
-        spec = spec_from_instruction(name, isa)
-        hpf_run = hpf.synthesize_all([spec])[name]
-        iterative_run = iterative.synthesize_all([spec])[name]
-        return _encode_run(hpf_run), _encode_run(iterative_run)
-
-    payloads = TaskPool(config.jobs).map(case_task, config.cases)
-    hpf_runs: dict[str, SynthesisRun] = {}
-    iterative_runs: dict[str, SynthesisRun] = {}
-    for name, (hpf_payload, iterative_payload) in zip(config.cases, payloads):
-        hpf_runs[name] = _decode_run(hpf_payload, isa, library)
-        iterative_runs[name] = _decode_run(iterative_payload, isa, library)
-    return Figure3Result(hpf=hpf_runs, iterative=iterative_runs)
+    hpf = HpfCegis(
+        library,
+        multiset_size=config.multiset_size,
+        target_programs=config.target_programs,
+        cegis_config=cegis_cfg,
+        max_multisets=config.max_multisets,
+    )
+    iterative = IterativeCegis(
+        library,
+        multiset_size=config.multiset_size,
+        target_programs=config.target_programs,
+        cegis_config=cegis_cfg,
+        shuffle_seed=config.shuffle_seed,
+        max_multisets=config.max_multisets,
+    )
+    specs = [spec_from_instruction(name, isa) for name in config.cases]
+    return Figure3Result(
+        hpf=hpf.synthesize_all(specs),
+        iterative=iterative.synthesize_all(specs),
+    )
 
 
 def main() -> None:  # pragma: no cover - CLI entry point
@@ -221,9 +139,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
     parser.add_argument("--full", action="store_true", help="run all 26 cases")
     parser.add_argument("--cases", nargs="*", default=None, help="explicit case list")
     parser.add_argument("--max-multisets", type=int, default=60)
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="cases synthesized concurrently (0 = one per CPU)"
-    )
     parser.add_argument(
         "--opt-level",
         type=int,
@@ -242,7 +157,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
 
     config = Figure3Config(
         max_multisets=args.max_multisets,
-        jobs=args.jobs,
         opt_level=args.opt_level,
         absint=None if args.absint is None else bool(args.absint),
     )

@@ -14,8 +14,9 @@ from typing import Optional
 
 from repro.core.flow import SepeSqedFlow, SqedFlow, pool_for_bug
 from repro.core.results import VerificationOutcome
+from repro.errors import UnknownBugError
 from repro.isa.config import IsaConfig
-from repro.proc.bugs import Bug, multiple_instruction_bugs
+from repro.proc.bugs import Bug, multiple_instruction_bugs, select_bugs
 from repro.proc.config import ProcessorConfig
 from repro.qed.equivalents import default_equivalent_programs
 from repro.utils.tables import TextTable
@@ -102,15 +103,15 @@ class Figure4Result:
 
 
 def run_figure4(config: Figure4Config | None = None) -> Figure4Result:
-    """Run the multiple-instruction-bug comparison."""
+    """Run the multiple-instruction-bug comparison.
+
+    Raises :class:`~repro.errors.UnknownBugError` when ``bug_names`` names
+    a bug outside the Figure 4 set.
+    """
     config = config or Figure4Config()
+    bugs = select_bugs(multiple_instruction_bugs(), config.bug_names)
     isa = IsaConfig.small(xlen=config.xlen, num_regs=config.num_regs)
     equivalents_all = default_equivalent_programs(isa)
-
-    bugs = multiple_instruction_bugs()
-    if config.bug_names is not None:
-        requested = set(config.bug_names)
-        bugs = [bug for bug in bugs if bug.name in requested]
 
     result = Figure4Result()
     for bug in bugs:
@@ -181,7 +182,10 @@ def main() -> None:  # pragma: no cover - CLI entry point
         config.bug_names = None
     if args.bugs:
         config.bug_names = args.bugs
-    result = run_figure4(config)
+    try:
+        result = run_figure4(config)
+    except UnknownBugError as exc:
+        parser.error(str(exc))
     print(result.render())
     print(f"both methods detect every bug: {result.both_detect_all}")
 

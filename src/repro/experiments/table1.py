@@ -15,9 +15,9 @@ from typing import Optional
 
 from repro.core.flow import SepeSqedFlow, SqedFlow, pool_for_bug
 from repro.core.results import ProofOutcome, VerificationOutcome
+from repro.errors import UnknownBugError
 from repro.isa.config import IsaConfig
-from repro.par.pool import TaskPool
-from repro.proc.bugs import Bug, single_instruction_bugs
+from repro.proc.bugs import Bug, select_bugs, single_instruction_bugs
 from repro.proc.config import ProcessorConfig
 from repro.qed.equivalents import default_equivalent_programs
 from repro.utils.tables import TextTable
@@ -45,9 +45,6 @@ class Table1Config:
     #: the harness fast.  An exhausted budget is reported as "-" (no bug trace
     #: found), matching the paper's Table 1 column for SQED.
     sqed_conflict_budget: int = 20_000
-    #: Rows (bugs) verified concurrently; each row is an independent pair of
-    #: flows, so the table shards perfectly.  ``0`` means one per CPU.
-    jobs: int = 1
     #: Compilation-pipeline level for every solver in the experiment
     #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
     opt_level: Optional[int] = None
@@ -118,19 +115,17 @@ class Table1Result:
 
 
 def run_table1(config: Table1Config | None = None) -> Table1Result:
-    """Run the single-instruction-bug comparison."""
+    """Run the single-instruction-bug comparison.
+
+    Raises :class:`~repro.errors.UnknownBugError` when ``bug_names`` names
+    a bug outside the Table 1 set.
+    """
     config = config or Table1Config()
+    bugs = select_bugs(single_instruction_bugs(), config.bug_names)
     isa = IsaConfig.small(xlen=config.xlen, num_regs=config.num_regs)
     equivalents_all = default_equivalent_programs(isa)
 
-    bugs = single_instruction_bugs()
-    if config.bug_names is not None:
-        requested = {name for name in config.bug_names}
-        bugs = [bug for bug in bugs if bug.name in requested]
-
-    def row_task(
-        bug: Bug,
-    ) -> tuple[VerificationOutcome, VerificationOutcome, Optional[ProofOutcome]]:
+    def run_row(bug: Bug) -> Table1Row:
         pool = pool_for_bug(bug, equivalents_all)
         proc_config = ProcessorConfig(isa=isa, supported_ops=pool)
         equivalents = {
@@ -158,7 +153,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
                 bound=config.sqed_bound,
                 conflict_budget=config.sqed_conflict_budget,
             )
-            return sepe_outcome, sqed_outcome, None
+            return Table1Row(bug=bug, sepe=sepe_outcome, sqed=sqed_outcome)
         # Unbounded SQED column: prove (rather than bound-check) that the
         # self-consistency property survives the bug.
         sqed_proof = sqed.prove(
@@ -180,17 +175,11 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
             runtime_seconds=sqed_proof.runtime_seconds,
             bound=sqed_proof.depth,
         )
-        return sepe_outcome, sqed_outcome, sqed_proof
-
-    result = Table1Result()
-    outcomes = TaskPool(config.jobs).map(row_task, bugs)
-    for bug, (sepe_outcome, sqed_outcome, sqed_proof) in zip(bugs, outcomes):
-        result.rows.append(
-            Table1Row(
-                bug=bug, sepe=sepe_outcome, sqed=sqed_outcome, sqed_proof=sqed_proof
-            )
+        return Table1Row(
+            bug=bug, sepe=sepe_outcome, sqed=sqed_outcome, sqed_proof=sqed_proof
         )
-    return result
+
+    return Table1Result(rows=[run_row(bug) for bug in bugs])
 
 
 def main() -> None:  # pragma: no cover - CLI entry point
@@ -199,9 +188,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="run every Table 1 bug")
     parser.add_argument("--bugs", nargs="*", default=None)
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="rows verified concurrently (0 = one per CPU)"
-    )
     parser.add_argument(
         "--opt-level",
         type=int,
@@ -239,7 +225,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
 
     config = Table1Config(
         bug_names=list(QUICK_BUGS),
-        jobs=args.jobs,
         opt_level=args.opt_level,
         absint=None if args.absint is None else bool(args.absint),
         engine=args.engine,
@@ -249,7 +234,10 @@ def main() -> None:  # pragma: no cover - CLI entry point
         config.bug_names = None
     if args.bugs:
         config.bug_names = args.bugs
-    result = run_table1(config)
+    try:
+        result = run_table1(config)
+    except UnknownBugError as exc:
+        parser.error(str(exc))
     print(result.render())
     print(
         f"SEPE-SQED detected all: {result.all_detected_by_sepe}; "

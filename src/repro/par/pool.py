@@ -1,13 +1,11 @@
 """A multiprocessing task pool with deterministic results and crash recovery.
 
-The experiments and batch drivers all reduce to the same shape: a list of
-independent tasks whose results must come back *in task order*, regardless
-of which worker finished first.  :class:`TaskPool` provides exactly that:
+A zoo campaign is a list of independent oracle runs whose reports must
+come back *in task order*, regardless of which worker finished first.
+:class:`TaskPool` provides exactly that:
 
 * ``jobs=1`` degenerates to plain in-process sequential execution — no
   subprocess, no pickling, bit-identical to a hand-written ``for`` loop.
-  Every parallel driver in :mod:`repro.par` leans on this to guarantee the
-  sequential path stays available for differential testing.
 * ``jobs>1`` forks worker processes.  Tasks are dispatched by the parent
   one at a time (a worker asks for work when idle), so the parent always
   knows which task a worker is holding; results stream back over a queue
@@ -20,10 +18,8 @@ of which worker finished first.  :class:`TaskPool` provides exactly that:
 
 Tasks travel to the workers through fork inheritance, so they do not need
 to be picklable (closures over term graphs and component libraries are
-fine); task *descriptions* shipped by the built-in drivers are kept
-picklable anyway so they can migrate to spawn-based transports later.
-Results cross a process boundary and therefore must pickle; a result that
-fails to pickle is reported as a failed task, not a hung pool.
+fine).  Results cross a process boundary and therefore must pickle; a
+result that fails to pickle is reported as a failed task, not a hung pool.
 """
 
 from __future__ import annotations
@@ -37,6 +33,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SolveError
+
+#: Seconds the parent waits on the result queue before it polls worker
+#: liveness (a dead worker never reports, so its task is found this way).
+POLL_INTERVAL = 0.05
 
 
 class ParError(SolveError):
@@ -94,9 +94,8 @@ def _worker_main(worker_fn, tasks, inbox, results, worker_id) -> None:
 class TaskPool:
     """Run independent tasks, optionally across forked worker processes."""
 
-    def __init__(self, jobs: Optional[int] = 1, poll_interval: float = 0.05):
+    def __init__(self, jobs: Optional[int] = 1):
         self.jobs = resolve_jobs(jobs)
-        self.poll_interval = poll_interval
 
     # ------------------------------------------------------------------- API
 
@@ -179,7 +178,7 @@ class TaskPool:
             while completed < len(tasks):
                 try:
                     kind, worker_id, index, payload, error = results_queue.get(
-                        timeout=self.poll_interval
+                        timeout=POLL_INTERVAL
                     )
                 except queue_module.Empty:
                     completed += self._reap_crashed(

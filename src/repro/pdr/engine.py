@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -106,13 +105,7 @@ def resolve_ctg_depth(ctg_depth: Optional[int]) -> int:
 
 
 def cube_clause_term(ts: TransitionSystem, cube: Cube) -> BV:
-    """The blocked cube's clause ``¬cube`` over ``ts``'s state symbols.
-
-    Also the bridge for results that crossed a process boundary: cubes are
-    plain picklable tuples, while ``BV`` terms are interned per process and
-    must be rebuilt on arrival (see
-    :func:`repro.par.bmc.prove_properties_parallel`).
-    """
+    """The blocked cube's clause ``¬cube`` over ``ts``'s state symbols."""
     parts = []
     for name, bit, value in cube:
         term = T.bv_extract(ts.state_symbol(name), bit, bit)
@@ -187,16 +180,9 @@ class PdrResult:
     property_name: str
     frames_explored: int = 0
     invariant: Optional[list[BV]] = None
-    #: The same invariant as picklable ``(state, bit, value)`` cubes (one
-    #: blocked cube per clause).  Unlike the ``BV`` terms — which are
-    #: interned per process and must never cross a fork boundary — this
-    #: form survives pickling; rebuild the terms with
-    #: :func:`cube_clause_term`.
-    invariant_cubes: Optional[list[Cube]] = None
     #: Frame index that became inductive (informational).
     invariant_frame: Optional[int] = None
     cex_chain: Optional[list[dict[str, int]]] = None
-    elapsed_seconds: float = 0.0
     stats: PdrStats = field(default_factory=PdrStats)
 
     @property
@@ -1048,16 +1034,14 @@ class _PdrRun:
         self.stats.solver_stats = merged
         return self.stats
 
-    def _result(self, start: float, **kwargs) -> PdrResult:
+    def _result(self, **kwargs) -> PdrResult:
         return PdrResult(
             property_name=self.property_name,
-            elapsed_seconds=time.perf_counter() - start,
             stats=self._collect_stats(),
             **kwargs,
         )
 
     def prove(self) -> PdrResult:
-        start = time.perf_counter()
         self._cex: Optional[list[dict[str, int]]] = None
         frontier = 0
         try:
@@ -1068,9 +1052,7 @@ class _PdrRun:
             )
             if base.satisfiable:
                 _cube, state = self._extract_cube(base.model)
-                return self._result(
-                    start, proven=False, frames_explored=0, cex_chain=[state]
-                )
+                return self._result(proven=False, frames_explored=0, cex_chain=[state])
 
             if self._seed_lemmas:
                 self._admit_seed_lemmas()
@@ -1092,7 +1074,6 @@ class _PdrRun:
                     obligation = _Obligation(cube, frontier, state)
                     if not self._block_obligation(obligation, frontier):
                         return self._result(
-                            start,
                             proven=False,
                             frames_explored=frontier,
                             cex_chain=self._cex,
@@ -1106,14 +1087,12 @@ class _PdrRun:
                     ]
                     cubes.extend(self._frames_inf)
                     return self._result(
-                        start,
                         proven=True,
                         frames_explored=frontier,
                         invariant=[self._clause_symbols(cube) for cube in cubes],
-                        invariant_cubes=cubes,
                         invariant_frame=inductive,
                     )
                 frontier += 1
         except _GiveUp:
             pass
-        return self._result(start, proven=None, frames_explored=min(frontier, self.max_frames))
+        return self._result(proven=None, frames_explored=min(frontier, self.max_frames))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.errors import ProcessorError, UnknownBugError
 from repro.proc.config import ProcessorConfig
@@ -452,3 +452,21 @@ def get_bug(name: str) -> Bug:
         known = ", ".join(sorted(_ALL))
         raise UnknownBugError(f"unknown bug {name!r}; known bugs: {known}")
     return bug
+
+
+def select_bugs(bugs: list[Bug], names: Optional[Iterable[str]]) -> list[Bug]:
+    """The members of ``bugs`` named in ``names``, in ``bugs`` order.
+
+    ``None`` selects every bug.  A name outside ``bugs`` raises
+    :class:`~repro.errors.UnknownBugError` naming it, so a misspelled
+    request cannot shrink an experiment to a vacuously passing empty run.
+    """
+    if names is None:
+        return list(bugs)
+    requested = set(names)
+    unknown = requested - {bug.name for bug in bugs}
+    if unknown:
+        missing = ", ".join(repr(name) for name in sorted(unknown))
+        known = ", ".join(bug.name for bug in bugs)
+        raise UnknownBugError(f"not in this bug set: {missing}; the set: {known}")
+    return [bug for bug in bugs if bug.name in requested]

@@ -152,8 +152,6 @@ class EncodingStats:
     coi_state_bits_dropped: int = 0
     absint_states_folded: int = 0
     absint_bits_folded: int = 0
-    blast_seconds: float = 0.0
-    preprocess_seconds: float = 0.0
 
     def copy(self) -> "EncodingStats":
         return dataclasses.replace(self)

@@ -28,7 +28,6 @@ benchmarking and differential testing).
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -64,7 +63,6 @@ class CegisStats:
     counterexamples: int = 0
     synthesis_queries: int = 0
     verification_queries: int = 0
-    elapsed_seconds: float = 0.0
     synthesis_solver_stats: SolverStats = field(default_factory=SolverStats)
     verification_solver_stats: SolverStats = field(default_factory=SolverStats)
 
@@ -98,7 +96,6 @@ class CegisEngine:
         self, spec: SynthesisSpec, components: Sequence[Component]
     ) -> CegisOutcome:
         """Synthesize a program over ``components`` equivalent to ``spec``."""
-        start = time.perf_counter()
         stats = CegisStats()
         encoder = LocationEncoder(spec, components)
         incremental = self.config.incremental
@@ -146,7 +143,6 @@ class CegisEngine:
                 synth_ctx.add_all(constraints)
             else:
                 synth_terms.extend(constraints)
-        stats.elapsed_seconds = time.perf_counter() - start
         return CegisOutcome(program=program, stats=stats)
 
     def _check_candidate(

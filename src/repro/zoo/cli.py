@@ -89,7 +89,6 @@ def _parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="re-run recipes from a JSON file")
     replay.add_argument("--recipes", required=True)
-    replay.add_argument("--jobs", type=int, default=1)
     _add_engine_args(replay)
 
     shr = sub.add_parser("shrink", help="minimise one instance's recipe")

@@ -73,7 +73,6 @@ class OracleSettings:
     control_bound: int = 7
     backend: str = "cdcl"
     opt_level: Optional[int] = None
-    jobs: int = 1
 
 
 @dataclass
@@ -314,7 +313,6 @@ def run_instance(
         instance.bug,
         bound=instance.bound,
         conflict_budget=settings.bmc_conflict_budget,
-        jobs=settings.jobs,
     )
     _charge_run(report, outcome)
     if outcome.detected is None:
@@ -460,7 +458,6 @@ def run_control(
         None,
         bound=min(instance.bound, settings.control_bound),
         conflict_budget=settings.bmc_conflict_budget,
-        jobs=settings.jobs,
     )
     _charge_run(report, outcome)
     if outcome.detected is True:

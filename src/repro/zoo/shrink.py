@@ -45,7 +45,6 @@ def _bmc_only(settings: Optional[OracleSettings]) -> OracleSettings:
         bmc_conflict_budget=base.bmc_conflict_budget,
         backend=base.backend,
         opt_level=base.opt_level,
-        jobs=base.jobs,
     )
 
 

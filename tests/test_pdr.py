@@ -21,7 +21,6 @@ from repro.bmc.kinduction import KInductionEngine
 from repro.core.flow import SqedFlow
 from repro.errors import PdrError, VerificationError
 from repro.isa.config import IsaConfig
-from repro.par.bmc import prove_properties_parallel
 from repro.pdr import PdrEngine, check_invariant
 from repro.pdr.designs import (
     lockstep_accumulators as _lockstep,
@@ -161,19 +160,6 @@ class TestPdrDifferential:
         kind = KInductionEngine(factory(f"diff{index}c")).prove(prop, max_k=6)
         if kind.proven is not None:
             assert pdr_result.proven is kind.proven
-
-    def test_parallel_prove_matches_sequential(self):
-        ts = _piped("pdr_par")
-        ts.add_property("always", T.bv_true())
-        names = list(ts.properties)
-        parallel = prove_properties_parallel(ts, names, engine="pdr", jobs=2)
-        for name in names:
-            assert parallel[name].proven is PdrEngine(ts).prove(name).proven
-            # The shipped invariant must be usable in the *parent* process:
-            # terms are re-interned from the picklable cube form, so the
-            # independent re-check has to pass on the parent's term graph.
-            assert parallel[name].invariant is not None
-            assert check_invariant(ts, name, parallel[name].invariant).valid
 
 
 class TestPdrLimits:

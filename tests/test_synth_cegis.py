@@ -76,7 +76,6 @@ class TestCegisEngine:
         assert outcome.succeeded
         assert outcome.stats.synthesis_queries >= 1
         assert outcome.stats.verification_queries >= 1
-        assert outcome.stats.elapsed_seconds > 0
 
 
 class TestMultisets:

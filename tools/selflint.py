@@ -21,8 +21,9 @@ Exemptions:
 * comparisons against a literal ``0`` — the ``entry["seconds"] > 0``
   division-guard idiom measures nothing;
 * lines carrying a ``# selflint: allow-wallclock`` comment — for gates
-  that already guard themselves (e.g. the parallel speedup gate, which is
-  skipped on single-CPU machines and in smoke mode).
+  that already guard themselves (e.g. ``bench_incremental.py``'s win test,
+  which reads wall-clock only as a tiebreaker between equal conflict
+  counts).
 
 **Environment reads** (everywhere).  Process-default knobs must resolve in
 one designated config module per subsystem, so a knob's precedence
