@@ -17,8 +17,10 @@ Everything runs on the PR-1 incremental substrate:
   (consecution, bad-state, initiation, bad-state lifting) keep their
   learned clauses across the thousands of queries a run makes;
 * frames are *activation variables*: a clause blocked at frame ``i`` is
-  asserted as ``act_i -> clause`` and every query simply assumes the
-  activation variables of the frames it reads — no solver rebuild, ever;
+  asserted as the single CNF clause ``¬act_i ∨ clause`` and every query
+  simply assumes the activation variables of the frames it reads — no
+  solver rebuild, ever; a query's own ``¬cube`` is likewise one clause,
+  retired by a push/pop scope when the query ends;
 * inductive generalisation is driven by **failed-assumption cores**: the
   cube literals of a refuted obligation are passed as per-literal
   assumptions, and the solver's final-conflict analysis reports which of
@@ -495,9 +497,9 @@ class _PdrRun:
             self._input_bits[key] = term
         return term if value else T.bv_not(term)
 
-    def _clause_curr(self, cube: Cube) -> BV:
-        """``¬cube`` over the current-state variables."""
-        return T.bv_or_all([T.bv_not(self._lit_curr(lit)) for lit in cube])
+    def _clause_curr(self, cube: Cube) -> list[BV]:
+        """``¬cube`` over the current-state variables, as clause literals."""
+        return [T.bv_not(self._lit_curr(lit)) for lit in cube]
 
     def _clause_symbols(self, cube: Cube) -> BV:
         """``¬cube`` over the transition system's state symbols."""
@@ -595,6 +597,22 @@ class _PdrRun:
             return cube
         return self._lift_cube(cube, result.core)
 
+    def _check_under_clause(
+        self, clause: list[BV], assumptions: list[BV], need_model: bool
+    ):
+        """A consecution query with ``clause`` asserted for this query only.
+
+        The clause is one CNF clause in a scope that is popped afterwards,
+        also when the query gives up, so the query leaves one retired
+        activation variable behind and no gates.
+        """
+        self._cons.push()
+        try:
+            self._cons.add_clause(clause)
+            return self._check(self._cons, assumptions, need_model=need_model)
+        finally:
+            self._cons.pop()
+
     def _lift_predecessor(self, cube: Cube, input_lits: list[BV], succ: Cube) -> Cube:
         """Shrink a concrete predecessor to the bits forcing the transition.
 
@@ -607,13 +625,13 @@ class _PdrRun:
         they cannot contribute to the refutation.)
         """
         self.stats.lift_queries += 1
-        not_succ_next = T.bv_or_all(
-            [T.bv_not(self._lit_next(lit)) for lit in succ]
-        )
         assumptions = [self._lit_curr(lit) for lit in cube]
         assumptions.extend(input_lits)
-        assumptions.append(not_succ_next)
-        result = self._check(self._cons, assumptions, need_model=False)
+        result = self._check_under_clause(
+            [T.bv_not(self._lit_next(lit)) for lit in succ],
+            assumptions,
+            need_model=False,
+        )
         if result.satisfiable is not False:
             return cube
         return self._lift_cube(cube, result.core)
@@ -624,17 +642,17 @@ class _PdrRun:
         UNSAT means no ``F_{frame-1}``-state outside the cube can step into
         it, so its negated clause may strengthen frames ``1..frame``.  The
         per-literal ``cube'`` assumptions make the failed-assumption core
-        name exactly the literals the refutation needed.  Callers that only
+        name exactly the literals the refutation needed; ``¬cube`` is a
+        query-local clause (:meth:`_check_under_clause`).  Callers that only
         consume the verdict/core (generalisation trials) pass
-        ``need_model=False`` — model reconstruction through the
-        preprocessor's eliminated variables is the most expensive part of a
-        SAT answer.
+        ``need_model=False`` and skip model reconstruction.
         """
         self.stats.consecution_queries += 1
-        assumptions = list(self._frame_assumptions(frame - 1))
-        assumptions.append(self._clause_curr(cube))
+        assumptions = self._frame_assumptions(frame - 1)
         assumptions.extend(self._lit_next(lit) for lit in cube)
-        return self._check(self._cons, assumptions, need_model=need_model)
+        return self._check_under_clause(
+            self._clause_curr(cube), assumptions, need_model=need_model
+        )
 
     # ------------------------------------------------------ counterexamples
 
@@ -722,10 +740,9 @@ class _PdrRun:
         self._ensure_frame(frame)
         self._retire_subsumed(cube, frame)
         self._frames[frame].append(cube)
-        guard = T.bv_not(self._acts[frame])
-        clause = T.bv_or(guard, self._clause_curr(cube))
-        self._cons.add(clause)
-        self._bad.add(clause)
+        clause = [T.bv_not(self._acts[frame]), *self._clause_curr(cube)]
+        self._cons.add_clause(clause)
+        self._bad.add_clause(clause)
         self.stats.cubes_blocked += 1
 
     def _add_inf(self, cube: Cube) -> None:
@@ -738,10 +755,9 @@ class _PdrRun:
         """
         self._retire_subsumed(cube, len(self._frames) - 1)
         self._frames_inf.append(cube)
-        guard = T.bv_not(self._act_inf)
-        clause = T.bv_or(guard, self._clause_curr(cube))
-        self._cons.add(clause)
-        self._bad.add(clause)
+        clause = [T.bv_not(self._act_inf), *self._clause_curr(cube)]
+        self._cons.add_clause(clause)
+        self._bad.add_clause(clause)
         self.stats.clauses_pushed_inf += 1
 
     def _admit_seed_lemmas(self) -> None:
@@ -788,7 +804,7 @@ class _PdrRun:
             act = T.fresh_var(f"pdr_actseed_{self.property_name}", 1)
             guard = T.bv_not(act)
             for cube in candidates:
-                self._cons.add(T.bv_or(guard, self._clause_curr(cube)))
+                self._cons.add_clause([guard, *self._clause_curr(cube)])
             survivors: list[Cube] = []
             dropped = 0
             for cube in candidates:

@@ -326,6 +326,42 @@ class SolverContext:
         else:
             self._blaster.cnf.add_clause([-scope.activation, literal])
 
+    def add_clause(self, literals: Iterable["BV"]) -> None:
+        """Assert the disjunction of width-1 ``literals`` as one CNF clause.
+
+        Behaves exactly like ``add(bv_or_all(literals))`` — same scoping,
+        same :attr:`assertions` record, same models — except for the CNF
+        shape: each literal is blasted on its own and the clause joins their
+        literals directly, so no gate is built for the disjunction.  A
+        literal over already-blasted bits (a state bit, a transition
+        relation output) then costs no variable at all, which is what keeps
+        IC3's per-cube clauses from growing the formula.
+        """
+        from repro.smt import terms as T
+
+        literals = list(literals)
+        for term in literals:
+            if term.width != 1:
+                raise SmtError(f"assertions must have width 1, got {term.width}")
+        disjunction = T.bv_or_all(literals)
+        if disjunction.is_const:
+            # A constant-true literal satisfies the clause; all-false
+            # literals leave it empty: add() handles both.
+            self.add(disjunction)
+            return
+        clause = [
+            self._blaster.assumption_literal(term)
+            for term in literals
+            if not term.is_const
+        ]
+        if self._scopes:
+            scope = self._scopes[-1]
+            scope.terms.append(disjunction)
+            clause.insert(0, -scope.activation)
+        else:
+            self._root_terms.append(disjunction)
+        self._blaster.cnf.add_clause(clause)
+
     def add_all(self, terms: Iterable["BV"]) -> None:
         for term in terms:
             self.add(term)

@@ -27,8 +27,10 @@ from repro.pdr.designs import (
     pipelined_accumulators as _piped,
     saturating_counter,
 )
+from repro.pdr.engine import _GiveUp, _PdrRun
 from repro.proc.config import ProcessorConfig
 from repro.smt import terms as T
+from repro.solve.pipeline import PipelineConfig
 
 
 def _counter(prefix: str, limit: int, buggy: bool = False):
@@ -280,6 +282,55 @@ class TestConflictQualityStack:
         assert check_invariant(ts, "consistent", result.invariant).valid
 
 
+class TestQueryLocalClauses:
+    """Per-cube clauses are single CNF clauses: a query leaves no gates."""
+
+    @staticmethod
+    def _run(prefix: str, **budget):
+        ts = _lockstep(prefix, xlen=8)
+        run = _PdrRun(
+            ts,
+            "consistent",
+            backend="cdcl",
+            pipeline=PipelineConfig.resolve(None),
+            max_frames=5,
+            generalize=True,
+            conflict_budget=None,
+            **budget,
+        )
+        run._ensure_frame(1)
+        bits = [
+            (name, bit)
+            for name, width in run._state_widths.items()
+            for bit in range(width)
+        ]
+        all_false = tuple(sorted((name, bit, False) for name, bit in bits))
+        all_true = tuple(sorted((name, bit, True) for name, bit in bits))
+        return run, all_false, all_true
+
+    def test_relative_induction_adds_only_its_scope_activation(self):
+        run, all_false, all_true = self._run("pdr_leak")
+        assert len(all_true) == 16
+        # The warm-up query blasts the transition relation and every bit.
+        run._relative_induction(all_false, 1, need_model=False)
+        before = run._cons.num_vars
+        run._relative_induction(all_true, 1, need_model=False)
+        assert run._cons.num_vars == before + 1
+        assert run._cons.scope_depth == 0
+        before = run._cons.num_vars
+        run._add_blocked(all_true, 1)
+        assert run._cons.num_vars == before
+
+    def test_given_up_query_leaves_no_scope_open(self):
+        run, all_false, all_true = self._run("pdr_leak_budget", total_conflict_budget=0)
+        with pytest.raises(_GiveUp):
+            run._relative_induction(all_false, 1)
+        assert run._cons.scope_depth == 0
+        with pytest.raises(_GiveUp):
+            run._lift_predecessor(all_false, [], all_true)
+        assert run._cons.scope_depth == 0
+
+
 class TestPdrOnProcessorModel:
     """PDR on the real QED verification model of the scaled-down processor."""
 
@@ -311,8 +362,8 @@ class TestPdrOnProcessorModel:
         # opt_level=0 re-check.  The scaled-down golden configuration
         # (single-op ISA, depth-1 QED fifo) is the largest one whose proof
         # fits the tier-2 nightly budget: with the conflict-quality stack
-        # it converges at frame 6 with a ~345-clause invariant (plain MIC
-        # used to need frame 8 and ~900 clauses).  The full ADD+SUB op set
+        # it converges with a ~350-clause invariant, at frame 8 in about a
+        # minute (plain MIC used to need ~900 clauses).  The full ADD+SUB op set
         # on the same depth-1 fifo — which plain MIC walled at frame 4 —
         # now converges too, but only inside the nightly bench-pdr-full
         # budget: it is covered by the committed BENCH_pdr.json convergence

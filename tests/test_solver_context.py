@@ -273,6 +273,132 @@ class TestScopes:
             ctx.add(x)
         with pytest.raises(SmtError):
             ctx.check(assumptions=[x])
+        with pytest.raises(SmtError):
+            ctx.add_clause([T.bv_true(), x])
+        assert ctx.assertions == []
+
+
+def _bit_literals(prefix: str) -> list[T.BV]:
+    """The eight bits of a fresh byte variable, every other one negated."""
+    x = T.bv_var(f"{prefix}_x", 8)
+    bits = [T.bv_extract(x, i, i) for i in range(8)]
+    return [bit if i % 2 else T.bv_not(bit) for i, bit in enumerate(bits)]
+
+
+#: Width-1 terms the randomized clause differential draws literals from.
+_CX, _CY = T.bv_var("clause_x", 3), T.bv_var("clause_y", 3)
+_CLAUSE_POOL = [
+    *(T.bv_extract(_CX, i, i) for i in range(3)),
+    *(T.bv_not(T.bv_extract(_CY, i, i)) for i in range(3)),
+    T.bv_ult(_CX, _CY),
+    T.bv_eq(_CX, T.bv_const(5, 3)),
+    T.bv_not(T.bv_eq(_CY, T.bv_const(2, 3))),
+    T.bv_true(),
+    T.bv_false(),
+]
+_pool_picks = st.lists(st.integers(0, len(_CLAUSE_POOL) - 1), max_size=4)
+_clause_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push")),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("clause"), _pool_picks),
+        st.tuples(st.just("check"), _pool_picks),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestAddClause:
+    """``add_clause(lits)`` is ``add(bv_or_all(lits))`` as one CNF clause."""
+
+    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    def test_one_clause_and_no_variable_over_blasted_bits(self, opt_level):
+        lits = _bit_literals(f"ac_shape{opt_level}")
+        ctx = SolverContext(opt_level=opt_level)
+        ctx.encode(lits)  # blast every bit up front
+        vars_before, clauses_before = ctx.num_vars, ctx.num_clauses
+        ctx.add_clause(lits)
+        assert ctx.num_vars == vars_before
+        assert ctx.num_clauses == clauses_before + 1
+        # The same disjunction through add() builds gates for the OR-tree.
+        ctx.add(T.bv_or_all(lits))
+        assert ctx.num_vars > vars_before
+        result = ctx.check()
+        assert result.satisfiable is True
+        assert evaluate(T.bv_or_all(lits), result.model) == 1
+
+    def test_pop_retires_the_clause(self):
+        x = T.bv_var("ac_scope_x", 4)
+        lits = [T.bv_eq(x, T.bv_const(3, 4)), T.bv_eq(x, T.bv_const(5, 4))]
+        ctx = SolverContext()
+        ctx.add(T.bv_ult(x, T.bv_const(3, 4)))
+        ctx.push()
+        ctx.add_clause(lits)
+        assert ctx.assertions[-1].tid == T.bv_or_all(lits).tid
+        assert ctx.check().satisfiable is False
+        ctx.pop()
+        assert ctx.scope_depth == 0
+        assert ctx.check().satisfiable is True
+
+    def test_constant_true_literal_adds_nothing(self):
+        lits = _bit_literals("ac_true")
+        ctx = SolverContext()
+        ctx.encode(lits)
+        before = (ctx.num_vars, ctx.num_clauses)
+        ctx.add_clause([*lits, T.bv_true()])
+        assert (ctx.num_vars, ctx.num_clauses) == before
+        assert ctx.check().satisfiable is True
+
+    def test_all_false_literals_at_root_are_unsat_with_empty_core(self):
+        x = T.bv_var("ac_false_x", 4)
+        for literals in ([T.bv_false(), T.bv_false()], []):
+            ctx = SolverContext()
+            ctx.add_clause(literals)
+            result = ctx.check(assumptions=[T.bv_eq(x, T.bv_const(1, 4))])
+            assert result.satisfiable is False
+            assert result.core == []
+
+    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    @settings(max_examples=25, deadline=None)
+    @given(ops=_clause_ops)
+    def test_matches_add_of_the_disjunction(self, opt_level, ops):
+        flat = SolverContext(opt_level=opt_level)
+        tree = SolverContext(opt_level=opt_level)
+        for op in (*ops, ("check", [])):
+            if op[0] == "push":
+                flat.push()
+                tree.push()
+            elif op[0] == "pop":
+                if flat.scope_depth:
+                    flat.pop()
+                    tree.pop()
+            elif op[0] == "clause":
+                lits = [_CLAUSE_POOL[i] for i in op[1]]
+                flat.add_clause(lits)
+                tree.add(T.bv_or_all(lits))
+            else:
+                assumptions = [_CLAUSE_POOL[i] for i in op[1]]
+                verdicts = []
+                for ctx in (flat, tree):
+                    result = ctx.check(assumptions=assumptions)
+                    verdicts.append(result.satisfiable)
+                    if result.satisfiable:
+                        model = {
+                            name: result.model.get(name, 0)
+                            for name in (_CX.name, _CY.name)
+                        }
+                        for term in (*ctx.assertions, *assumptions):
+                            assert evaluate(term, model) == 1
+                    else:
+                        core = result.core
+                        assert core is not None
+                        assert {t.tid for t in core} <= {t.tid for t in assumptions}
+                        assert ctx.check(assumptions=core).satisfiable is False
+                assert verdicts[0] == verdicts[1]
+                assert [t.tid for t in flat.assertions] == [
+                    t.tid for t in tree.assertions
+                ]
 
 
 values = st.integers(min_value=0, max_value=mask(W))
