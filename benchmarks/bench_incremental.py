@@ -32,7 +32,7 @@ from repro.proc.config import ProcessorConfig
 from repro.core.flow import SepeSqedFlow, pool_for_bug
 from repro.qed.equivalents import default_equivalent_programs
 from repro.smt import terms as T
-from repro.smt.solver import BVSolver
+from repro.solve.context import SolverContext
 from repro.synth.cegis import CegisConfig, CegisEngine
 from repro.synth.components import build_default_library
 from repro.synth.spec import spec_from_instruction
@@ -58,7 +58,7 @@ def _bmc_oneshot(model, bound: int):
     conflicts = 0
     verdict: str = "holds"
     for frame in range(bound + 1):
-        solver = BVSolver()
+        solver = SolverContext()
         for k in range(frame + 1):
             for constraint in unroller.constraints_at(k):
                 if constraint.is_const:

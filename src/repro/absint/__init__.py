@@ -4,9 +4,10 @@ A lightweight static reachability analysis in the ternary-simulation
 tradition of hardware model checkers: per latch, a reduced product of
 known-bits, constancy and interval domains over-approximates every
 reachable value.  The facts power four layers — lint rules, pre-encoding
-folding in the BMC pipeline (``REPRO_ABSINT``), PDR frame-∞ seed lemmas
-(consecution-checked on admission) and k-induction step strengthening —
-and every fact is cross-checked against bounded random simulation.
+folding in the BMC pipeline (``PipelineConfig.absint``), PDR frame-∞ seed
+lemmas (consecution-checked on admission) and k-induction step
+strengthening — and every fact is cross-checked against bounded random
+simulation.
 """
 
 from repro.absint.domains import AbstractValue

@@ -221,12 +221,11 @@ class BmcSession:
         backend: str = "cdcl",
         context: Optional[SolverContext] = None,
         opt_level: "PipelineConfig | int | None" = None,
-        lint: Optional[str] = None,
+        lint: str = "off",
     ):
-        # Pre-solve lint gate (``lint`` = "error"/"warn"/"off"; None defers
-        # to $REPRO_LINT_GATE, default off).  Runs before validate() so a
-        # gated session reports *every* model defect, not just the first
-        # missing next-state function.
+        # Pre-solve lint gate (``lint`` = "error"/"warn"/"off").  Runs before
+        # validate() so a gated session reports *every* model defect, not
+        # just the first missing next-state function.
         from repro.lint.gate import gate_transition_system
 
         gate_transition_system(ts, lint, where="BmcSession")
@@ -258,7 +257,7 @@ class BmcSession:
         # Abstract-interpretation fold: drop proven-constant latches and
         # narrow partially-known ones before unrolling.  Facts are
         # invariants, so verdicts and counterexample frames are unchanged
-        # (the differential REPRO_ABSINT=0-vs-1 suite gates on this).
+        # (the absint on/off differential tests gate on this).
         self.fold = prepare_absint_fold(reduced_ts, self.pipeline)
         if self.fold is not None:
             reduced_ts = self.fold.ts
@@ -419,7 +418,7 @@ class BmcEngine:
         start_frame: int = 0,
         backend: str = "cdcl",
         opt_level: "PipelineConfig | int | None" = None,
-        lint: Optional[str] = None,
+        lint: str = "off",
     ):
         ts.validate()
         self.ts = ts

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Iterable, Mapping, Optional
 
@@ -11,7 +10,6 @@ from repro.bmc.kinduction import KInductionEngine
 from repro.core.results import ProofOutcome, VerificationOutcome
 from repro.errors import VerificationError
 from repro.pdr.engine import PdrEngine
-from repro.solve.pipeline import PipelineConfig
 from repro.isa.instructions import get_instruction
 from repro.proc.bugs import Bug
 from repro.proc.config import ProcessorConfig
@@ -72,27 +70,15 @@ class _BaseFlow:
         compare_memory: bool = True,
         backend: str = "cdcl",
         opt_level: Optional[int] = None,
-        lint: Optional[str] = None,
-        absint: Optional[bool] = None,
+        lint: str = "off",
     ):
         self.config = config
         self.fifo_depth = fifo_depth
         self.compare_memory = compare_memory
         self.backend = backend
         self.opt_level = opt_level
-        #: Pre-solve lint gate mode ("error"/"warn"/"off"); ``None`` defers
-        #: to ``$REPRO_LINT_GATE`` (default off).
+        #: Pre-solve lint gate mode ("error"/"warn"/"off").
         self.lint = lint
-        #: Abstract-interpretation knob (fold/strengthen/seed); ``None``
-        #: defers to ``$REPRO_ABSINT`` (default on at opt_level >= 1).
-        self.absint = absint
-
-    def _opt(self) -> PipelineConfig:
-        """The engines' pipeline config: opt_level plus the absint override."""
-        cfg = PipelineConfig.resolve(self.opt_level)
-        if self.absint is not None and self.absint != cfg.absint:
-            cfg = dataclasses.replace(cfg, absint=self.absint)
-        return cfg
 
     def build_model(self, bug: Optional[Bug] = None) -> QedVerificationModel:
         raise NotImplementedError
@@ -119,9 +105,8 @@ class _BaseFlow:
         """
         start = time.perf_counter()
         model = self._gate_model(self.build_model(bug))
-        # lint="off": the gate above already covered this exact system.
         engine = BmcEngine(
-            model.ts, backend=self.backend, opt_level=self._opt(), lint="off"
+            model.ts, backend=self.backend, opt_level=self.opt_level
         )
         result = engine.check(
             model.property_name, bound=bound, conflict_budget=conflict_budget
@@ -183,7 +168,7 @@ class _BaseFlow:
             pdr = PdrEngine(
                 model.ts,
                 backend=self.backend,
-                opt_level=self._opt(),
+                opt_level=self.opt_level,
                 max_frames=max_frames,
             ).prove(
                 model.property_name,
@@ -201,7 +186,7 @@ class _BaseFlow:
                 model=model,
             )
         kind = KInductionEngine(
-            model.ts, backend=self.backend, opt_level=self._opt()
+            model.ts, backend=self.backend, opt_level=self.opt_level
         ).prove(model.property_name, max_k=max_k, conflict_budget=conflict_budget)
         return ProofOutcome(
             method=self.method,
@@ -248,8 +233,7 @@ class SepeSqedFlow(_BaseFlow):
         num_temps: Optional[int] = None,
         backend: str = "cdcl",
         opt_level: Optional[int] = None,
-        lint: Optional[str] = None,
-        absint: Optional[bool] = None,
+        lint: str = "off",
     ):
         super().__init__(
             config,
@@ -258,7 +242,6 @@ class SepeSqedFlow(_BaseFlow):
             backend=backend,
             opt_level=opt_level,
             lint=lint,
-            absint=absint,
         )
         self.num_temps = num_temps
         if equivalents is None:

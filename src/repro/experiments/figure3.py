@@ -9,12 +9,10 @@ cases and prints the per-case times plus the aggregate reduction.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa.config import IsaConfig
-from repro.solve.pipeline import PipelineConfig
 from repro.synth.cegis import CegisConfig
 from repro.synth.components import build_default_library
 from repro.synth.hpf import HpfCegis
@@ -46,11 +44,6 @@ class Figure3Config:
     #: Compilation-pipeline level for every CEGIS solver context
     #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
     opt_level: Optional[int] = None
-    #: Abstract-interpretation knob (``None`` = process default, see
-    #: ``$REPRO_ABSINT``).  CEGIS contexts never encode transition systems,
-    #: so the knob is inert here; it exists so sweep drivers can set one
-    #: flag uniformly across every experiment CLI.
-    absint: Optional[bool] = None
 
 
 @dataclass
@@ -102,12 +95,8 @@ def run_figure3(config: Figure3Config | None = None) -> Figure3Result:
     config = config or Figure3Config()
     isa = IsaConfig.small(xlen=config.xlen, num_regs=config.num_regs)
     library = build_default_library(isa)
-    opt_level: "PipelineConfig | int | None" = config.opt_level
-    if config.absint is not None:
-        resolved = PipelineConfig.resolve(config.opt_level)
-        opt_level = dataclasses.replace(resolved, absint=config.absint)
     cegis_cfg = CegisConfig(
-        max_iterations=config.max_cegis_iterations, opt_level=opt_level
+        max_iterations=config.max_cegis_iterations, opt_level=config.opt_level
     )
 
     hpf = HpfCegis(
@@ -146,19 +135,11 @@ def main() -> None:  # pragma: no cover - CLI entry point
         default=None,
         help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
     )
-    parser.add_argument(
-        "--absint",
-        type=int,
-        choices=(0, 1),
-        default=None,
-        help="abstract-interpretation layer (default: $REPRO_ABSINT or 1)",
-    )
     args = parser.parse_args()
 
     config = Figure3Config(
         max_multisets=args.max_multisets,
         opt_level=args.opt_level,
-        absint=None if args.absint is None else bool(args.absint),
     )
     if args.full:
         config.cases = list(ALL_CASES)

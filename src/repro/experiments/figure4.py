@@ -40,9 +40,6 @@ class Figure4Config:
     #: Compilation-pipeline level for every solver in the experiment
     #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
     opt_level: Optional[int] = None
-    #: Abstract-interpretation knob for every flow (``None`` = process
-    #: default, see ``$REPRO_ABSINT``).
-    absint: Optional[bool] = None
     #: Solver backend spec (``"arena"``/``"reference"`` pin a CDCL kernel,
     #: see :mod:`repro.solve.backend`).
     backend: str = "cdcl"
@@ -126,14 +123,12 @@ def run_figure4(config: Figure4Config | None = None) -> Figure4Result:
             fifo_depth=config.fifo_depth,
             backend=config.backend,
             opt_level=config.opt_level,
-            absint=config.absint,
         )
         sqed = SqedFlow(
             proc_config,
             fifo_depth=config.fifo_depth,
             backend=config.backend,
             opt_level=config.opt_level,
-            absint=config.absint,
         )
         sepe_outcome = sepe.run(bug, bound=config.bound)
         sqed_outcome = sqed.run(bug, bound=config.bound)
@@ -155,13 +150,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
         help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
     )
     parser.add_argument(
-        "--absint",
-        type=int,
-        choices=(0, 1),
-        default=None,
-        help="abstract-interpretation layer (default: $REPRO_ABSINT or 1)",
-    )
-    parser.add_argument(
         "--sat-backend",
         choices=("cdcl", "arena", "reference"),
         default="cdcl",
@@ -175,7 +163,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
     config = Figure4Config(
         bug_names=list(QUICK_BUGS),
         opt_level=args.opt_level,
-        absint=None if args.absint is None else bool(args.absint),
         backend=args.sat_backend,
     )
     if args.full:

@@ -48,9 +48,6 @@ class Table1Config:
     #: Compilation-pipeline level for every solver in the experiment
     #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
     opt_level: Optional[int] = None
-    #: Abstract-interpretation knob for every flow (``None`` = process
-    #: default, see ``$REPRO_ABSINT``).
-    absint: Optional[bool] = None
     #: Solver backend spec for every flow in the experiment — ``"cdcl"``
     #: follows ``$REPRO_SAT_BACKEND``; ``"arena"`` / ``"reference"`` pin a
     #: kernel (see :mod:`repro.solve.backend`).
@@ -137,14 +134,12 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
             fifo_depth=config.fifo_depth,
             backend=config.backend,
             opt_level=config.opt_level,
-            absint=config.absint,
         )
         sqed = SqedFlow(
             proc_config,
             fifo_depth=config.fifo_depth,
             backend=config.backend,
             opt_level=config.opt_level,
-            absint=config.absint,
         )
         sepe_outcome = sepe.run(bug, bound=config.sepe_bound)
         if config.engine == "bmc":
@@ -196,13 +191,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
         help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
     )
     parser.add_argument(
-        "--absint",
-        type=int,
-        choices=(0, 1),
-        default=None,
-        help="abstract-interpretation layer (default: $REPRO_ABSINT or 1)",
-    )
-    parser.add_argument(
         "--engine",
         choices=("bmc", "kinduction", "pdr"),
         default="bmc",
@@ -226,7 +214,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
     config = Table1Config(
         bug_names=list(QUICK_BUGS),
         opt_level=args.opt_level,
-        absint=None if args.absint is None else bool(args.absint),
         engine=args.engine,
         backend=args.sat_backend,
     )

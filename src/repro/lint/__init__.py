@@ -13,8 +13,8 @@ Three layers, one report format:
   ``REPRO_SANITIZE=1``) so the SAT layer stays import-independent of this
   package; :data:`ENV_SANITIZE` is re-exported here for discoverability.
 
-:mod:`repro.lint.gate` turns a report into a pre-solve gate
-(``REPRO_LINT_GATE`` = ``error`` / ``warn`` / ``off``) used by
+:mod:`repro.lint.gate` turns a report into a pre-solve gate (``lint=``
+``"error"`` / ``"warn"`` / ``"off"``, default off) used by
 :class:`~repro.bmc.engine.BmcSession` and the verification flows, and
 ``python -m repro.lint`` runs the analyzers from the command line.
 """
@@ -27,14 +27,7 @@ from repro.lint.findings import (
     LintReport,
 )
 from repro.lint.encoding import lint_aig, lint_cnf, lint_encoding_stats
-from repro.lint.gate import (
-    ENV_LINT_GATE,
-    GATE_MODES,
-    LintWarning,
-    default_gate_mode,
-    gate_transition_system,
-    resolve_gate_mode,
-)
+from repro.lint.gate import GATE_MODES, LintWarning, gate_transition_system
 from repro.lint.model import lint_transition_system
 from repro.sat.sanitize import ENV_SANITIZE
 
@@ -48,11 +41,8 @@ __all__ = [
     "lint_cnf",
     "lint_encoding_stats",
     "lint_transition_system",
-    "ENV_LINT_GATE",
     "ENV_SANITIZE",
     "GATE_MODES",
     "LintWarning",
-    "default_gate_mode",
     "gate_transition_system",
-    "resolve_gate_mode",
 ]

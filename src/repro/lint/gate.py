@@ -10,24 +10,18 @@ engine touches it:
   nothing raises.
 * ``"off"`` — lint does not run at all (zero overhead; the default).
 
-The process-wide default comes from ``REPRO_LINT_GATE`` (threaded exactly
-like ``REPRO_SAT_BACKEND``); :class:`~repro.bmc.engine.BmcSession` and the
-flows also accept an explicit ``lint=`` argument that overrides it.
+:class:`~repro.bmc.engine.BmcSession`, :class:`~repro.bmc.engine.BmcEngine`
+and the flows take the mode as a ``lint=`` argument.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from typing import Optional
 
 from repro.errors import LintError
 from repro.lint.findings import LintReport
 from repro.lint.model import lint_transition_system
 from repro.ts.system import TransitionSystem
-
-#: Environment variable holding the process-wide gate mode.
-ENV_LINT_GATE = "REPRO_LINT_GATE"
 
 GATE_MODES = ("error", "warn", "off")
 
@@ -36,39 +30,19 @@ class LintWarning(UserWarning):
     """Warning-severity lint findings surfaced by a gate."""
 
 
-def default_gate_mode() -> str:
-    """The process default: ``$REPRO_LINT_GATE`` when set, else ``"off"``."""
-    raw = os.environ.get(ENV_LINT_GATE)
-    if raw is None:
-        return "off"
-    mode = raw.strip().lower()
-    if mode not in GATE_MODES:
-        raise LintError(
-            f"{ENV_LINT_GATE} must be one of {GATE_MODES}, got {raw!r}"
-        )
-    return mode
-
-
-def resolve_gate_mode(mode: Optional[str]) -> str:
-    """Normalise a gate-mode argument (``None`` = process default)."""
-    if mode is None:
-        return default_gate_mode()
-    if mode not in GATE_MODES:
-        raise LintError(f"lint gate mode must be one of {GATE_MODES}, got {mode!r}")
-    return mode
-
-
 def gate_transition_system(
     ts: TransitionSystem,
-    mode: Optional[str] = None,
+    mode: str = "off",
     where: str = "",
 ) -> LintReport:
     """Lint ``ts`` and enforce ``mode``; returns the report when it passes.
 
     ``where`` names the call site in raised/warned messages (e.g.
-    ``"BmcSession"``).
+    ``"BmcSession"``).  An unknown ``mode`` raises
+    :class:`~repro.errors.LintError`.
     """
-    mode = resolve_gate_mode(mode)
+    if mode not in GATE_MODES:
+        raise LintError(f"lint gate mode must be one of {GATE_MODES}, got {mode!r}")
     if mode == "off":
         return LintReport()
     report = lint_transition_system(ts)

@@ -35,8 +35,8 @@ the deep full-model QED properties:
 
 * **CTG-aware generalisation** — when a MIC drop trial fails, the
   counterexample-to-generalisation its model exposes is itself blocked at
-  the preceding frame (recursively, bounded by ``ctg_depth``) before the
-  trial is retried;
+  the preceding frame (one level deep, up to ``_MAX_CTGS`` per trial)
+  before the trial is retried;
 * an **infinite frame** ``F_inf`` — a successful propagation push whose
   failed-assumption core names no finite frame's activation variable has
   proven its clause inductive outright; it is promoted to a permanently
@@ -54,7 +54,6 @@ the deep full-model QED properties:
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -74,36 +73,12 @@ CubeLit = tuple[str, int, bool]
 #: A cube — a partial assignment of state bits, as a sorted literal tuple.
 Cube = tuple[CubeLit, ...]
 
-#: Environment variable setting the process-default CTG recursion depth.
-ENV_PDR_CTG = "REPRO_PDR_CTG"
-#: Default CTG recursion depth (0 = plain MIC, no CTG handling).
-DEFAULT_CTG_DEPTH = 1
+#: CTG recursion depth: a CTG is blocked, but the generalisation of that
+#: block handles no CTGs of its own.
+_CTG_DEPTH = 1
 #: CTG blocking attempts per failed generalisation trial before giving up
 #: on the literal.
 _MAX_CTGS = 3
-
-
-def default_ctg_depth() -> int:
-    """The process default CTG depth: ``$REPRO_PDR_CTG`` when set, else 1."""
-    raw = os.environ.get(ENV_PDR_CTG)  # selflint: allow-env
-    if raw is None or raw.strip() == "":
-        return DEFAULT_CTG_DEPTH
-    try:
-        value = int(raw)
-    except ValueError:
-        raise PdrError(f"{ENV_PDR_CTG} must be a non-negative integer, got {raw!r}")
-    if value < 0:
-        raise PdrError(f"{ENV_PDR_CTG} must be a non-negative integer, got {raw!r}")
-    return value
-
-
-def resolve_ctg_depth(ctg_depth: Optional[int]) -> int:
-    """Normalise a ``ctg_depth`` argument (``None`` = process default)."""
-    if ctg_depth is None:
-        return default_ctg_depth()
-    if ctg_depth < 0:
-        raise PdrError(f"ctg_depth must be >= 0, got {ctg_depth}")
-    return int(ctg_depth)
 
 
 def cube_clause_term(ts: TransitionSystem, cube: Cube) -> BV:
@@ -232,15 +207,12 @@ class PdrEngine:
     """Prove (or refute) safety properties with IC3/PDR.
 
     ``max_frames`` bounds the number of frames explored before giving up
-    (``proven=None``); ``generalize=False`` disables the extra literal-
-    dropping pass after the core-driven drop (the core drop itself is free
-    and always on).  ``ctg_depth`` bounds the recursion of CTG-aware
-    generalisation: when a MIC drop trial fails, the counterexample-to-
+    (``proven=None``).  Every blocked cube is generalised twice: a free
+    drop through the blocking query's core, then a MIC literal-dropping
+    pass.  When a MIC drop trial fails, the counterexample-to-
     generalisation is itself blocked at the preceding frame (up to
-    ``_MAX_CTGS`` attempts per trial, recursing up to ``ctg_depth``) before
-    the literal is abandoned.  Depth 0 is the plain MIC fallback; ``None``
-    resolves through the ``REPRO_PDR_CTG`` environment variable (default
-    1).  ``conflict_budget`` caps each individual SAT query;
+    ``_MAX_CTGS`` attempts per trial, one level deep) before the literal is
+    abandoned.  ``conflict_budget`` caps each individual SAT query;
     ``total_conflict_budget`` caps the *cumulative* effort of the whole run
     (each query charges its conflicts plus one, so propagation-only query
     storms count too) — the knob campaign drivers use to bound a run whose
@@ -265,8 +237,6 @@ class PdrEngine:
         backend: str = "cdcl",
         opt_level: "PipelineConfig | int | None" = None,
         max_frames: int = 100,
-        generalize: bool = True,
-        ctg_depth: Optional[int] = None,
         seed_lemmas: Optional[Iterable[Cube]] = None,
     ):
         ts.validate()
@@ -276,8 +246,6 @@ class PdrEngine:
         self.backend = backend
         self.pipeline = PipelineConfig.resolve(opt_level)
         self.max_frames = max_frames
-        self.generalize = generalize
-        self.ctg_depth = resolve_ctg_depth(ctg_depth)
         self.seed_lemmas = None if seed_lemmas is None else list(seed_lemmas)
 
     def prove(
@@ -300,8 +268,6 @@ class PdrEngine:
             backend=self.backend,
             pipeline=self.pipeline,
             max_frames=max_frames if max_frames is not None else self.max_frames,
-            generalize=self.generalize,
-            ctg_depth=self.ctg_depth,
             conflict_budget=conflict_budget,
             total_conflict_budget=total_conflict_budget,
             seed_lemmas=self.seed_lemmas,
@@ -319,16 +285,12 @@ class _PdrRun:
         backend: str,
         pipeline: PipelineConfig,
         max_frames: int,
-        generalize: bool,
         conflict_budget: Optional[int],
         total_conflict_budget: Optional[int] = None,
-        ctg_depth: int = DEFAULT_CTG_DEPTH,
         seed_lemmas: Optional[Iterable[Cube]] = None,
     ):
         self.property_name = property_name
         self.max_frames = max_frames
-        self.generalize = generalize
-        self.ctg_depth = ctg_depth
         self.conflict_budget = conflict_budget
         self.total_conflict_budget = total_conflict_budget
         self._conflicts_spent = 0
@@ -889,15 +851,15 @@ class _PdrRun:
         """Shrink a refuted cube while keeping it refuted and Init-disjoint.
 
         The free shrink comes from the blocking query's own core
-        (:meth:`_core_shrink`).  With ``generalize`` on, a MIC-style pass
-        then tries to drop each surviving literal with a verdict-only
-        relative-induction query; when a drop trial fails and ``ctg_depth``
-        allows, the trial's counterexample-to-generalisation is blocked at
-        the preceding frame before the trial is retried
-        (:meth:`_ctg_down`).  ``depth`` is the current CTG recursion depth.
+        (:meth:`_core_shrink`).  A MIC-style pass then tries to drop each
+        surviving literal with a verdict-only relative-induction query; when
+        a drop trial fails while ``depth`` is below ``_CTG_DEPTH``, the
+        trial's counterexample-to-generalisation is blocked at the preceding
+        frame before the trial is retried (:meth:`_ctg_down`).  ``depth`` is
+        the current CTG recursion depth.
         """
         kept = self._core_shrink(list(cube), core, bucket="core")
-        if self.generalize and len(kept) > 1:
+        if len(kept) > 1:
             kept = self._mic(kept, frame, depth)
         return tuple(sorted(kept))
 
@@ -936,7 +898,7 @@ class _PdrRun:
         """
         ctgs = 0
         while True:
-            want_model = depth < self.ctg_depth and frame > 1 and ctgs < _MAX_CTGS
+            want_model = depth < _CTG_DEPTH and frame > 1 and ctgs < _MAX_CTGS
             trial = tuple(sorted(candidate))
             result = self._relative_induction(trial, frame, need_model=want_model)
             if result.satisfiable is False:

@@ -7,8 +7,11 @@ This package is the stand-in for the SMT solver the paper's toolchain uses
   with eager constant folding and algebraic simplification,
 * :mod:`repro.smt.bitblast` — a Tseitin bit-blaster producing CNF for the
   CDCL solver in :mod:`repro.sat`,
-* :mod:`repro.smt.solver` — a small ``BVSolver`` facade (assert / check /
-  model) plus a concrete evaluator used for trace replay and testing.
+* :mod:`repro.smt.evaluator` — a concrete evaluator used for trace replay
+  and testing.
+
+Solving goes through :class:`repro.solve.SolverContext` (assert / push /
+pop / check / model).
 """
 
 from repro.smt.terms import (
@@ -46,7 +49,6 @@ from repro.smt.terms import (
 )
 from repro.smt.evaluator import evaluate
 from repro.smt.bitblast import BitBlaster
-from repro.smt.solver import BVSolver, BVResult
 
 __all__ = [
     "BV",
@@ -82,6 +84,4 @@ __all__ = [
     "bv_or_all",
     "evaluate",
     "BitBlaster",
-    "BVSolver",
-    "BVResult",
 ]

@@ -7,9 +7,9 @@ The subsystem has two halves:
 * :mod:`repro.solve.backend` — the pluggable backend protocol plus the
   builtin CDCL backend and a DIMACS subprocess backend.
 
-Every solver loop in the stack (``BVSolver``, ``BmcEngine``/``BmcSession``,
-``KInductionEngine``, ``CegisEngine``, ``qed.verify_equivalence``) runs on
-this API.
+Every solver loop in the stack (``BmcEngine``/``BmcSession``,
+``KInductionEngine``, ``PdrEngine``, ``CegisEngine``,
+``qed.verify_equivalence``) runs on ``SolverContext``, the only solver API.
 """
 
 from repro.solve.backend import (

@@ -19,29 +19,24 @@ need falls out of that single decision:
 
 The SAT backend is pluggable (see :mod:`repro.solve.backend`): the builtin
 CDCL solver by default, or a DIMACS subprocess for external solvers.
-
-.. note::
-   The imports of the :mod:`repro.smt` modules are deferred to call time.
-   ``repro.smt.solver`` builds its ``BVSolver`` facade on this module, so a
-   module-level import in either direction would create a cycle through the
-   ``repro.smt`` package ``__init__``.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import SmtError, SolveError
 from repro.sat.preprocess import Preprocessor
 from repro.sat.solver import SolverStats
+from repro.smt import terms as T
+from repro.smt.bitblast import BitBlaster
+from repro.smt.evaluator import evaluate, free_variables
+from repro.smt.terms import BV
 from repro.solve.backend import SatBackend, create_backend
 from repro.solve.pipeline import EncodingStats, PipelineConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.smt.bitblast import BitBlaster
-    from repro.smt.terms import BV
+from repro.utils.bitops import from_bits
 
 
 @dataclass
@@ -74,8 +69,6 @@ class BVResult:
 
     def value_of(self, term: "BV") -> int:
         """Evaluate ``term`` under the model (unassigned variables read as 0)."""
-        from repro.smt.evaluator import evaluate, free_variables
-
         if not self.satisfiable:
             raise SmtError("no model available: formula not satisfiable")
         if not self.has_model:
@@ -138,8 +131,6 @@ class SolverContext:
         backend: "str | SatBackend" = "cdcl",
         opt_level: "PipelineConfig | int | None" = None,
     ):
-        from repro.smt.bitblast import BitBlaster
-
         self.pipeline = PipelineConfig.resolve(opt_level)
         self._blaster = BitBlaster(pipeline=self.pipeline)
         self._backend: SatBackend = create_backend(backend)
@@ -158,8 +149,7 @@ class SolverContext:
             self._pre.freeze(self._blaster._const_var)
         self._backend_clauses = 0
         self._clauses_synced = 0
-        # Root-level assertions in insertion order (constants included, for
-        # facade parity with the historical BVSolver behaviour).
+        # Root-level assertions in insertion order (constants included).
         self._root_terms: list["BV"] = []
         self._root_failed = False
         self._scopes: list[_Scope] = []
@@ -243,8 +233,6 @@ class SolverContext:
     def _vars_of(self, term: "BV") -> frozenset:
         cached = self._term_vars.get(term.tid)
         if cached is None:
-            from repro.smt.evaluator import free_variables
-
             cached = frozenset(free_variables(term))
             self._term_vars[term.tid] = cached
         return cached
@@ -337,8 +325,6 @@ class SolverContext:
         relation output) then costs no variable at all, which is what keeps
         IC3's per-cube clauses from growing the formula.
         """
-        from repro.smt import terms as T
-
         literals = list(literals)
         for term in literals:
             if term.width != 1:
@@ -522,8 +508,6 @@ class SolverContext:
     def _extract_model(
         self, backend_model, assumption_terms: list["BV"], full_model: bool
     ) -> dict[str, int]:
-        from repro.utils.bitops import from_bits
-
         blaster = self._blaster
         model: dict[str, int] = {}
         if full_model:

@@ -1,7 +1,7 @@
 """Configuration of the staged term → AIG → CNF → preprocess compilation.
 
-Every solver entry point (``SolverContext``, ``BVSolver``, the BMC and
-k-induction engines, CEGIS, the flows and the experiment harnesses) accepts
+Every solver entry point (``SolverContext``, the BMC, k-induction and PDR
+engines, CEGIS, the flows and the experiment harnesses) accepts
 an ``opt_level`` that resolves to a :class:`PipelineConfig`:
 
 * ``opt_level=0`` — the naive reference path: direct Tseitin bit-blasting
@@ -19,11 +19,12 @@ The process-wide default comes from the ``REPRO_OPT_LEVEL`` environment
 variable, so a whole test run or benchmark sweep can be pinned to the naive
 path without touching call sites.
 
-Orthogonally, ``absint`` (default on, ``REPRO_ABSINT=0`` to disable)
-enables the abstract-interpretation layer from :mod:`repro.absint`:
-pre-encoding constant-latch/bit folding in BMC, k-induction step
-strengthening and PDR frame-∞ lemma seeding.  It only takes effect at
-``opt_level >= 1`` — level 0 stays the untouched reference encoder.
+Orthogonally, ``absint`` (default on; ``PipelineConfig(absint=False)``
+turns it off) enables the abstract-interpretation layer from
+:mod:`repro.absint`: pre-encoding constant-latch/bit folding in BMC,
+k-induction step strengthening and PDR frame-∞ lemma seeding.  It only
+takes effect at ``opt_level >= 1`` — level 0 stays the untouched reference
+encoder.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.errors import SolveError
 ENV_OPT_LEVEL = "REPRO_OPT_LEVEL"
 DEFAULT_OPT_LEVEL = 2
 MAX_OPT_LEVEL = 2
-ENV_ABSINT = "REPRO_ABSINT"
 
 
 def default_opt_level() -> int:
@@ -58,22 +58,12 @@ def default_opt_level() -> int:
     return level
 
 
-def default_absint() -> bool:
-    """The process default: ``$REPRO_ABSINT`` when set, else on."""
-    raw = os.environ.get(ENV_ABSINT)
-    if raw is None or raw == "":
-        return True
-    if raw in ("0", "1"):
-        return raw == "1"
-    raise SolveError(f"{ENV_ABSINT} must be 0 or 1, got {raw!r}")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Which stages of the compilation pipeline are enabled."""
 
     opt_level: int = DEFAULT_OPT_LEVEL
-    absint: bool = dataclasses.field(default_factory=default_absint)
+    absint: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.opt_level <= MAX_OPT_LEVEL:
@@ -102,7 +92,7 @@ class PipelineConfig:
     def use_absint(self) -> bool:
         """Apply abstract-interpretation facts (fold/strengthen/seed).
 
-        Off at ``opt_level=0`` regardless of the knob: level 0 is the
+        Off at ``opt_level=0`` regardless of ``absint``: level 0 is the
         untouched reference encoder the differential legs pin against.
         """
         return self.absint and self.opt_level >= 1

@@ -26,8 +26,8 @@ from typing import Sequence
 from repro.errors import SynthesisError
 from repro.isa.config import IsaConfig
 from repro.smt import terms as T
-from repro.smt.solver import BVResult
 from repro.smt.terms import BV
+from repro.solve.context import BVResult
 from repro.synth.components import Component
 from repro.synth.program import (
     SOURCE_INPUT,

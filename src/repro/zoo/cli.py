@@ -61,7 +61,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="cumulative PDR effort budget; exhausted ⇒ inconclusive",
     )
     parser.add_argument("--backend", default="cdcl")
-    parser.add_argument("--opt-level", type=int, default=None)
+    parser.add_argument("--opt-level", type=int, choices=(0, 1, 2), default=None)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -56,7 +56,10 @@ CEX, SAFE, UNKNOWN = "cex", "safe", "inconclusive"
 class OracleSettings:
     """Engine selection and budgets for one oracle evaluation."""
 
-    engines: tuple[str, ...] = ("bmc", "pdr", "kinduction")
+    #: The oracle legs an instance can run.
+    ENGINES = ("bmc", "pdr", "kinduction")
+
+    engines: tuple[str, ...] = ENGINES
     #: Per-instance budget for the whole BMC run (cumulative over frames).
     bmc_conflict_budget: int = 200_000
     #: Cumulative effort budget for the PDR leg (conflicts + queries); PDR
@@ -73,6 +76,14 @@ class OracleSettings:
     control_bound: int = 7
     backend: str = "cdcl"
     opt_level: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for engine in self.engines:
+            if engine not in self.ENGINES:
+                raise ZooError(
+                    f"unknown oracle engine {engine!r}; "
+                    f"expected some of {self.ENGINES}"
+                )
 
 
 @dataclass

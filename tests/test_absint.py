@@ -310,7 +310,11 @@ class TestLintRules:
 
 class TestCli:
     def _run(self, *args: str) -> subprocess.CompletedProcess:
-        env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+        env = {
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
         return subprocess.run(
             [sys.executable, "-m", "repro.absint", *args],
             capture_output=True,

@@ -3,10 +3,9 @@
 The layer must be a pure accelerator: with ``absint`` on, BMC folds
 proven-constant latch bits out of the encoding, k-induction strengthens
 its step frames and PDR seeds frame-∞ lemmas — but every verdict, bound
-and counterexample frame must be identical to the ``absint=0`` run.
+and counterexample frame must be identical to the ``absint=False`` run.
 These tests pin that contract with explicit :class:`PipelineConfig`
-objects (never by monkeypatching ``REPRO_ABSINT``), so they hold no
-matter which leg of the CI matrix they run on.
+objects, so they hold no matter which leg of the CI matrix they run on.
 """
 
 from __future__ import annotations

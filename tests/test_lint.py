@@ -19,20 +19,17 @@ import pytest
 from repro.btor.parser import parse_btor2
 from repro.errors import Btor2Error, LintError, ReproError
 from repro.lint import (
-    ENV_LINT_GATE,
     LintFinding,
     LintReport,
     LintWarning,
     SEV_ERROR,
     SEV_INFO,
     SEV_WARNING,
-    default_gate_mode,
     gate_transition_system,
     lint_aig,
     lint_cnf,
     lint_encoding_stats,
     lint_transition_system,
-    resolve_gate_mode,
 )
 from repro.lint.cli import main as lint_main
 from repro.sat.cnf import CNF
@@ -195,7 +192,11 @@ class TestShippedArtifactsLintClean:
         # the process-wide term manager, which would collide with the
         # differently-sized models other tests build.
         model = tmp_path / "sepe_sqed_model.btor2"
-        env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+        env = {
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
         export = subprocess.run(
             [sys.executable, "examples/export_btor2.py", str(model)],
             capture_output=True,
@@ -364,16 +365,11 @@ class TestLintGate:
             report = gate_transition_system(counter_ts(), "error")
         assert not report.findings
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_LINT_GATE, raising=False)
-        assert default_gate_mode() == "off"
-        monkeypatch.setenv(ENV_LINT_GATE, "error")
-        assert resolve_gate_mode(None) == "error"
-        monkeypatch.setenv(ENV_LINT_GATE, "strict")
-        with pytest.raises(LintError, match=ENV_LINT_GATE):
-            default_gate_mode()
-        with pytest.raises(LintError):
-            resolve_gate_mode("loud")
+    def test_default_mode_is_off_and_unknown_mode_raises(self):
+        broken = load_fixture("missing_next")
+        assert not gate_transition_system(broken).findings
+        with pytest.raises(LintError, match="loud"):
+            gate_transition_system(broken, "loud")
 
     def test_bmc_session_gates(self):
         from repro.bmc.engine import BmcSession
@@ -500,7 +496,11 @@ class TestCli:
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONPATH": str(REPO_ROOT / "src"),
+                "PATH": "/usr/bin:/bin",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
         )
         assert result.returncode == 0, result.stderr
 

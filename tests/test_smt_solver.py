@@ -1,4 +1,4 @@
-"""Tests for bit-blasting and the QF_BV solver facade.
+"""Tests for bit-blasting and QF_BV solving through ``SolverContext``.
 
 The key property is agreement between three evaluation paths: the concrete
 evaluator, the word-level constant folder, and bit-blasting + CDCL search.
@@ -14,7 +14,7 @@ from repro.sat.solver import SatSolver
 from repro.smt import terms as T
 from repro.smt.bitblast import BitBlaster
 from repro.smt.evaluator import evaluate
-from repro.smt.solver import BVSolver, check_sat, check_valid
+from repro.solve import SolverContext
 from repro.utils.bitops import mask
 
 W = 6
@@ -74,29 +74,41 @@ class TestBitBlastAgainstEvaluator:
         assert _solver_agrees_with_evaluator(term, x, y)
 
 
-class TestBVSolver:
+def _solve(terms: list[T.BV]):
+    """A fresh context's verdict on the conjunction of ``terms``."""
+    solver = SolverContext()
+    solver.add_all(terms)
+    return solver.check()
+
+
+def _valid(term: T.BV) -> bool:
+    """True when the width-1 ``term`` holds for every assignment."""
+    return not _solve([T.bv_not(term)]).satisfiable
+
+
+class TestSolverContextQueries:
     def test_assert_requires_width_one(self):
-        solver = BVSolver()
+        solver = SolverContext()
         with pytest.raises(SmtError):
             solver.add(X)
 
     def test_sat_with_model(self):
-        result = check_sat([T.bv_eq(T.bv_add(X, Y), T.bv_const(9, W)), T.bv_ult(X, Y)])
+        result = _solve([T.bv_eq(T.bv_add(X, Y), T.bv_const(9, W)), T.bv_ult(X, Y)])
         assert result.satisfiable
         x, y = result.model["bb_x"], result.model["bb_y"]
         assert (x + y) & mask(W) == 9 and x < y
 
     def test_unsat(self):
-        result = check_sat([T.bv_ult(X, Y), T.bv_ult(Y, X)])
+        result = _solve([T.bv_ult(X, Y), T.bv_ult(Y, X)])
         assert result.satisfiable is False
 
     def test_trivially_false_assertion(self):
-        solver = BVSolver()
+        solver = SolverContext()
         solver.add(T.bv_false())
         assert solver.check().satisfiable is False
 
     def test_assumptions(self):
-        solver = BVSolver()
+        solver = SolverContext()
         solver.add(T.bv_ule(X, T.bv_const(5, W)))
         sat = solver.check(assumptions=[T.bv_eq(X, T.bv_const(3, W))])
         assert sat.satisfiable and sat.model["bb_x"] == 3
@@ -104,14 +116,14 @@ class TestBVSolver:
         assert unsat.satisfiable is False
 
     def test_value_of_composite_terms(self):
-        result = check_sat([T.bv_eq(X, T.bv_const(5, W)), T.bv_eq(Y, T.bv_const(2, W))])
+        result = _solve([T.bv_eq(X, T.bv_const(5, W)), T.bv_eq(Y, T.bv_const(2, W))])
         assert result.value_of(T.bv_add(X, Y)) == 7
 
     def test_check_valid_algebraic_identities(self):
-        assert check_valid(T.bv_eq(T.bv_sub(T.bv_add(X, Y), Y), X))
-        assert check_valid(T.bv_eq(T.bv_not(T.bv_add(T.bv_not(X), Y)), T.bv_sub(X, Y)))
-        assert check_valid(T.bv_eq(T.bv_xor(T.bv_xor(X, Y), Y), X))
-        assert not check_valid(T.bv_eq(X, Y))
+        assert _valid(T.bv_eq(T.bv_sub(T.bv_add(X, Y), Y), X))
+        assert _valid(T.bv_eq(T.bv_not(T.bv_add(T.bv_not(X), Y)), T.bv_sub(X, Y)))
+        assert _valid(T.bv_eq(T.bv_xor(T.bv_xor(X, Y), Y), X))
+        assert not _valid(T.bv_eq(X, Y))
 
     def test_mulh_identity(self):
         """The MULH.C decomposition identity used by the component library.

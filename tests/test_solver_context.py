@@ -19,7 +19,6 @@ from repro.errors import SmtError, SolveError
 from repro.smt import terms as T
 from repro.smt.bitblast import BitBlaster
 from repro.smt.evaluator import evaluate, free_variables
-from repro.smt.solver import BVSolver, check_sat
 from repro.solve import (
     CdclBackend,
     DimacsBackend,
@@ -43,6 +42,13 @@ W = 5
 
 def _vars(prefix: str) -> tuple[T.BV, T.BV]:
     return T.bv_var(f"{prefix}_x", W), T.bv_var(f"{prefix}_y", W)
+
+
+def _oneshot(terms: list[T.BV]):
+    """The fresh-solver reference: a new context for a single query."""
+    ctx = SolverContext()
+    ctx.add_all(terms)
+    return ctx.check()
 
 
 def _counter_system(prefix: str, limit: int, buggy: bool = False) -> TransitionSystem:
@@ -426,7 +432,7 @@ class TestIncrementalVsOneshot:
             ctx.add(extra)
             incremental = ctx.check()
             ctx.pop()
-            oneshot = check_sat([base, extra])
+            oneshot = _oneshot([base, extra])
             assert incremental.satisfiable == oneshot.satisfiable
             if incremental.satisfiable:
                 model = {
@@ -445,7 +451,7 @@ class TestIncrementalVsOneshot:
         for constant in constants:
             assumption = T.bv_eq(x, T.bv_const(constant, W))
             incremental = ctx.check(assumptions=[assumption])
-            oneshot = check_sat([base, assumption])
+            oneshot = _oneshot([base, assumption])
             assert incremental.satisfiable == oneshot.satisfiable
 
 
@@ -677,19 +683,19 @@ class TestBackends:
 
 
 class TestFacade:
-    def test_bvsolver_reuses_one_context(self):
-        solver = BVSolver()
+    def test_repeated_check_reuses_the_encoding(self):
+        solver = SolverContext()
         x, y = _vars("fac")
         solver.add(T.bv_ult(x, y))
         first = solver.check()
-        clauses_after_first = solver.context.num_clauses
+        clauses_after_first = solver.num_clauses
         second = solver.check()
         assert first.satisfiable and second.satisfiable
         # No re-blasting: the clause count is unchanged between checks.
-        assert solver.context.num_clauses == clauses_after_first
+        assert solver.num_clauses == clauses_after_first
 
     def test_free_variable_cache_covers_model(self):
-        solver = BVSolver()
+        solver = SolverContext()
         x, y = _vars("cache")
         solver.add(T.bv_eq(x, T.bv_const(3, W)))
         solver.add(T.bv_eq(y, T.bv_const(4, W)))
@@ -698,7 +704,7 @@ class TestFacade:
         assert result.value_of(T.bv_add(x, y)) == 7
 
     def test_result_stats_are_per_query(self):
-        solver = BVSolver()
+        solver = SolverContext()
         x, y = _vars("pq")
         solver.add(T.bv_eq(T.bv_mul(x, y), T.bv_const(12, W)))
         first = solver.check(assumptions=[T.bv_ult(x, y)])

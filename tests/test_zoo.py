@@ -398,6 +398,16 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["detection_rate"] == 1.0
 
+    def test_unknown_engine_rejected(self, capsys):
+        # A typo must not silently drop an oracle leg.
+        with pytest.raises(ZooError, match="pfr"):
+            OracleSettings(engines=("bmc", "pfr"))
+        code = zoo_main(
+            ["run", "--count", "1", "--engines", "bmc,pfr", "--no-controls"]
+        )
+        assert code != 0
+        assert "pfr" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # Tier-2: the full campaign (nightly)

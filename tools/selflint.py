@@ -60,12 +60,11 @@ ALLOW_COMMENT = "selflint: allow-wallclock"
 ALLOW_ENV_COMMENT = "selflint: allow-env"
 
 #: Modules allowed to read the environment: one config resolver per
-#: subsystem (compilation pipeline + absint, SAT backend, lint gate,
-#: kernel sanitizer).  Matched as path suffixes.
+#: subsystem (compilation pipeline, SAT backend, kernel sanitizer).
+#: Matched as path suffixes.
 ENV_ALLOWED_SUFFIXES = (
     "solve/pipeline.py",
     "solve/backend.py",
-    "lint/gate.py",
     "sat/sanitize.py",
 )
 
