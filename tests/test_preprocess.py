@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.sat import preprocess
 from repro.sat.preprocess import Preprocessor
 from repro.sat.solver import SatSolver
 
@@ -147,6 +148,13 @@ class TestVariableElimination:
         assert result.satisfiable
         assert result.model[3] is True
 
+    def test_tautology_holding_both_literals_keeps_its_variable(self):
+        # Resolving on 1 against (1, -1) would leave 1 in the resolvents.
+        pre = Preprocessor()
+        assert pre.flush([(1, -1), (1, 2)]) == [(1, -1)]
+        assert not pre.is_eliminated(1)
+        assert pre._eliminated == {2: [(1, 2)]}
+
     def test_require_vars_restores_assumption_var(self):
         pre = Preprocessor()
         pre.freeze_all([1, 2])
@@ -188,3 +196,128 @@ class TestEquivalenceRandomised:
             else:
                 got = _solve(out, assumptions=assumptions).satisfiable
             assert got is expected
+
+
+class TestShortcutsKeepOutput:
+    """Exact outputs where a flush takes a shortcut.
+
+    Each expected value is what full propagate/subsume/eliminate rounds,
+    with every clause and variable revisited each round, produce on the
+    same input.
+    """
+
+    def test_backwards_unit_chain_takes_several_passes(self):
+        pre = Preprocessor()
+        pre.freeze_all([6, 7, 8, 9])
+        out = pre.flush(
+            [(-4, 5), (6, 7), (-3, 4), (-5, 6, 8), (-2, 3), (7, 8, 9), (-1, 2), (5, 9, -7), (1,)]
+        )
+        # Units in discovery order, then the survivors in input order.
+        assert out == [(1,), (2,), (3,), (4,), (5,), (6, 7), (6, 8), (7, 8, 9)]
+        assert list(pre._value) == [1, 2, 3, 4, 5]
+        stats = pre.stats
+        assert (stats.units_found, stats.satisfied_dropped, stats.literals_stripped) == (5, 1, 5)
+
+    def test_unit_resolvent_is_propagated_in_the_next_round(self):
+        pre = Preprocessor()
+        pre.freeze_all([2, 3, 4, 5])
+        out = pre.flush([(1, 2), (-1, 2), (-2, 3, 4), (3, 4, 5)])
+        # Eliminating 1 leaves the unit resolvent (2).  Round 2 propagates
+        # it, and the stripped (3, 4) subsumes (3, 4, 5) in the same round.
+        assert out == [(2,), (3, 4)]
+        assert pre._eliminated == {1: [(1, 2), (-1, 2)]}
+        stats = pre.stats
+        assert (stats.units_found, stats.literals_stripped, stats.subsumed) == (1, 1, 1)
+        assert (stats.satisfied_dropped, stats.resolvents_added) == (0, 1)
+
+    def test_scan_cut_short_is_scanned_again(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_SUBSUMPTION_SCAN_LIMIT", 2)
+        pre = Preprocessor()
+        pre.freeze_all([1, 2, 3])
+        out = pre.flush([(1, 4, 5), (1, -4, 6), (1, 2), (1, 2, 3)])
+        # (1, 2, 3) meets two other clauses on literal 1 before (1, 2), so
+        # round 1 stops its scan at the limit.  Round 2 scans it again with
+        # those two eliminated and finds (1, 2).
+        assert out == [(1, 2)]
+        assert pre._eliminated == {5: [(1, 4, 5)], 6: [(1, -4, 6)]}
+        assert (pre.stats.subsumed, pre.stats.vars_eliminated) == (1, 2)
+
+    def test_failed_elimination_is_retried_once_its_clauses_change(self):
+        pre = Preprocessor()
+        pre.freeze_all([1, 2, 5])
+        out = pre.flush([(-1, -3, -4), (-1, 4), (2, 3), (-3, -5), (2, 4), (3, -5)])
+        # Variable 3 fails in round 1; eliminating 4 later in that round
+        # replaces one of its clauses, and round 2 eliminates it.
+        assert out == [(-5,), (2, -1)]
+        assert pre._eliminated == {
+            4: [(-1, 4), (2, 4), (-1, -3, -4)],
+            3: [(2, 3), (3, -5), (-3, -5), (-1, -3)],
+        }
+        stats = pre.stats
+        assert (stats.units_found, stats.satisfied_dropped, stats.subsumed) == (1, 2, 1)
+        assert (stats.vars_eliminated, stats.resolvents_added) == (2, 6)
+
+    def test_same_tuple_object_twice_in_a_batch(self):
+        pre = Preprocessor()
+        pre.freeze_all([1, 2])
+        gate = (-3, 1)
+        out = pre.flush([gate, (-3, 2), gate, (3, -1, -2), (4, 3), (-4, 1, 2)])
+        assert out == [(1, 2)]
+        assert pre._eliminated == {
+            4: [(4, 3), (-4, 1, 2)],
+            3: [(3, -1, -2), (3, 1, 2), (-3, 1), (-3, 2)],
+        }
+        assert (pre.stats.subsumed, pre.stats.resolvents_added) == (2, 3)
+
+        # Too long for a subsumption check, so both copies stay pending.
+        pre = Preprocessor()
+        pre.freeze_all([1, 2, 5])
+        wide = tuple(range(1, 18))
+        out = pre.flush([(5, 6), wide, (-6, 1), wide, (-6, 2)])
+        assert out == [(5, 1), (5, 2)]
+        assert pre._eliminated == {3: [wide, wide], 6: [(5, 6), (-6, 1), (-6, 2)]}
+
+
+class TestMultiBatchStream:
+    """One preprocessor over many flushes, checked after every batch."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stream_stays_equisatisfiable_and_models_extend(self, seed):
+        rng = random.Random(seed)
+        num_vars = 30
+        # Assumption candidates: three frozen up front, the rest required
+        # (and so restored if eliminated) along the way.
+        pool = rng.sample(range(1, num_vars + 1), 6)
+        frozen = pool[:3]
+        pre = Preprocessor()
+        pre.freeze_all(frozen)
+        inputs: list[tuple[int, ...]] = []
+        emitted: list[tuple[int, ...]] = []
+        for step in range(10):
+            if step and rng.random() < 0.3:
+                required = rng.sample(pool, 2)
+                frozen += [var for var in required if var not in frozen]
+                emitted += pre.require_vars(required)
+            else:
+                batch = []
+                for _ in range(rng.randint(3, 9)):
+                    width = 1 if rng.random() < 0.05 else rng.randint(2, 3)
+                    lits = {
+                        rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(width)
+                    }
+                    if not any(-lit in lits for lit in lits):
+                        batch.append(tuple(lits))
+                inputs += batch
+                emitted += pre.flush(batch)
+            if pre.unsat:
+                assert not _solve(inputs).satisfiable
+                return
+            for bits in range(1 << len(frozen)):
+                assumptions = [var if (bits >> i) & 1 else -var for i, var in enumerate(frozen)]
+                expected = _solve(inputs, assumptions).satisfiable
+                assert _solve(emitted, assumptions).satisfiable is expected
+            result = _solve(emitted)
+            if result.satisfiable:
+                model = pre.extend_model(result.model)
+                for clause in inputs:
+                    assert any(model.get(abs(lit), False) == (lit > 0) for lit in clause)
