@@ -40,6 +40,12 @@ It rebuilds the data layout around a single flat ``array('i')``:
   geometrically growing limit; on reduction the surviving clauses are
   *compacted* into a fresh arena (refs remapped, watchers rebuilt from the
   watched positions), so long runs neither fragment nor leak.
+* **Decision variables only.**  A variable enters the VSIDS order heap
+  when it first occurs in an attached problem clause, not when it is
+  created (MiniSat's ``decision`` flag).  Variables that CNF preprocessing
+  eliminated, or that no clause ever named, are never decided: they stay
+  unassigned and read ``False`` in the model, so an incremental caller
+  with thousands of dead variables spends no decisions on them.
 
 The public surface — ``add_clause``/``add_cnf``/``reserve``,
 ``solve(assumptions, conflict_budget, need_model)``, failed-assumption
@@ -120,6 +126,9 @@ class ArenaSolver:
         self._restart_interval = _RESTART_UNIT
         self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
+        # Per-var decision flag: set once the variable occurs in a problem
+        # clause; only flagged variables enter the order heap.
+        self._decision = bytearray(1)
         self._var_inc = 1.0
         self._cla_inc = 1.0
         self._order_heap: list[tuple[float, int]] = []
@@ -147,10 +156,14 @@ class ArenaSolver:
             self._watches.append([])
             self._watches.append([])
             self._seen.append(0)
-            heapq.heappush(self._order_heap, (0.0, self._num_vars))
+            self._decision.append(0)
 
     def reserve(self, num_vars: int) -> None:
-        """Make sure variables ``1..num_vars`` exist even if unconstrained."""
+        """Make sure variables ``1..num_vars`` exist even if unconstrained.
+
+        A reserved variable is not decided until a clause mentions it;
+        until then a model reports it ``False`` (or its assumed value).
+        """
         self._ensure_var(num_vars)
 
     @property
@@ -227,7 +240,19 @@ class ArenaSolver:
         arena.append(slot)
         ref = len(arena)
         arena.extend(enc_lits)
-        (self._learned_refs if learned else self._clause_refs).append(ref)
+        if learned:
+            self._learned_refs.append(ref)
+        else:
+            self._clause_refs.append(ref)
+            # Learned clauses are resolved from attached clauses, so their
+            # variables are flagged already: a problem clause is the only
+            # place a variable becomes a decision variable.
+            decision = self._decision
+            for enc in enc_lits:
+                var = enc >> 1
+                if not decision[var]:
+                    decision[var] = 1
+                    heapq.heappush(self._order_heap, (-self._activity[var], var))
         w0 = self._watches[enc_lits[0]]
         w0.append(enc_lits[1])
         w0.append(ref)
@@ -587,15 +612,20 @@ class ArenaSolver:
     # --------------------------------------------------------------- decision
 
     def _decide(self) -> int:
-        """Pick the unassigned variable with the highest activity (or 0)."""
+        """Pick the unassigned decision variable with the highest activity (or 0).
+
+        Backtracking pushes every unassigned variable back, including a
+        clause-free one an assumption assigned, so the flag is checked here.
+        """
         values = self._values
+        decision = self._decision
         heap = self._order_heap
         while heap:
             _, var = heapq.heappop(heap)
-            if values[var + var] == 0:
+            if values[var + var] == 0 and decision[var]:
                 return var
         for var in range(1, self._num_vars + 1):
-            if values[var + var] == 0:
+            if values[var + var] == 0 and decision[var]:
                 return var
         return 0
 

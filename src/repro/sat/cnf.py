@@ -113,7 +113,11 @@ def parse_dimacs(text: str) -> CNF:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise SatError(f"DIMACS line {number}: malformed problem line {line!r}")
             declared_vars = _dimacs_int(parts[2], number)
-            _dimacs_int(parts[3], number)
+            declared_clauses = _dimacs_int(parts[3], number)
+            if declared_vars < 0 or declared_clauses < 0:
+                raise SatError(
+                    f"DIMACS line {number}: negative count in problem line {line!r}"
+                )
             continue
         for token in line.split():
             lit = _dimacs_int(token, number)

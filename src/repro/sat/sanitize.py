@@ -21,7 +21,10 @@ structure invariants at every quiescent point of the search:
   arena parses back into exactly the recorded clause refs, activity slots
   are a bijection, and reason refs survived the remap;
 * **model soundness** — every SAT answer is checked against *every* clause
-  (problem and learned) before it is returned;
+  (problem and learned) before it is returned.  The reference kernel must
+  assign every variable; the arena must assign every decision variable
+  and every variable of an attached clause, and may leave a variable that
+  occurs in no clause unassigned (it never decides one);
 * **learned-clause implication** — after every conflict analysis the
   (minimised) learned clause must still be falsified by the
   conflicting assignment with its asserting literal at the conflict level,
@@ -428,19 +431,37 @@ def check_arena_reasons(solver) -> None:
 
 
 def check_arena_model(solver) -> None:
-    """Full clause-satisfaction check before a SAT answer is returned."""
+    """Full clause-satisfaction check before a SAT answer is returned.
+
+    A variable that occurs in no clause is never decided and may stay
+    unassigned; a decision variable or a variable of any attached problem
+    or learned clause may not.
+    """
     arena = solver._arena
     values = solver._values
+    decision = solver._decision
     for var in range(1, solver._num_vars + 1):
-        if values[var + var] == 0:
-            _fail(solver, "model", f"SAT answer with unassigned variable {var}")
+        if values[var + var] == 0 and decision[var]:
+            _fail(
+                solver,
+                "model",
+                f"SAT answer with unassigned decision variable {var}",
+            )
     for group, refs in (
         ("problem", solver._clause_refs),
         ("learned", solver._learned_refs),
     ):
         for ref in refs:
-            size = arena[ref - 2]
-            if not any(values[arena[k]] == 1 for k in range(ref, ref + size)):
+            lits = arena[ref : ref + arena[ref - 2]]
+            lit_values = [values[enc] for enc in lits]
+            if 0 in lit_values:
+                _fail(
+                    solver,
+                    "model",
+                    f"SAT answer leaves variable {lits[lit_values.index(0)] >> 1} "
+                    f"of a {group} clause at ref {ref} unassigned",
+                )
+            if 1 not in lit_values:
                 _fail(
                     solver,
                     "model",

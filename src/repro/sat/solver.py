@@ -114,9 +114,12 @@ class SatResult:
 
     ``satisfiable`` is ``True``/``False`` for a decided query and ``None``
     if the solver hit its conflict budget.  When satisfiable, ``model`` maps
-    every variable index to a boolean.  ``stats`` is a *detached snapshot*
-    of the solver's cumulative counters at the time the result was built:
-    later calls on the same solver instance do not mutate a stored result.
+    every variable index to a boolean (it is empty after
+    ``need_model=False``).  A variable that occurs in no clause has an
+    arbitrary value: the arena never decides one and reports ``False``
+    unless an assumption set it.  ``stats`` is a *detached snapshot* of the
+    solver's cumulative counters at the time the result was built: later
+    calls on the same solver instance do not mutate a stored result.
 
     For UNSAT answers ``core`` holds the *failed-assumption core*: a subset
     of the passed assumption literals whose conjunction already makes the
@@ -138,6 +141,15 @@ class SatResult:
         """Value of ``var`` in the model (only valid when satisfiable)."""
         if not self.satisfiable:
             raise SatError("no model available: formula not satisfiable")
+        if var not in self.model:
+            if not self.model:
+                raise SatError(
+                    f"no model available for variable {var}: the answer "
+                    "carries no model (a need_model=False solve, or a "
+                    "formula without variables); re-solve with "
+                    "need_model=True to read values"
+                )
+            raise SatError(f"variable {var} is not in the model")
         return self.model[var]
 
 

@@ -55,6 +55,14 @@ class TestCnf:
         assert parsed.num_vars == 3
         assert len(parsed) == 2
 
+    def test_parse_dimacs_negative_counts(self):
+        for text, line in (
+            ("p cnf -3 1\n1 0\n", 1),
+            ("c header\np cnf 3 -1\n1 0\n", 2),
+        ):
+            with pytest.raises(SatError, match=f"line {line}"):
+                parse_dimacs(text)
+
     def test_parse_dimacs_unterminated_clause(self):
         with pytest.raises(SatError):
             parse_dimacs("1 2")
@@ -167,6 +175,17 @@ class TestSolverBasics:
         result = solver.solve(need_model=False)
         assert result.satisfiable is True
         assert result.model == {}
+        # A typed error naming the variable, never a bare KeyError.
+        with pytest.raises(SatError, match="variable 1.*need_model=False"):
+            result.value(1)
+
+    def test_value_outside_the_model_is_a_typed_error(self, solver_cls):
+        solver = solver_cls()
+        solver.add_clause([1, 2])
+        result = solver.solve()
+        assert result.satisfiable is True
+        with pytest.raises(SatError, match="variable 9 is not in the model"):
+            result.value(9)
 
 
 def _pigeonhole_clauses(pigeons: int, holes: int) -> list[list[int]]:
@@ -326,6 +345,75 @@ class TestSolverAgainstBruteForce:
         assert bool(result) is expected
 
 
+def _record_decisions(solver: ArenaSolver) -> list[int]:
+    """Wrap the arena's decision heuristic; returns the live list of decisions."""
+    decided: list[int] = []
+    decide = solver._decide
+
+    def recording() -> int:
+        var = decide()
+        if var:
+            decided.append(var)
+        return var
+
+    solver._decide = recording
+    return decided
+
+
+class TestArenaDecisionVariables:
+    """The arena decides only variables that occur in a problem clause.
+
+    Reserved, eliminated and never-used variables stay out of the order
+    heap, so a SAT answer costs decisions on the clause variables only.
+    """
+
+    def test_reserved_variables_are_never_decided(self):
+        solver = ArenaSolver()
+        solver.reserve(1000)
+        clauses = [[1, 2], [-1, 2]]
+        for clause in clauses:
+            solver.add_clause(clause)
+        decided = _record_decisions(solver)
+        result = solver.solve()
+        assert result.satisfiable is True
+        assert result.stats.decisions <= 2
+        assert set(decided) <= {1, 2}
+        assert _model_satisfies(result, clauses)
+        # Clause-free variables are unassigned and read False.
+        assert result.value(1000) is False
+
+    def test_variable_named_between_solves_is_decided(self):
+        solver = ArenaSolver()
+        solver.reserve(10)
+        solver.add_clause([1, 2])
+        decided = _record_decisions(solver)
+        assert solver.solve().satisfiable is True
+        assert set(decided) <= {1, 2}
+        decided.clear()
+        solver.add_clause([3, -4])
+        result = solver.solve()
+        assert result.satisfiable is True
+        assert decided and set(decided) & {3, 4}
+        assert set(decided) <= {1, 2, 3, 4}
+        assert _model_satisfies(result, [[1, 2], [3, -4]])
+
+    def test_assumed_clause_free_variable_keeps_its_value(self):
+        solver = ArenaSolver()
+        solver.add_clause([1, 2])
+        solver.reserve(7)
+        decided = _record_decisions(solver)
+        for lit in (7, -7):
+            result = solver.solve(assumptions=[lit])
+            assert result.satisfiable is True
+            assert result.value(7) is (lit > 0)
+        # Backtracking hands the assumed variable back to the order heap;
+        # a later solve without the assumption must still not decide it.
+        result = solver.solve()
+        assert result.satisfiable is True
+        assert 7 not in decided
+        assert result.value(7) is False
+
+
 def test_arena_counts_lbd_and_minimised_literals():
     # The arena books the LBD mass of every stored learned clause and the
     # literals recursive minimisation removes.  The exact figures pin the
@@ -411,6 +499,61 @@ class TestDifferentialFuzz:
         # An exhausted budget never corrupts state: the budget-free
         # re-query on the same instances must agree.
         assert reference.solve().satisfiable is arena.solve().satisfiable
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sparse_variables_and_fresh_clauses_agree(self, seed):
+        # Many reserved variables that no clause names, and clauses over
+        # variables first named between queries: the arena never decides
+        # the clause-free ones, and must still agree with the reference.
+        rng = random.Random(0xC1A5 + seed)
+        num_vars = rng.randint(40, 120)
+        reference = SatSolver()
+        arena = ArenaSolver()
+        reference.reserve(num_vars)
+        arena.reserve(num_vars)
+        unused = list(range(1, num_vars + 1))
+        rng.shuffle(unused)
+        named: list[int] = []
+        clauses: list[list[int]] = []
+        for round_no in range(5):
+            # Name a few fresh variables, then mix them with earlier ones.
+            for _ in range(rng.randint(2, 5)):
+                if unused:
+                    named.append(unused.pop())
+            for _ in range(rng.randint(2, 8)):
+                clause = []
+                for _ in range(rng.randint(1, 3)):
+                    var = rng.choice(named)
+                    clause.append(var if rng.random() < 0.5 else -var)
+                clauses.append(clause)
+                reference.add_clause(clause)
+                arena.add_clause(clause)
+            # Assume on clause variables and on clause-free ones alike.
+            pool = named + unused[: len(named)]
+            assumptions = [
+                var if rng.random() < 0.5 else -var
+                for var in rng.sample(pool, rng.randint(0, min(4, len(pool))))
+            ]
+            r = reference.solve(assumptions=assumptions)
+            a = arena.solve(assumptions=assumptions)
+            assert r.satisfiable is a.satisfiable, (
+                f"verdict divergence (round {round_no}, assumptions "
+                f"{assumptions}): reference={r.satisfiable} arena={a.satisfiable}"
+            )
+            if a.satisfiable:
+                for result in (r, a):
+                    assert _model_satisfies(result, clauses)
+                    for lit in assumptions:
+                        assert result.value(abs(lit)) is (lit > 0)
+            else:
+                for result in (r, a):
+                    assert result.core is not None
+                    assert set(result.core) <= set(assumptions)
+                assert reference.solve(assumptions=a.core).satisfiable is False
+                assert arena.solve(assumptions=r.core).satisfiable is False
+                if not a.core:
+                    assert not r.core
+                    return  # both latched root-UNSAT
 
     @pytest.mark.parametrize("pigeons,holes", [(4, 3), (5, 4)])
     def test_pigeonhole_unsat_and_latching_agree(self, pigeons, holes):
@@ -588,6 +731,28 @@ class TestSanitizers:
         solver._values[2], solver._values[3] = -1, 1
         solver._values[4], solver._values[5] = -1, 1
         with pytest.raises(SanitizerError, match=r"\[model\]"):
+            check_arena_model(solver)
+
+    def test_arena_unassigned_decision_variable_fires(self):
+        from repro.errors import SanitizerError
+        from repro.sat.sanitize import check_arena_model
+
+        solver = ArenaSolver(CNF([[1, 2]], num_vars=3), sanitize=True)
+        # var1 true, var2 false: the clause holds; var 3 occurs in no
+        # clause and may stay unassigned.
+        solver._values[2], solver._values[3] = 1, -1
+        solver._values[4], solver._values[5] = -1, 1
+        check_arena_model(solver)
+        # Flag var 3 as a decision variable behind the solver's back: a
+        # SAT answer must not leave it unassigned.
+        solver._decision[3] = 1
+        with pytest.raises(SanitizerError, match=r"\[model\].*variable 3"):
+            check_arena_model(solver)
+        # A clause variable left unassigned fires even when another
+        # literal satisfies the clause.
+        solver._decision[3] = 0
+        solver._values[4] = solver._values[5] = 0
+        with pytest.raises(SanitizerError, match=r"\[model\].*variable 2"):
             check_arena_model(solver)
 
     def test_arena_learned_corruption_fires(self):

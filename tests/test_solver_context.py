@@ -132,6 +132,60 @@ class TestModelAvailability:
         assert result.value_of(T.bv_const(4, W)) == 4
 
 
+class TestPreprocessedDecisions:
+    """At ``opt_level=2`` the arena never decides an eliminated variable.
+
+    Bounded variable elimination removes a variable from every clause the
+    backend holds, so deciding it is wasted work on every SAT answer; the
+    arena decides only variables that occur in a clause, and
+    ``extend_model`` completes the eliminated ones afterwards.
+    """
+
+    def test_eliminated_variables_are_never_decided(self):
+        x, y, z = (T.bv_var(f"elim_{name}", W) for name in "xyz")
+        ctx = SolverContext(backend=CdclBackend(kernel="arena"), opt_level=2)
+        solver = ctx.backend._solver
+        pre = ctx._pre
+        decided: list[int] = []
+        eliminated_decisions: list[int] = []
+        decide = solver._decide
+
+        def recording() -> int:
+            var = decide()
+            if var:
+                decided.append(var)
+                if pre.is_eliminated(var):
+                    eliminated_decisions.append(var)
+            return var
+
+        solver._decide = recording
+        ctx.add(T.bv_eq(T.bv_add(T.bv_mul(x, y), z), T.bv_const(13, W)))
+        ctx.add(T.bv_ne(x, T.bv_const(0, W)))
+        queries = [
+            [],
+            [T.bv_ult(y, T.bv_const(3, W))],
+            [T.bv_ult(x, y), T.bv_ne(z, T.bv_const(13, W))],
+            [T.bv_eq(T.bv_xor(x, z), T.bv_const(6, W))],
+        ]
+        sat_answers = 0
+        for assumptions in queries:
+            ctx.push()
+            ctx.add(T.bv_ule(z, T.bv_add(x, T.bv_const(20, W))))
+            result = ctx.check(assumptions=assumptions)
+            if result.satisfiable:
+                sat_answers += 1
+                model = {
+                    var.name: result.model.get(var.name, 0) for var in (x, y, z)
+                }
+                for term in (*ctx.assertions, *assumptions):
+                    assert evaluate(term, model) == 1
+            ctx.pop()
+        assert ctx.encoding_stats().vars_eliminated > 0
+        assert sat_answers >= 2
+        assert decided
+        assert eliminated_decisions == []
+
+
 class TestTermLevelCores:
     """Failed-assumption cores lifted back to the assumption terms."""
 
