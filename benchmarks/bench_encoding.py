@@ -75,7 +75,6 @@ def _encoding_sizes(bug, size_bound: int, opt_level: int) -> dict:
         "aig_rewrite_hits": encoding.aig_rewrite_hits,
         "vars_eliminated": encoding.vars_eliminated,
         "vars_restored": encoding.vars_restored,
-        "subsumed": encoding.subsumed,
         "units_found": encoding.units_found,
         "coi_states_dropped": encoding.coi_states_dropped,
         "coi_state_bits_dropped": encoding.coi_state_bits_dropped,

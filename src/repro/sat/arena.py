@@ -614,17 +614,18 @@ class ArenaSolver:
     def _decide(self) -> int:
         """Pick the unassigned decision variable with the highest activity (or 0).
 
-        Backtracking pushes every unassigned variable back, including a
-        clause-free one an assumption assigned, so the flag is checked here.
+        The heap holds every unassigned decision variable: ``_alloc`` pushes
+        a variable when it flags it, which happens only at level 0, and
+        ``_backtrack`` re-pushes every variable it unassigns.  So an empty
+        heap means every decision variable is assigned.  Backtracking also
+        re-pushes a clause-free variable an assumption assigned, so the flag
+        is checked here.
         """
         values = self._values
         decision = self._decision
         heap = self._order_heap
         while heap:
             _, var = heapq.heappop(heap)
-            if values[var + var] == 0 and decision[var]:
-                return var
-        for var in range(1, self._num_vars + 1):
             if values[var + var] == 0 and decision[var]:
                 return var
         return 0

@@ -2,7 +2,7 @@
 
 The :class:`Preprocessor` sits in :meth:`repro.solve.context.SolverContext._sync`
 and filters every batch of freshly bit-blasted clauses before the SAT
-backend sees them.  Three classic techniques are applied, each restricted to
+backend sees them.  Two classic techniques are applied, each restricted to
 forms that stay sound when more clauses arrive later (the whole point of
 the persistent incremental context):
 
@@ -10,9 +10,6 @@ the persistent incremental context):
   clauses are dropped and false literals stripped.  Discovered units are
   *also* emitted to the backend, so later assumptions conflicting with a
   propagated value still return UNSAT.
-* **subsumption** — a new clause already implied by an emitted (or earlier
-  pending) clause is dropped.  Only the forward direction is useful here:
-  clauses already handed to an incremental backend cannot be retracted.
 * **bounded variable elimination** — in the style of NiVER/SatELite, a
   variable is resolved away when *all* of its occurrences are still in the
   pending batch (so nothing already sent to the backend mentions it), it is
@@ -22,23 +19,21 @@ the persistent incremental context):
   re-emitted (*un-elimination*), which keeps the trick sound under
   arbitrary future extension because ``originals ⊨ resolvents``.
 
-A flush runs up to :data:`_MAX_ROUNDS` rounds of the three and then a last
-propagation.  Work is paid only for what changed since the last look, as in
-SatELite's touched-clause bookkeeping; every shortcut leaves the output
-exactly as the full rounds would make it:
-
-* propagation visits a clause again only when one of its variables got a
-  value, and a round after the first propagates only when an elimination
-  left a unit or empty resolvent (nothing else can give it work);
-* a clause whose subsumption scan ran to the end without a subsumer is not
-  scanned in the next round: its candidates can only have gone away;
-* a variable whose elimination failed is not tried again while its clauses
-  stay the same.
+A flush is one pass: restore the eliminated variables the batch
+references, propagate root units, try each variable of the batch once for
+elimination, and propagate again only when a resolvent is a unit or empty.
+Propagation visits a clause again only when one of its variables got a
+value.  There is no subsumption: clauses already handed to an incremental
+backend cannot be retracted, so it could only drop new clauses, and
+checking each against every emitted clause costs more time than the
+dropped clauses save the backend.
 
 **Frozen variables** (activation literals of push/pop scopes, the bits of
 named bit-vector variables, assumption literals) are never eliminated, so
-model extraction and scope retirement keep working unchanged.  Models from
-the backend are completed through eliminated variables with
+model extraction and scope retirement keep working unchanged.  The solver
+context freezes a query's assumption variables before the flush that
+precedes the query, so that flush never eliminates what the query assumes.
+Models from the backend are completed through eliminated variables with
 :meth:`Preprocessor.extend_model` (the standard reverse-order clause-fixing
 pass), so callers that read auxiliary literals still see consistent values.
 """
@@ -49,27 +44,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-#: Clauses longer than this are never checked for subsumption.
-_SUBSUMPTION_LEN_LIMIT = 16
-#: Occurrence-list entries one subsumption check looks at before giving up.
-_SUBSUMPTION_SCAN_LIMIT = 2000
 #: A variable with more positive (or more negative) occurrences is kept.
 _ELIM_OCCURRENCE_LIMIT = 10
 #: A resolvent longer than this vetoes the elimination.
 _ELIM_RESOLVENT_LEN_LIMIT = 16
-#: Propagate/subsume/eliminate rounds per flush.
-_MAX_ROUNDS = 3
-
-
-def _signature(clause: Sequence[int]) -> int:
-    sig = 0
-    for lit in clause:
-        sig |= 1 << (lit & 63)
-    return sig
-
-
-def _has_unit_or_empty(clauses: list[tuple[int, ...]]) -> bool:
-    return min(map(len, clauses), default=2) < 2
 
 
 @dataclass
@@ -81,7 +59,6 @@ class PreprocessStats:
     units_found: int = 0
     satisfied_dropped: int = 0
     literals_stripped: int = 0
-    subsumed: int = 0
     vars_eliminated: int = 0
     vars_restored: int = 0
     resolvents_added: int = 0
@@ -96,13 +73,8 @@ class Preprocessor:
         #: both literals of every variable in ``_value``
         self._fixed: set[int] = set()
         self._frozen: set[int] = set()
-        # Emitted-clause database (for subsumption and the "nothing emitted
-        # mentions this var" elimination precondition).
-        self._db: dict[int, tuple[int, ...]] = {}
-        self._db_occur: dict[int, list[int]] = {}
-        self._db_sig: dict[int, int] = {}
-        self._emitted_var_occ: dict[int, int] = {}
-        self._next_cid = 0
+        #: variables of emitted clauses, which elimination must leave alone
+        self._emitted_vars: set[int] = set()
         #: var -> its original clauses, in elimination order (dict order)
         self._eliminated: dict[int, list[tuple[int, ...]]] = {}
         self.unsat = False
@@ -127,35 +99,20 @@ class Preprocessor:
         pending: list[tuple[int, ...]] = [tuple(clause) for clause in batch]
         self.stats.clauses_in += len(pending)
         pending.extend(self._restore_referenced(pending))
-        emitted_units: list[int] = []
-        # Per pending clause: its last subsumption scan ran to the end.
-        settled: list[bool] = []
-        # var -> its clauses when its last elimination attempt failed.
-        failed: dict[int, tuple[list, list]] = {}
-        for round_index in range(_MAX_ROUNDS):
-            # Once the first round has propagated, no pending clause holds a
-            # variable with a value, so only a unit or empty resolvent gives
-            # propagation work.
-            if round_index == 0 or _has_unit_or_empty(pending):
-                pending, new_units = self._propagate(pending)
-                emitted_units.extend(new_units)
-                if self.unsat:
-                    return []
-                settled = [False] * len(pending)
-            pending, settled = self._subsume(pending, settled)
-            pending, settled, eliminated_any = self._eliminate(pending, settled, failed)
-            if not eliminated_any:
-                break
-        # Eliminations in the final round may have produced unit resolvents.
-        if _has_unit_or_empty(pending):
-            pending, new_units = self._propagate(pending)
-            emitted_units.extend(new_units)
+        pending, units = self._propagate(pending)
+        if self.unsat:
+            return []
+        pending = self._eliminate(pending)
+        # Propagation left no valued variable in a pending clause, so only a
+        # unit or empty resolvent gives it new work.
+        if min(map(len, pending), default=2) < 2:
+            pending, more_units = self._propagate(pending)
+            units.extend(more_units)
             if self.unsat:
                 return []
-        out: list[tuple[int, ...]] = [(lit,) for lit in emitted_units]
-        for clause in pending:
-            self._db_add(clause)
-            out.append(clause)
+        self._emitted_vars.update(abs(lit) for clause in pending for lit in clause)
+        out: list[tuple[int, ...]] = [(lit,) for lit in units]
+        out.extend(pending)
         self.stats.clauses_emitted += len(out)
         return out
 
@@ -163,7 +120,9 @@ class Preprocessor:
         """Freeze ``vars`` and re-emit stored clauses of any eliminated ones.
 
         Called with assumption variables before a query: an assumption on an
-        eliminated variable would otherwise be unconstrained.
+        eliminated variable would otherwise be unconstrained.  The solver
+        context freezes them before the flush that precedes the query, so
+        only variables an earlier flush eliminated come back here.
         """
         restored: list[tuple[int, ...]] = []
         for var in vars:
@@ -321,115 +280,32 @@ class Preprocessor:
                     where.setdefault(abs(lit), []).append(index)
         return where
 
-    # ------------------------------------------------------------- subsumption
-
-    def _subsume(
-        self, pending: list[tuple[int, ...]], settled: list[bool]
-    ) -> tuple[list[tuple[int, ...]], list[bool]]:
-        """Drop pending clauses implied by an emitted or earlier pending clause.
-
-        A clause with ``settled`` set had its scan in the previous round run
-        to the end without a subsumer.  Its candidates now are a subset of
-        those: emitted clauses do not change within a flush, and clauses
-        only leave the pending list or join it at the end.  So it is kept
-        unscanned.  Returns the kept clauses and their ``settled`` flags.
-        """
-        kept: list[tuple[int, ...]] = []
-        kept_sigs: list[int] = []
-        kept_settled: list[bool] = []
-        # literal -> indices into ``kept``
-        kept_occur: dict[int, list[int]] = {}
-        for clause, done in zip(pending, settled):
-            sig = _signature(clause)
-            if not done and len(clause) <= _SUBSUMPTION_LEN_LIMIT:
-                verdict = self._is_subsumed(clause, sig, kept, kept_sigs, kept_occur)
-                if verdict:
-                    self.stats.subsumed += 1
-                    continue
-                done = verdict is not None
-            index = len(kept)
-            kept.append(clause)
-            kept_sigs.append(sig)
-            kept_settled.append(done)
-            for lit in clause:
-                kept_occur.setdefault(lit, []).append(index)
-        return kept, kept_settled
-
-    def _is_subsumed(
-        self,
-        clause: tuple[int, ...],
-        sig: int,
-        kept: list[tuple[int, ...]],
-        kept_sigs: list[int],
-        kept_occur: dict[int, list[int]],
-    ) -> Optional[bool]:
-        """True if subsumed, False if the whole scan found no subsumer, and
-        None if the scan limit cut the scan short first."""
-        limit = _SUBSUMPTION_SCAN_LIMIT
-        cset = frozenset(clause)
-        scanned = 0
-        inv_sig = ~sig
-        for lit in clause:
-            for cid in self._db_occur.get(lit, ()):
-                scanned += 1
-                if scanned > limit:
-                    return None
-                if self._db_sig[cid] & inv_sig:
-                    continue
-                other = self._db[cid]
-                if len(other) <= len(cset) and cset.issuperset(other):
-                    return True
-            for index in kept_occur.get(lit, ()):
-                scanned += 1
-                if scanned > limit:
-                    return None
-                if kept_sigs[index] & inv_sig:
-                    continue
-                other = kept[index]
-                if len(other) <= len(cset) and cset.issuperset(other):
-                    return True
-        return False
-
     # ------------------------------------------------- bounded var elimination
 
-    def _eliminate(
-        self,
-        pending: list[tuple[int, ...]],
-        settled: list[bool],
-        failed: dict[int, tuple[list, list]],
-    ) -> tuple[list[tuple[int, ...]], list[bool], bool]:
+    def _eliminate(self, pending: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """One bounded-variable-elimination pass over the pending batch.
 
-        A variable in ``failed`` whose clauses are still the ones recorded
-        there is skipped: it would fail the same way.  Returns the clauses,
-        their ``settled`` flags (a resolvent starts unsettled) and whether a
-        variable was eliminated.
+        Each variable is tried once, fewest occurrences first; resolvents
+        join the batch and can take part in later eliminations of the pass.
+        Propagation has run, so no pending clause holds a valued variable.
         """
         occur: dict[int, set[int]] = {}
         clauses: dict[int, tuple[int, ...]] = dict(enumerate(pending))
         for pid, clause in clauses.items():
             for lit in clause:
                 occur.setdefault(lit, set()).add(pid)
+        next_pid = len(pending)
 
         limit = _ELIM_OCCURRENCE_LIMIT
-        eliminated_any = False
         candidates = sorted(
-            {
-                abs(lit)
-                for clause in clauses.values()
-                for lit in clause
-            },
+            {abs(lit) for lit in occur},
             key=lambda v: len(occur.get(v, ())) + len(occur.get(-v, ())),
         )
         for var in candidates:
-            if (
-                var in self._frozen
-                or var in self._value
-                or self._emitted_var_occ.get(var, 0) > 0
-            ):
+            if var in self._frozen or var in self._emitted_vars:
                 continue
-            pos = [pid for pid in occur.get(var, ()) if pid in clauses]
-            neg = [pid for pid in occur.get(-var, ()) if pid in clauses]
+            pos = list(occur.get(var, ()))
+            neg = list(occur.get(-var, ()))
             if not pos and not neg:
                 continue
             if len(pos) > limit or len(neg) > limit:
@@ -438,31 +314,22 @@ class Preprocessor:
                 continue  # a clause with var and -var would carry var into a resolvent
             pos_clauses = [clauses[pid] for pid in pos]
             neg_clauses = [clauses[pid] for pid in neg]
-            last = failed.get(var)
-            if last is not None and last == (sorted(pos_clauses), sorted(neg_clauses)):
-                continue
             resolvents = self._resolvents(var, pos_clauses, neg_clauses)
             if resolvents is None:
-                failed[var] = (sorted(pos_clauses), sorted(neg_clauses))
                 continue
             # Accept: drop the var's clauses, keep their resolvents pending.
             for pid in pos + neg:
-                clause = clauses.pop(pid)
-                for lit in clause:
+                for lit in clauses.pop(pid):
                     occur[lit].discard(pid)
             for resolvent in resolvents:
-                pid = len(pending) + self.stats.resolvents_added + 1
-                while pid in clauses:
-                    pid += 1
-                clauses[pid] = resolvent
+                clauses[next_pid] = resolvent
                 for lit in resolvent:
-                    occur.setdefault(lit, set()).add(pid)
-                self.stats.resolvents_added += 1
+                    occur.setdefault(lit, set()).add(next_pid)
+                next_pid += 1
+            self.stats.resolvents_added += len(resolvents)
             self._eliminated[var] = pos_clauses + neg_clauses
             self.stats.vars_eliminated += 1
-            eliminated_any = True
-        flags = [pid < len(pending) and settled[pid] for pid in clauses]
-        return list(clauses.values()), flags, eliminated_any
+        return list(clauses.values())
 
     def _resolvents(
         self,
@@ -502,15 +369,3 @@ class Preprocessor:
                     seen.add(lit)
                     out.append(lit)
         return tuple(out)
-
-    # ------------------------------------------------------------ emitted db
-
-    def _db_add(self, clause: tuple[int, ...]) -> None:
-        cid = self._next_cid
-        self._next_cid += 1
-        self._db[cid] = clause
-        self._db_sig[cid] = _signature(clause)
-        for lit in clause:
-            self._db_occur.setdefault(lit, []).append(cid)
-            var = abs(lit)
-            self._emitted_var_occ[var] = self._emitted_var_occ.get(var, 0) + 1

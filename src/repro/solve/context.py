@@ -142,7 +142,8 @@ class SolverContext:
         _claim_backend(self._backend)
         # CNF preprocessing (opt_level >= 2) filters every synced batch; the
         # constant-true variable is frozen forever, named-variable bits and
-        # activation literals are frozen as they appear.
+        # activation literals are frozen as they appear, and a query's
+        # assumption variables before the flush that precedes it.
         self._pre: Optional[Preprocessor] = None
         if self.pipeline.preprocess:
             self._pre = Preprocessor()
@@ -210,7 +211,6 @@ class SolverContext:
         if self._pre is not None:
             pre = self._pre.stats
             stats.units_found = pre.units_found
-            stats.subsumed = pre.subsumed
             stats.vars_eliminated = pre.vars_eliminated
             stats.vars_restored = pre.vars_restored
             stats.resolvents_added = pre.resolvents_added
@@ -392,9 +392,11 @@ class SolverContext:
         if const_false is not None:
             # check() answers such a query without syncing; mirror that.
             return
+        if self._pre is not None:
+            self._pre.freeze_all(assumption_lits)
         self._sync()
         if self._pre is not None and assumption_lits:
-            restored = self._pre.require_vars(abs(l) for l in assumption_lits)
+            restored = self._pre.require_vars(assumption_lits)
             if restored:
                 self._feed_restored(restored)
 
@@ -428,11 +430,14 @@ class SolverContext:
         if const_false is not None:
             return BVResult(False, core=[const_false])
         assumption_lits.extend(lits)
+        if self._pre is not None:
+            # Assumption variables must be live in the backend.  Frozen before
+            # the flush, they survive it; any an earlier flush eliminated get
+            # their stored clauses back.
+            self._pre.freeze_all(assumption_lits)
         self._sync()
         if self._pre is not None:
-            # Assumption variables must be live in the backend: restore the
-            # stored clauses of any that bounded variable elimination took.
-            restored = self._pre.require_vars(abs(l) for l in assumption_lits)
+            restored = self._pre.require_vars(assumption_lits)
             if restored:
                 self._feed_restored(restored)
             if self._pre.unsat:

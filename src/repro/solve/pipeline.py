@@ -133,7 +133,6 @@ class EncodingStats:
     cnf_clauses_pre: int = 0
     cnf_clauses_post: int = 0
     units_found: int = 0
-    subsumed: int = 0
     vars_eliminated: int = 0
     vars_restored: int = 0
     resolvents_added: int = 0

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.sat import preprocess
 from repro.sat.preprocess import Preprocessor
 from repro.sat.solver import SatSolver
 
@@ -24,6 +23,14 @@ def _solve(clauses, assumptions=()):
     for clause in clauses:
         solver.add_clause(clause)
     return solver.solve(assumptions=assumptions)
+
+
+def _assert_equisatisfiable(clauses, out, frozen):
+    """``out`` and ``clauses`` agree under every assignment of ``frozen``."""
+    for bits in range(1 << len(frozen)):
+        assumptions = [var if (bits >> i) & 1 else -var for i, var in enumerate(frozen)]
+        expected = _solve(clauses, assumptions).satisfiable
+        assert _solve(out, assumptions).satisfiable is expected
 
 
 class TestUnitPropagation:
@@ -53,24 +60,6 @@ class TestUnitPropagation:
         pre.flush([[1], [2]])
         pre.flush([[-1, -2]])
         assert pre.unsat is True
-
-
-class TestSubsumption:
-    def test_forward_subsumption_within_batch(self):
-        pre = Preprocessor()
-        pre.freeze_all([1, 2, 3])
-        out = pre.flush([[1, 2], [1, 2, 3]])
-        assert (1, 2) in out
-        assert all(set(c) != {1, 2, 3} for c in out)
-        assert pre.stats.subsumed == 1
-
-    def test_forward_subsumption_against_earlier_batch(self):
-        pre = Preprocessor()
-        pre.freeze_all([1, 2, 3])
-        pre.flush([[1, 2]])
-        out = pre.flush([[1, 2, 3]])
-        assert out == []
-        assert pre.stats.subsumed == 1
 
 
 class TestVariableElimination:
@@ -199,83 +188,85 @@ class TestEquivalenceRandomised:
 
 
 class TestShortcutsKeepOutput:
-    """Exact outputs where a flush takes a shortcut.
+    """Exact outputs of one flush.
 
-    Each expected value is what full propagate/subsume/eliminate rounds,
-    with every clause and variable revisited each round, produce on the
-    same input.
+    Propagation takes a shortcut: it revisits only the clauses of newly
+    valued variables, and its output is that of full passes repeated until
+    one finds no new unit.  Every expected output is also checked against
+    its input under every assignment of the frozen variables.
     """
 
     def test_backwards_unit_chain_takes_several_passes(self):
         pre = Preprocessor()
-        pre.freeze_all([6, 7, 8, 9])
-        out = pre.flush(
-            [(-4, 5), (6, 7), (-3, 4), (-5, 6, 8), (-2, 3), (7, 8, 9), (-1, 2), (5, 9, -7), (1,)]
-        )
+        frozen = [6, 7, 8, 9]
+        pre.freeze_all(frozen)
+        clauses = [
+            (-4, 5), (6, 7), (-3, 4), (-5, 6, 8), (-2, 3), (7, 8, 9), (-1, 2), (5, 9, -7), (1,)
+        ]
+        out = pre.flush(clauses)
         # Units in discovery order, then the survivors in input order.
         assert out == [(1,), (2,), (3,), (4,), (5,), (6, 7), (6, 8), (7, 8, 9)]
         assert list(pre._value) == [1, 2, 3, 4, 5]
         stats = pre.stats
         assert (stats.units_found, stats.satisfied_dropped, stats.literals_stripped) == (5, 1, 5)
+        _assert_equisatisfiable(clauses, out, frozen)
 
-    def test_unit_resolvent_is_propagated_in_the_next_round(self):
+    def test_unit_resolvent_is_propagated_in_the_same_flush(self):
         pre = Preprocessor()
-        pre.freeze_all([2, 3, 4, 5])
-        out = pre.flush([(1, 2), (-1, 2), (-2, 3, 4), (3, 4, 5)])
-        # Eliminating 1 leaves the unit resolvent (2).  Round 2 propagates
-        # it, and the stripped (3, 4) subsumes (3, 4, 5) in the same round.
-        assert out == [(2,), (3, 4)]
+        frozen = [2, 3, 4, 5]
+        pre.freeze_all(frozen)
+        clauses = [(1, 2), (-1, 2), (-2, 3, 4), (3, 4, 5)]
+        out = pre.flush(clauses)
+        # Eliminating 1 leaves the unit resolvent (2), which the flush
+        # propagates before it returns: (-2, 3, 4) is stripped to (3, 4).
+        assert out == [(2,), (3, 4), (3, 4, 5)]
         assert pre._eliminated == {1: [(1, 2), (-1, 2)]}
         stats = pre.stats
-        assert (stats.units_found, stats.literals_stripped, stats.subsumed) == (1, 1, 1)
+        assert (stats.units_found, stats.literals_stripped) == (1, 1)
         assert (stats.satisfied_dropped, stats.resolvents_added) == (0, 1)
+        _assert_equisatisfiable(clauses, out, frozen)
 
-    def test_scan_cut_short_is_scanned_again(self, monkeypatch):
-        monkeypatch.setattr(preprocess, "_SUBSUMPTION_SCAN_LIMIT", 2)
+    def test_one_elimination_pass_per_flush(self):
         pre = Preprocessor()
-        pre.freeze_all([1, 2, 3])
-        out = pre.flush([(1, 4, 5), (1, -4, 6), (1, 2), (1, 2, 3)])
-        # (1, 2, 3) meets two other clauses on literal 1 before (1, 2), so
-        # round 1 stops its scan at the limit.  Round 2 scans it again with
-        # those two eliminated and finds (1, 2).
-        assert out == [(1, 2)]
-        assert pre._eliminated == {5: [(1, 4, 5)], 6: [(1, -4, 6)]}
-        assert (pre.stats.subsumed, pre.stats.vars_eliminated) == (1, 2)
-
-    def test_failed_elimination_is_retried_once_its_clauses_change(self):
-        pre = Preprocessor()
-        pre.freeze_all([1, 2, 5])
-        out = pre.flush([(-1, -3, -4), (-1, 4), (2, 3), (-3, -5), (2, 4), (3, -5)])
-        # Variable 3 fails in round 1; eliminating 4 later in that round
-        # replaces one of its clauses, and round 2 eliminates it.
-        assert out == [(-5,), (2, -1)]
-        assert pre._eliminated == {
-            4: [(-1, 4), (2, 4), (-1, -3, -4)],
-            3: [(2, 3), (3, -5), (-3, -5), (-1, -3)],
-        }
+        frozen = [1, 2, 5]
+        pre.freeze_all(frozen)
+        clauses = [(-1, -3, -4), (-1, 4), (2, 3), (-3, -5), (2, 4), (3, -5)]
+        out = pre.flush(clauses)
+        # Variable 4 has the fewest occurrences; eliminating it leaves
+        # (-1, -3) and (2, -1, -3).  Variable 3 then has five clauses and six
+        # resolvents, so it stays: nothing removes the subsumed (2, -1, -3),
+        # and no second pass tries 3 again.
+        assert out == [(2, 3), (-3, -5), (3, -5), (-1, -3), (2, -1, -3)]
+        assert pre._eliminated == {4: [(-1, 4), (2, 4), (-1, -3, -4)]}
         stats = pre.stats
-        assert (stats.units_found, stats.satisfied_dropped, stats.subsumed) == (1, 2, 1)
-        assert (stats.vars_eliminated, stats.resolvents_added) == (2, 6)
+        assert (stats.units_found, stats.satisfied_dropped) == (0, 0)
+        assert (stats.vars_eliminated, stats.resolvents_added) == (1, 2)
+        _assert_equisatisfiable(clauses, out, frozen)
 
     def test_same_tuple_object_twice_in_a_batch(self):
         pre = Preprocessor()
         pre.freeze_all([1, 2])
         gate = (-3, 1)
-        out = pre.flush([gate, (-3, 2), gate, (3, -1, -2), (4, 3), (-4, 1, 2)])
-        assert out == [(1, 2)]
+        clauses = [gate, (-3, 2), gate, (3, -1, -2), (4, 3), (-4, 1, 2)]
+        out = pre.flush(clauses)
+        # Both copies of the gate clause resolve with (3, 1, 2), the
+        # resolvent of 4, so (1, 2) comes out once per copy of the clause.
+        assert out == [(1, 2), (1, 2), (1, 2)]
         assert pre._eliminated == {
             4: [(4, 3), (-4, 1, 2)],
-            3: [(3, -1, -2), (3, 1, 2), (-3, 1), (-3, 2)],
+            3: [(3, -1, -2), (3, 1, 2), (-3, 1), (-3, 2), (-3, 1)],
         }
-        assert (pre.stats.subsumed, pre.stats.resolvents_added) == (2, 3)
+        assert pre.stats.resolvents_added == 4
+        _assert_equisatisfiable(clauses, out, [1, 2])
 
-        # Too long for a subsumption check, so both copies stay pending.
         pre = Preprocessor()
         pre.freeze_all([1, 2, 5])
         wide = tuple(range(1, 18))
-        out = pre.flush([(5, 6), wide, (-6, 1), wide, (-6, 2)])
+        clauses = [(5, 6), wide, (-6, 1), wide, (-6, 2)]
+        out = pre.flush(clauses)
         assert out == [(5, 1), (5, 2)]
         assert pre._eliminated == {3: [wide, wide], 6: [(5, 6), (-6, 1), (-6, 2)]}
+        _assert_equisatisfiable(clauses, out, [1, 2, 5])
 
 
 class TestMultiBatchStream:
@@ -293,29 +284,48 @@ class TestMultiBatchStream:
         pre.freeze_all(frozen)
         inputs: list[tuple[int, ...]] = []
         emitted: list[tuple[int, ...]] = []
+        gates = 0
+
+        def random_batch():
+            batch = []
+            for _ in range(rng.randint(3, 9)):
+                width = 1 if rng.random() < 0.05 else rng.randint(2, 3)
+                lits = {rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(width)}
+                if not any(-lit in lits for lit in lits):
+                    batch.append(tuple(lits))
+            return batch
+
         for step in range(10):
-            if step and rng.random() < 0.3:
+            roll = rng.random()
+            if step and roll < 0.3:
                 required = rng.sample(pool, 2)
                 frozen += [var for var in required if var not in frozen]
                 emitted += pre.require_vars(required)
+            elif roll < 0.55 and gates < 2:
+                # A query's assumption literal: a fresh AND gate over two
+                # stream literals, frozen before the flush that introduces
+                # it, as SolverContext.check does.  That flush must not
+                # eliminate it, so require_vars has nothing to restore.
+                gates += 1
+                gate = num_vars + gates
+                a, b = (
+                    rng.choice([-1, 1]) * var for var in rng.sample(range(1, num_vars + 1), 2)
+                )
+                batch = random_batch() + [(-gate, a), (-gate, b), (gate, -a, -b)]
+                pre.freeze(gate)
+                inputs += batch
+                emitted += pre.flush(batch)
+                assert not pre.is_eliminated(gate)
+                assert pre.require_vars([gate]) == []
+                frozen.append(gate)
             else:
-                batch = []
-                for _ in range(rng.randint(3, 9)):
-                    width = 1 if rng.random() < 0.05 else rng.randint(2, 3)
-                    lits = {
-                        rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(width)
-                    }
-                    if not any(-lit in lits for lit in lits):
-                        batch.append(tuple(lits))
+                batch = random_batch()
                 inputs += batch
                 emitted += pre.flush(batch)
             if pre.unsat:
                 assert not _solve(inputs).satisfiable
                 return
-            for bits in range(1 << len(frozen)):
-                assumptions = [var if (bits >> i) & 1 else -var for i, var in enumerate(frozen)]
-                expected = _solve(inputs, assumptions).satisfiable
-                assert _solve(emitted, assumptions).satisfiable is expected
+            _assert_equisatisfiable(inputs, emitted, frozen)
             result = _solve(emitted)
             if result.satisfiable:
                 model = pre.extend_model(result.model)

@@ -186,6 +186,33 @@ class TestPreprocessedDecisions:
         assert eliminated_decisions == []
 
 
+class TestAssumptionsFrozenBeforeFlush:
+    """A query's assumption variables are frozen before the flush it triggers.
+
+    The assumption ``x + y == 5`` is blasted into a gate whose output only
+    the query mentions; unfrozen, the flush would eliminate it and the query
+    would have to restore it (and every variable its clauses reference).
+    """
+
+    @pytest.mark.parametrize("encode_first", [False, True])
+    def test_flush_never_eliminates_an_assumed_literal(self, encode_first):
+        x, y = _vars("frozen_assumption")
+        ctx = SolverContext(opt_level=2)
+        ctx.add(T.bv_ult(x, y))
+        assumption = T.bv_eq(T.bv_add(x, y), T.bv_const(5, W))
+        if encode_first:
+            ctx.encode(assumptions=[assumption])
+            assert ctx.encoding_stats().vars_restored == 0
+        result = ctx.check(assumptions=[assumption])
+        assert result.satisfiable is True
+        model = {var.name: result.model.get(var.name, 0) for var in (x, y)}
+        assert evaluate(T.bv_ult(x, y), model) == 1
+        assert evaluate(assumption, model) == 1
+        stats = ctx.encoding_stats()
+        assert stats.vars_eliminated > 0
+        assert stats.vars_restored == 0
+
+
 class TestTermLevelCores:
     """Failed-assumption cores lifted back to the assumption terms."""
 
