@@ -24,10 +24,10 @@ from collections import deque
 
 from repro.absint import domains as D
 from repro.absint.domains import AbstractValue
-from repro.absint.transfer import abstract_eval, eval_transition
+from repro.absint.transfer import TransitionEvaluator, abstract_eval
 from repro.errors import AbsintError
 from repro.smt import terms as T
-from repro.smt.evaluator import free_variables, substitute
+from repro.smt.evaluator import substitute
 from repro.ts.system import TransitionSystem
 
 #: Number of joins a latch absorbs before interval widening kicks in.
@@ -117,6 +117,10 @@ def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
     env: dict[str, AbstractValue] = {
         inp.name: D.top(inp.width) for inp in ts.inputs
     }
+    # One evaluator for the whole run: it caches values under ``env`` (and
+    # the free variables of every node) until a latch update invalidates
+    # what read that latch.
+    evaluator = TransitionEvaluator(env, state_names)
     # Terms may reference auxiliary free variables that were never declared
     # (e.g. fresh nondeterministic-init symbols introduced by the QED
     # transform).  They are unconstrained, so top is their exact value.
@@ -124,9 +128,10 @@ def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
     for s in ts.states:
         all_terms.extend(t for t in (s.init, s.next) if t is not None)
     for term in all_terms:
-        for var in free_variables(term):
-            if var.name not in state_names and var.name not in env:
-                env[var.name] = D.top(var.width)
+        evaluator.free_names(term)
+    for name, var in evaluator.variables.items():
+        if name not in state_names and name not in env:
+            env[name] = D.top(var.width)
     inputs = dict(env)
 
     # Abstract initial state.  Init terms may reference other symbols (the
@@ -136,24 +141,26 @@ def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
     init_env = dict(env)
     for s in ts.states:
         init_env[s.name] = D.top(s.width)
+    init_cache: dict[int, AbstractValue] = {}
     for s in ts.states:
         if s.next is None or s.init is None:
             # A latch without a next function is input-like after frame 0;
             # only top covers it.  Without an init, frame 0 is free too.
             env[s.name] = D.top(s.width)
         else:
-            env[s.name] = abstract_eval(s.init, init_env)
+            env[s.name] = abstract_eval(s.init, init_env, init_cache)
 
-    # Who must be revisited when a latch's value grows.
-    dependents: dict[str, set[str]] = {name: set() for name in state_names}
+    # Who must be revisited when a latch's value grows, in state order so
+    # the worklist order (and ``iterations``) does not depend on hashing.
+    dependents: dict[str, dict[str, None]] = {s.name: {} for s in ts.states}
     transition: dict[str, T.BV] = {}
     for s in ts.states:
         if s.next is None:
             continue
         transition[s.name] = s.next
-        for var in free_variables(s.next):
-            if var.name in state_names:
-                dependents[var.name].add(s.name)
+        for name in evaluator.free_names(s.next):
+            if name in state_names:
+                dependents[name][s.name] = None
 
     worklist = deque(sorted(transition))
     queued = set(worklist)
@@ -172,7 +179,7 @@ def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
         name = worklist.popleft()
         queued.discard(name)
         current = env[name]
-        stepped = eval_transition(transition[name], env)
+        stepped = evaluator.step(transition[name])
         joined = D.join(current, stepped)
         if joined == current:
             continue
@@ -187,7 +194,7 @@ def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
                 f"fixpoint for latch {name!r} failed to converge after "
                 f"{updates[name]} updates"
             )
-        env[name] = joined
+        evaluator.set(name, joined)
         for dep in dependents[name]:
             if dep not in queued:
                 worklist.append(dep)
@@ -195,9 +202,11 @@ def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
 
     latches = {s.name: env[s.name] for s in ts.states}
     _constancy_pass(ts, latches)
-    env.update(latches)
+    for name, value in latches.items():
+        if value != env[name]:
+            evaluator.set(name, value)
     properties = {
-        name: abstract_eval(term, env) for name, term in ts.properties.items()
+        name: evaluator.value(term) for name, term in ts.properties.items()
     }
     seq_const = {
         name: value.const_value()
@@ -242,9 +251,10 @@ def _constancy_pass(ts: TransitionSystem, latches: dict[str, AbstractValue]) -> 
             ts.state_symbol(name): T.bv_const(value, ts.state_symbol(name).width)
             for name, value in {**base, **candidates}.items()
         }
+        cache: dict[int, T.BV] = {}
         dropped = []
         for name, value in candidates.items():
-            folded = substitute(next_terms[name], mapping)
+            folded = substitute(next_terms[name], mapping, cache)
             if not (folded.is_const and folded.const_value() == value):
                 dropped.append(name)
         if not dropped:

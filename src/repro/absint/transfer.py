@@ -3,9 +3,12 @@
 :func:`abstract_eval` interprets a term DAG under an environment mapping
 variable names to :class:`~repro.absint.domains.AbstractValue`, mirroring
 the shape of :func:`repro.smt.evaluator.evaluate` (iterative, cached by
-``tid``).  When every operand is a proven constant the transfer delegates
-to the concrete evaluator's operator table, so the abstract semantics can
-never drift from the concrete ones on the constant fragment.
+``tid``).  :class:`TransitionEvaluator` is the fixpoint's evaluator: it
+keeps its cache across worklist steps, invalidated per latch, and refines
+variables through the guards of next-state ITE spines.  When every operand
+is a proven constant the transfer delegates to the concrete evaluator's
+operator table, so the abstract semantics can never drift from the
+concrete ones on the constant fragment.
 
 Every per-operator rule below over-approximates: the result's
 concretisation includes ``op(x1..xn)`` for all concrete ``xi`` drawn from
@@ -15,7 +18,7 @@ check exactly this against :func:`repro.smt.evaluator.evaluate`.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.absint import domains as D
 from repro.absint.domains import AbstractValue
@@ -72,97 +75,259 @@ def abstract_eval(
     return cache[term.tid]
 
 
-def eval_transition(
-    term: BV, env: Mapping[str, AbstractValue], depth: int = 8
-) -> AbstractValue:
-    """Evaluate a next-state term with branch-condition refinement.
+_NO_NAMES: frozenset[str] = frozenset()
 
-    Hardware next-state functions are almost always an ITE spine
-    (``ite(guard, update, hold)``); evaluating both branches under the
-    unrefined environment loses the very facts the guard establishes
-    (e.g. a saturating counter's ``count < limit``).  This wrapper walks
-    the top-level ITE spine, assumes the condition true/false in each
-    branch (refining variable abstractions through AND/NOT/EQ/ULT
-    patterns), and joins the branch results.  Depth-limited; anything
-    deeper falls back to plain :func:`abstract_eval`, which is always
-    sound.
+
+class TransitionEvaluator:
+    """Abstract evaluation for one fixpoint run, memoised by term id.
+
+    ``env`` is the run's variable environment.  Every value computed under
+    it stays cached until :meth:`set` changes a latch, which drops exactly
+    the entries whose free variables include that latch, so a worklist
+    step re-walks only what the last update can have changed.  What a
+    branch guard refines in ``env`` is cached and dropped with the guard.
+
+    :meth:`step` walks a next-state term's ITE spine with branch-condition
+    refinement.  Each refined branch is a level: the variables whose value
+    the refinement changed, and a cache local to the branch.  A node's
+    value is cached at the innermost level whose changed variables meet
+    the node's free variables, or in the base cache when none do: only
+    then is its value the same as under ``env``.
     """
-    if depth <= 0 or term.op != T.OP_ITE:
-        return abstract_eval(term, env)
-    cond_term, then_term, else_term = term.args
-    cond = abstract_eval(cond_term, env)
-    if cond.is_bottom:
-        return D.bottom(term.width)
-    if cond.is_const:
-        branch = then_term if cond.const_value() == 1 else else_term
-        return eval_transition(branch, env, depth - 1)
-    then_v = eval_transition(
-        then_term, _assume(cond_term, 1, env), depth - 1
-    )
-    else_v = eval_transition(
-        else_term, _assume(cond_term, 0, env), depth - 1
-    )
-    return D.join(then_v, else_v)
 
+    def __init__(self, env: dict[str, AbstractValue], latches: Iterable[str]):
+        self.env = env
+        #: Free variable names of every walked node (tid -> names); the
+        #: variable terms found on the way, by name, in discovery order.
+        self.free: dict[int, frozenset[str]] = {}
+        self.variables: dict[str, BV] = {}
+        self._base: dict[int, AbstractValue] = {}
+        #: Branch refinements made in the base environment: condition tid
+        #: -> {assumed value: changed variables}; dropped with the
+        #: condition's own base entry, since they read the same variables.
+        self._refinements: dict[int, dict[int, dict[str, AbstractValue]]] = {}
+        self._readers: dict[str, set[int]] = {name: set() for name in latches}
+        self._levels: list[tuple[dict[str, AbstractValue], dict[int, AbstractValue]]] = []
 
-def _assume(
-    cond: BV, value: int, env: Mapping[str, AbstractValue]
-) -> dict[str, AbstractValue]:
-    """The environment refined by assuming ``cond`` evaluates to ``value``.
+    def free_names(self, term: BV) -> frozenset[str]:
+        """The names of the free variables of ``term`` (memoised per node)."""
+        free = self.free
+        names = free.get(term.tid)
+        if names is not None:
+            return names
+        stack: list[tuple[BV, bool]] = [(term, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node.tid in free:
+                continue
+            if node.op == T.OP_VAR:
+                assert node.name is not None
+                free[node.tid] = frozenset((node.name,))
+                self.variables.setdefault(node.name, node)
+                continue
+            if not expanded:
+                stack.append((node, True))
+                for arg in node.args:
+                    if arg.tid not in free:
+                        stack.append((arg, False))
+                continue
+            names = _NO_NAMES
+            for arg in node.args:
+                more = free[arg.tid]
+                if more <= names:
+                    continue
+                names = more if names <= more else names | more
+            free[node.tid] = names
+        return free[term.tid]
 
-    Only refinements that are *implied* by the assumption are applied (a
-    meet with a derived constraint on a variable leaf), so the refined
-    environment still over-approximates every concrete state satisfying
-    the assumption.  Unrecognised shapes refine nothing.
-    """
-    refined = dict(env)
-    _assume_into(cond, value, refined)
-    return refined
+    def set(self, name: str, value: AbstractValue) -> None:
+        """Give latch ``name`` a new value and drop what read the old one."""
+        self.env[name] = value
+        readers = self._readers[name]
+        for tid in readers:
+            self._base.pop(tid, None)
+            self._refinements.pop(tid, None)
+        readers.clear()
 
+    def value(self, term: BV) -> AbstractValue:
+        """The abstract value of ``term`` in the current environment."""
+        if term.tid not in self.free:
+            self.free_names(term)
+        cache_for = self._cache_for
+        known = cache_for(term).get(term.tid)
+        if known is not None:
+            return known
+        stack: list[tuple[BV, bool]] = [(term, False)]
+        while stack:
+            node, expanded = stack.pop()
+            cache = cache_for(node)
+            if node.tid in cache:
+                continue
+            if node.op == T.OP_CONST:
+                cache[node.tid] = D.const(node.width, node.const_value())
+                continue
+            if node.op == T.OP_VAR:
+                value = self._current(node.name)
+                if value is None:
+                    raise AbsintError(f"no abstract value for variable {node.name!r}")
+                if value.width != node.width:
+                    raise AbsintError(
+                        f"abstract width mismatch for {node.name!r}: "
+                        f"{value.width} vs {node.width}"
+                    )
+            elif not expanded:
+                stack.append((node, True))
+                for arg in node.args:
+                    if arg.tid not in cache_for(arg):
+                        stack.append((arg, False))
+                continue
+            else:
+                value = transfer(node, [cache_for(a)[a.tid] for a in node.args])
+            cache[node.tid] = value
+            if cache is self._base:
+                for name in self.free[node.tid]:
+                    readers = self._readers.get(name)
+                    if readers is not None:
+                        readers.add(node.tid)
+        return cache_for(term)[term.tid]
 
-def _meet_var(term: BV, value: AbstractValue, env: dict[str, AbstractValue]) -> None:
-    if term.op == T.OP_VAR and term.name in env:
-        env[term.name] = D.meet(env[term.name], value)
+    def step(self, term: BV, depth: int = 8) -> AbstractValue:
+        """Evaluate a next-state term with branch-condition refinement.
 
+        Hardware next-state functions are almost always an ITE spine
+        (``ite(guard, update, hold)``); evaluating both branches under the
+        unrefined environment loses the very facts the guard establishes
+        (e.g. a saturating counter's ``count < limit``).  This walks the
+        top-level ITE spine, assumes the condition true/false in each
+        branch (refining variable abstractions through AND/NOT/EQ/ULT
+        patterns), and joins the branch results.  Depth-limited; anything
+        deeper is a plain :meth:`value`, which is always sound.
+        """
+        if depth <= 0 or term.op != T.OP_ITE:
+            return self.value(term)
+        cond_term, then_term, else_term = term.args
+        cond = self.value(cond_term)
+        if cond.is_bottom:
+            return D.bottom(term.width)
+        if cond.is_const:
+            branch = then_term if cond.const_value() == 1 else else_term
+            return self.step(branch, depth - 1)
+        then_v = self._branch(cond_term, 1, then_term, depth - 1)
+        else_v = self._branch(cond_term, 0, else_term, depth - 1)
+        return D.join(then_v, else_v)
 
-def _assume_into(cond: BV, value: int, env: dict[str, AbstractValue]) -> None:
-    op = cond.op
-    if op == T.OP_VAR:
-        _meet_var(cond, D.const(1, value), env)
-        return
-    if op == T.OP_NOT:
-        _assume_into(cond.args[0], 1 - value, env)
-        return
-    if op == T.OP_AND and value == 1:
-        _assume_into(cond.args[0], 1, env)
-        _assume_into(cond.args[1], 1, env)
-        return
-    if op == T.OP_OR and value == 0:
-        _assume_into(cond.args[0], 0, env)
-        _assume_into(cond.args[1], 0, env)
-        return
-    if op == T.OP_EQ and value == 1:
+    def _branch(self, cond: BV, value: int, term: BV, depth: int) -> AbstractValue:
+        changed = self._refine(cond, value)
+        if not changed:
+            return self.step(term, depth)
+        self._levels.append((changed, {}))
+        try:
+            return self.step(term, depth)
+        finally:
+            self._levels.pop()
+
+    def _refine(self, cond: BV, value: int) -> dict[str, AbstractValue]:
+        """The variables that assuming ``cond == value`` changes, refined."""
+        memo = None
+        if not self._levels:
+            memo = self._refinements.setdefault(cond.tid, {})
+            if value in memo:
+                return memo[value]
+        refined: dict[str, AbstractValue] = {}
+        self._assume(cond, value, refined)
+        changed = self._changed(refined)
+        if memo is not None:
+            memo[value] = changed
+        return changed
+
+    def _assume(self, cond: BV, value: int, refined: dict[str, AbstractValue]) -> None:
+        """Refine ``refined`` (an overlay on the current environment) by
+        assuming ``cond`` evaluates to ``value``.
+
+        Only refinements that are *implied* by the assumption are applied
+        (a meet with a derived constraint on a variable leaf), so the
+        refined environment still over-approximates every concrete state
+        satisfying the assumption.  Unrecognised shapes refine nothing.
+        """
+        op = cond.op
+        if op == T.OP_VAR:
+            self._meet_var(cond, D.const(1, value), refined)
+            return
+        if op == T.OP_NOT:
+            self._assume(cond.args[0], 1 - value, refined)
+            return
+        if op == T.OP_AND and value == 1:
+            self._assume(cond.args[0], 1, refined)
+            self._assume(cond.args[1], 1, refined)
+            return
+        if op == T.OP_OR and value == 0:
+            self._assume(cond.args[0], 0, refined)
+            self._assume(cond.args[1], 0, refined)
+            return
+        if op == T.OP_EQ and value == 1:
+            a, b = cond.args
+            va, vb = self._operands(cond, refined)
+            both = D.meet(va, vb)
+            self._meet_var(a, both, refined)
+            self._meet_var(b, both, refined)
+            return
+        if op == T.OP_ULT:
+            a, b = cond.args
+            w = a.width
+            va, vb = self._operands(cond, refined)
+            if value == 1:
+                # a < b: a <= b.hi - 1 and b >= a.lo + 1.
+                self._meet_var(a, D.from_interval(w, 0, vb.hi - 1), refined)
+                self._meet_var(b, D.from_interval(w, va.lo + 1, mask(w)), refined)
+            else:
+                # a >= b: a >= b.lo and b <= a.hi.
+                self._meet_var(a, D.from_interval(w, vb.lo, mask(w)), refined)
+                self._meet_var(b, D.from_interval(w, 0, va.hi), refined)
+            return
+
+    def _operands(
+        self, cond: BV, refined: dict[str, AbstractValue]
+    ) -> tuple[AbstractValue, AbstractValue]:
+        """Both operands' values under the partly refined environment."""
         a, b = cond.args
-        va = abstract_eval(a, env)
-        vb = abstract_eval(b, env)
-        both = D.meet(va, vb)
-        _meet_var(a, both, env)
-        _meet_var(b, both, env)
-        return
-    if op == T.OP_ULT:
-        a, b = cond.args
-        w = a.width
-        va = abstract_eval(a, env)
-        vb = abstract_eval(b, env)
-        if value == 1:
-            # a < b: a <= b.hi - 1 and b >= a.lo + 1.
-            _meet_var(a, D.from_interval(w, 0, vb.hi - 1), env)
-            _meet_var(b, D.from_interval(w, va.lo + 1, mask(w)), env)
-        else:
-            # a >= b: a >= b.lo and b <= a.hi.
-            _meet_var(a, D.from_interval(w, vb.lo, mask(w)), env)
-            _meet_var(b, D.from_interval(w, 0, va.hi), env)
-        return
+        changed = self._changed(refined)
+        if not changed:
+            return self.value(a), self.value(b)
+        self._levels.append((changed, {}))
+        try:
+            return self.value(a), self.value(b)
+        finally:
+            self._levels.pop()
+
+    def _meet_var(
+        self, term: BV, value: AbstractValue, refined: dict[str, AbstractValue]
+    ) -> None:
+        name = term.name
+        if term.op == T.OP_VAR and name in self.env:
+            current = refined[name] if name in refined else self._current(name)
+            refined[name] = D.meet(current, value)
+
+    def _changed(self, refined: dict[str, AbstractValue]) -> dict[str, AbstractValue]:
+        """The entries of ``refined`` that differ from the current environment."""
+        return {
+            name: value
+            for name, value in refined.items()
+            if value != self._current(name)
+        }
+
+    def _current(self, name: Optional[str]) -> Optional[AbstractValue]:
+        for changed, _ in reversed(self._levels):
+            if name in changed:
+                return changed[name]
+        return self.env.get(name or "")
+
+    def _cache_for(self, node: BV) -> dict[int, AbstractValue]:
+        if self._levels:
+            names = self.free[node.tid]
+            for changed, cache in reversed(self._levels):
+                if not names.isdisjoint(changed):
+                    return cache
+        return self._base
 
 
 def transfer(node: BV, args: list[AbstractValue]) -> AbstractValue:

@@ -24,7 +24,7 @@ from typing import Optional
 from repro.errors import BmcError
 from repro.sat.solver import SolverStats
 from repro.smt import terms as T
-from repro.smt.evaluator import evaluate, free_variables
+from repro.smt.evaluator import evaluate
 from repro.solve.backend import is_default_backend
 from repro.solve.context import SolverContext
 from repro.solve.pipeline import EncodingStats, PipelineConfig
@@ -157,13 +157,26 @@ def build_trace(
     :class:`~repro.absint.AbsintFold`) is given, the unroller covers the
     folded system and each original latch is read back through its
     assembly term, so traces are reported in original coordinates.
+    Variables the model leaves unassigned read 0.
     """
+    # One assignment for the whole trace: the model plus 0 for every
+    # unassigned variable of the terms read, which one walk shared by
+    # all of them fills in; so one evaluation cache serves every value.
+    assignment = dict(model)
+    walked: set[int] = set()
+    cache: dict[int, int] = {}
 
     def value_of(term: T.BV) -> int:
-        assignment = dict(model)
-        for var in free_variables(term):
-            assignment.setdefault(var.name or "", 0)
-        return evaluate(term, assignment)
+        stack = [term]
+        while stack:
+            node = stack.pop()
+            if node.tid in walked:
+                continue
+            walked.add(node.tid)
+            if node.is_var:
+                assignment.setdefault(node.name or "", 0)
+            stack.extend(node.args)
+        return evaluate(term, assignment, cache)
 
     dropped_states: set[str] = set()
     dropped_inputs: set[str] = set()

@@ -16,14 +16,22 @@ from repro.smt.terms import BV
 from repro.utils.bitops import mask, to_signed
 
 
-def evaluate(term: BV, assignment: Mapping[str, int] | None = None) -> int:
+def evaluate(
+    term: BV,
+    assignment: Mapping[str, int] | None = None,
+    cache: dict[int, int] | None = None,
+) -> int:
     """Evaluate ``term`` to an unsigned integer.
 
     ``assignment`` maps variable *names* to integer values; a missing
     variable is an error so silent mis-evaluations cannot slip through.
+    ``cache`` (tid -> value) may be shared by calls that evaluate
+    different terms under the *same* assignment, so a shared sub-term is
+    evaluated once; it is valid for that one assignment only.
     """
     assignment = assignment or {}
-    cache: dict[int, int] = {}
+    if cache is None:
+        cache = {}
     stack: list[tuple[BV, bool]] = [(term, False)]
     while stack:
         node, expanded = stack.pop()
@@ -95,20 +103,27 @@ def _apply(node: BV, args: list[int]) -> int:
     raise SmtError(f"cannot evaluate operator {op!r}")
 
 
-def substitute(term: BV, mapping: Mapping[BV, BV]) -> BV:
+def substitute(
+    term: BV, mapping: Mapping[BV, BV], cache: dict[int, BV] | None = None
+) -> BV:
     """Return ``term`` with every occurrence of a key replaced by its value.
 
     Keys are matched by term identity (hash-consing makes this equivalent to
     structural matching).  The rewrite is applied bottom-up, so replaced
-    sub-terms are not re-visited.
+    sub-terms are not re-visited.  ``cache`` (tid -> rewritten term) may be
+    shared by calls that rewrite different terms with the *same* mapping,
+    so a shared sub-term is rewritten once; it is valid for that one
+    mapping only.  An empty cache is seeded with the mapping.
     """
-    cache: dict[int, BV] = {}
-    for key, value in mapping.items():
-        if key.width != value.width:
-            raise SmtError(
-                f"substitution width mismatch: {key.width} vs {value.width}"
-            )
-        cache[key.tid] = value
+    if cache is None:
+        cache = {}
+    if not cache:
+        for key, value in mapping.items():
+            if key.width != value.width:
+                raise SmtError(
+                    f"substitution width mismatch: {key.width} vs {value.width}"
+                )
+        cache.update((key.tid, value) for key, value in mapping.items())
 
     stack: list[tuple[BV, bool]] = [(term, False)]
     while stack:

@@ -24,8 +24,12 @@ class Unroller:
     def __init__(self, ts: TransitionSystem):
         ts.validate()
         self.ts = ts
-        # _frames[k] maps every state/input symbol to its frame-k term.
+        # _frames[k] maps every state/input symbol to its frame-k term;
+        # _caches[k] is the substitution cache of that mapping, shared by
+        # every term instantiated at frame k and by the next-state terms
+        # that build frame k + 1.
         self._frames: list[dict[BV, BV]] = []
+        self._caches: list[dict[int, BV]] = []
         self._input_vars: list[dict[str, BV]] = []
         self._build_frame_zero()
 
@@ -43,12 +47,13 @@ class Unroller:
             mapping[symbol] = var
             inputs[symbol.name] = var
         self._frames.append(mapping)
+        self._caches.append({})
         self._input_vars.append(inputs)
 
     def _extend_to(self, frame: int) -> None:
         while len(self._frames) <= frame:
             k = len(self._frames)
-            prev = self._frames[k - 1]
+            prev, cache = self._frames[k - 1], self._caches[k - 1]
             mapping: dict[BV, BV] = {}
             inputs: dict[str, BV] = {}
             for symbol in self.ts.inputs:
@@ -58,8 +63,9 @@ class Unroller:
                 inputs[symbol.name] = var
             for state in self.ts.states:
                 assert state.next is not None
-                mapping[state.symbol] = substitute(state.next, prev)
+                mapping[state.symbol] = substitute(state.next, prev, cache)
             self._frames.append(mapping)
+            self._caches.append({})
             self._input_vars.append(inputs)
 
     # ------------------------------------------------------------------ API
@@ -75,7 +81,7 @@ class Unroller:
         if frame < 0:
             raise TransitionSystemError(f"frame must be non-negative, got {frame}")
         self._extend_to(frame)
-        return substitute(term, self._frames[frame])
+        return substitute(term, self._frames[frame], self._caches[frame])
 
     def state_term(self, name: str, frame: int) -> BV:
         """The frame-``frame`` term of state variable ``name``."""

@@ -10,10 +10,13 @@ strengthening) live in ``test_absint_integration.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import random
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -26,11 +29,18 @@ from repro.absint import (
     validate_by_simulation,
 )
 from repro.absint import domains as D
-from repro.absint.transfer import abstract_eval
+from repro.absint import fixpoint
+from repro.absint.fixpoint import Analysis
+from repro.absint.transfer import TransitionEvaluator, abstract_eval
+from repro.core.flow import SqedFlow
+from repro.isa.config import IsaConfig
 from repro.lint.cli import _gallery, _zoo_targets
 from repro.lint.model import _sequentially_constant, lint_transition_system
+from repro.proc.config import ProcessorConfig
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate
+from repro.ts.coi import reduce_to_property_cone
+from repro.ts.system import TransitionSystem
 from repro.utils.bitops import mask
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -219,8 +229,10 @@ class TestFixpointGallery:
         # fact; 120 random runs per design is the satellite's floor.
         ts = _gallery()[name]()
         analysis = analyze(ts)
+        # The seed derives from the name by CRC-32, not hash(), so it is
+        # the same in every process and a failure can be re-run.
         checks = validate_by_simulation(
-            ts, analysis, runs=120, steps=10, seed=hash(name) & 0xFFFF
+            ts, analysis, runs=120, steps=10, seed=zlib.crc32(name.encode()) & 0xFFFF
         )
         assert checks > 0
         assert analysis.iterations > 0
@@ -269,6 +281,196 @@ class TestFixpointGallery:
             assert set(analysis.seq_const) >= syntactic, name
             for latch, value in analysis.seq_const.items():
                 assert analysis.value_of(latch).const_value() == value
+
+
+def _analysis_from_cold_caches(ts, monkeypatch) -> Analysis:
+    """The fixpoint of ``ts`` with every evaluator lookup forced to miss.
+
+    Each evaluation and each branch refinement starts from empty caches,
+    so every value is walked afresh: the reference the memoised run must
+    equal field by field.
+    """
+    value, refine = TransitionEvaluator.value, TransitionEvaluator._refine
+
+    def forget(evaluator):
+        evaluator._base.clear()
+        evaluator._refinements.clear()
+        for _, cache in evaluator._levels:
+            cache.clear()
+
+    def cold_value(self, term):
+        forget(self)
+        return value(self, term)
+
+    def cold_refine(self, cond, assumed):
+        forget(self)
+        return refine(self, cond, assumed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TransitionEvaluator, "value", cold_value)
+        patch.setattr(TransitionEvaluator, "_refine", cold_refine)
+        return fixpoint._run(ts, fixpoint.DEFAULT_WIDEN_DELAY)
+
+
+def _assert_same_analysis(memoised: Analysis, cold: Analysis, name: str) -> None:
+    for f in dataclasses.fields(Analysis):
+        assert getattr(memoised, f.name) == getattr(cold, f.name), (name, f.name)
+
+
+def _identity_targets():
+    targets = [(f"design:{n}", build()) for n, build in sorted(_gallery().items())]
+    golden = SqedFlow(
+        ProcessorConfig(isa=IsaConfig.small(xlen=4, num_regs=4), supported_ops=("ADD", "SUB"))
+    ).build_model(None)
+    targets.append(("golden-qed-4bit", golden.ts))
+    zoo = _zoo_targets(6, seed=4242)
+    targets += zoo
+    for name, ts in zoo:
+        for prop in ts.properties:
+            cone = reduce_to_property_cone(ts, prop)
+            if cone.reduced:
+                targets.append((f"{name}#coi[{prop}]", cone.ts))
+    return targets
+
+
+def _random_guard(rng: random.Random, flags: list, words: list, depth: int = 2):
+    """A width-1 guard in one of the shapes branch refinement reads."""
+    shapes = ["var", "eq", "ult"] + (["not", "and", "or"] if depth > 0 else [])
+    shape = rng.choice(shapes)
+    if shape == "var":
+        return rng.choice(flags)
+    if shape == "not":
+        return T.bv_not(_random_guard(rng, flags, words, depth - 1))
+    if shape in ("and", "or"):
+        a = _random_guard(rng, flags, words, depth - 1)
+        b = _random_guard(rng, flags, words, depth - 1)
+        return T.bv_and(a, b) if shape == "and" else T.bv_or(a, b)
+    # A variable operand, so the refinement has a leaf to narrow.
+    a, b = rng.choice(words), _random_term(rng, words, depth=1)
+    if rng.random() < 0.5:
+        a, b = b, a
+    return T.bv_eq(a, b) if shape == "eq" else T.bv_ult(a, b)
+
+
+def _random_system(seed: int) -> TransitionSystem:
+    """Random latches whose next functions are ITE spines over shared terms.
+
+    Three 4-bit latches read each other and two inputs; a free-running
+    counter only widening bounds; a saturating counter whose guard the
+    refinement narrows; and a 1-bit latch that serves as a guard itself.
+    """
+    rng = random.Random(seed)
+    p = f"fxs{seed}_"
+    ts = TransitionSystem(name=f"fuzz{seed}")
+    inputs = [ts.add_input(f"{p}in{k}", 4) for k in range(2)]
+    enable = ts.add_input(f"{p}en", 1)
+    flag = ts.add_state(f"{p}flag", 1, init=rng.getrandbits(1))
+    words = [ts.add_state(f"{p}w{k}", 4, init=rng.getrandbits(4)) for k in range(3)]
+    count = ts.add_state(f"{p}count", 4, init=0)
+    sat = ts.add_state(f"{p}sat", 4, init=0)
+    flags = [enable, flag]
+    leaves = words + inputs + [count, sat]
+    # Guards drawn from a shared pool meet each other at different spine
+    # depths, in the base environment and inside refined branches.
+    pool = [_random_guard(rng, flags, leaves) for _ in range(4)]
+    for word in words:
+        term = rng.choice([word, _random_term(rng, leaves, depth=2)])
+        for _ in range(rng.randint(1, 3)):
+            update = _random_term(rng, leaves, depth=2)
+            guard = rng.choice(pool) if rng.random() < 0.7 else _random_guard(rng, flags, leaves)
+            term = T.bv_ite(guard, update, term) if rng.random() < 0.5 else T.bv_ite(guard, term, update)
+        ts.set_next(word, term)
+    ts.set_next(count, T.bv_add(count, T.bv_const(1, 4)))
+    limit = T.bv_const(rng.randint(2, 12), 4)
+    saturating = T.bv_ite(T.bv_ult(sat, limit), T.bv_add(sat, T.bv_const(1, 4)), sat)
+    ts.set_next(sat, T.bv_ite(_random_guard(rng, flags, leaves), saturating, sat))
+    ts.set_next(flag, _random_guard(rng, flags, leaves))
+    ts.add_property("low", T.bv_ult(words[0], T.bv_const(rng.randint(1, 15), 4)))
+    ts.add_property("sat_bound", T.bv_ule(sat, limit))
+    return ts
+
+
+class TestMemoisedFixpoint:
+    """The evaluator's caches change no field of any analysis."""
+
+    @pytest.mark.parametrize(
+        "name,ts", _identity_targets(), ids=lambda v: v if isinstance(v, str) else ""
+    )
+    def test_same_analysis_as_cold_caches(self, name, ts, monkeypatch):
+        _assert_same_analysis(analyze(ts), _analysis_from_cold_caches(ts, monkeypatch), name)
+
+    def test_random_systems_same_analysis_as_cold_caches(self, monkeypatch):
+        guard_ops: set[str] = set()
+        widenings = 0
+        for seed in range(60):
+            ts = _random_system(seed)
+            for s in ts.states:
+                node = s.next
+                while node.op == T.OP_ITE:
+                    guard_ops.add(node.args[0].op)
+                    node = node.args[2] if node.args[2].op == T.OP_ITE else node.args[1]
+            memoised = fixpoint._run(ts, fixpoint.DEFAULT_WIDEN_DELAY)
+            _assert_same_analysis(memoised, _analysis_from_cold_caches(ts, monkeypatch), ts.name)
+            widenings += memoised.widenings
+        # Every refinement shape occurs as a guard, and counters widen.
+        assert guard_ops >= {T.OP_VAR, T.OP_NOT, T.OP_AND, T.OP_OR, T.OP_EQ, T.OP_ULT}
+        assert widenings > 0
+
+    def test_refinement_inside_a_branch_starts_from_the_branch(self, monkeypatch):
+        # ``x < in1`` heads the spine of ``a`` and recurs inside the
+        # ``x < 4`` branch of ``b``, where x is already [0, 3].  There the
+        # refinement must start from [0, 3], not reuse the one made in
+        # the base environment, or ``b`` widens to [0, 14].
+        ts = TransitionSystem(name="nested_guards")
+        in0 = ts.add_input("nstg_in0", 4)
+        in1 = ts.add_input("nstg_in1", 4)
+        x = ts.add_state("nstg_x", 4, init=0)
+        a = ts.add_state("nstg_a", 4, init=0)
+        b = ts.add_state("nstg_b", 4, init=0)
+        zero = T.bv_const(0, 4)
+        inner = T.bv_ite(T.bv_ult(x, in1), x, zero)
+        ts.set_next(x, in0)
+        ts.set_next(a, inner)
+        ts.set_next(b, T.bv_ite(T.bv_ult(x, T.bv_const(4, 4)), inner, zero))
+        ts.add_property("b_small", T.bv_ult(b, T.bv_const(4, 4)))
+        analysis = analyze(ts)
+        value = analysis.latches["nstg_b"]
+        assert (value.lo, value.hi) == (0, 3)
+        _assert_same_analysis(analysis, _analysis_from_cold_caches(ts, monkeypatch), ts.name)
+
+
+class TestWorklistOrder:
+    def test_analysis_does_not_depend_on_string_hashing(self):
+        # Dependents are queued in state order, so the number of worklist
+        # steps is the same whatever PYTHONHASHSEED orders sets of names.
+        script = (
+            "import json\n"
+            "from repro.absint import analyze\n"
+            "from repro.lint.cli import _zoo_targets\n"
+            "(_, ts), = _zoo_targets(1, seed=7)\n"
+            "a = analyze(ts)\n"
+            "latches = sorted((n, v.known, v.bits, v.lo, v.hi) for n, v in a.latches.items())\n"
+            "print(json.dumps([a.iterations, latches]))\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {
+                "PYTHONPATH": str(REPO_ROOT / "src"),
+                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+                "PYTHONDONTWRITEBYTECODE": "1",
+                "PYTHONHASHSEED": hash_seed,
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                cwd=REPO_ROOT,
+                env=env,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0] == outputs[1]
 
 
 class TestLintRules:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.utils.bitops import mask, to_signed
 W = 8
 A = T.bv_var("tsmt_a", W)
 B = T.bv_var("tsmt_b", W)
+C = T.bv_var("tsmt_c", W)
 
 values = st.integers(min_value=0, max_value=mask(W))
 
@@ -170,3 +173,51 @@ class TestSubstitution:
         second = T.fresh_var("tsmt_fresh", 8)
         assert first is not second
         assert first.name != second.name
+
+
+def _term_pool(rng: random.Random, count: int) -> list[T.BV]:
+    """Terms built from earlier ones, so they share many sub-terms."""
+    binary = [T.bv_add, T.bv_sub, T.bv_mul, T.bv_and, T.bv_or, T.bv_xor, T.bv_shl, T.bv_lshr]
+    pool = [A, B, C, T.bv_const(3, W)]
+    for _ in range(count):
+        a, b = rng.choice(pool), rng.choice(pool)
+        kind = rng.randrange(4)
+        if kind == 0:
+            term = rng.choice(binary)(a, b)
+        elif kind == 1:
+            term = T.bv_ite(T.bv_ult(a, b), a, b)
+        elif kind == 2:
+            term = T.bv_not(a)
+        else:
+            term = T.bv_ite(T.bv_eq(a, b), T.bv_neg(a), b)
+        pool.append(term)
+    return pool
+
+
+class TestSharedCaches:
+    """A cache shared by calls under one assignment or mapping changes no result."""
+
+    def test_evaluate_with_a_shared_cache_matches_fresh_calls(self):
+        rng = random.Random(31)
+        pool = _term_pool(rng, 120)
+        for _ in range(5):
+            env = {name: rng.getrandbits(W) for name in ("tsmt_a", "tsmt_b", "tsmt_c")}
+            cache: dict = {}
+            for term in rng.sample(pool, len(pool)):
+                assert evaluate(term, env, cache) == evaluate(term, env)
+
+    def test_substitute_with_a_shared_cache_matches_fresh_calls(self):
+        rng = random.Random(37)
+        pool = _term_pool(rng, 120)
+        mappings = [
+            {A: T.bv_add(B, T.bv_const(1, W)), B: T.bv_xor(C, A)},
+            {C: T.bv_const(5, W)},
+            {T.bv_add(A, B): C, A: T.bv_not(C)},
+        ]
+        for mapping in mappings:
+            cache: dict = {}
+            for term in rng.sample(pool, len(pool)):
+                assert substitute(term, mapping, cache).tid == substitute(term, mapping).tid
+            # A key met only after the cache was seeded is still replaced.
+            for key, value in mapping.items():
+                assert substitute(key, mapping, cache) is value

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.bmc.engine import BmcEngine
+from repro.bmc.engine import BmcEngine, BmcSession, build_trace
 from repro.bmc.kinduction import KInductionEngine
 from repro.btor import parse_btor2, write_btor2
+from repro.core.flow import SqedFlow
 from repro.errors import BmcError, Btor2Error, TransitionSystemError
+from repro.isa.config import IsaConfig
+from repro.lint.cli import _gallery, _zoo_targets
+from repro.proc.config import ProcessorConfig
 from repro.smt import terms as T
+from repro.smt.evaluator import evaluate, free_variables, substitute
 from repro.solve.pipeline import PipelineConfig
 from repro.ts.system import TransitionSystem
 from repro.ts.unroll import Unroller
@@ -82,6 +89,26 @@ class TestUnroller:
         prop0 = unroller.property_at("bounded", 0)
         assert prop0.is_const and prop0.const_value() == 1
 
+    def test_frame_terms_are_the_fresh_substitution_results(self):
+        # Frame k's substitution cache serves every term instantiated at
+        # frame k and the next-state terms that build frame k + 1; each
+        # result must be the very term a fresh substitution builds.
+        config = ProcessorConfig(isa=IsaConfig.small(xlen=4, num_regs=4), supported_ops=("ADD", "SUB"))
+        ts = SqedFlow(config).build_model(None).ts
+        unroller = Unroller(ts)
+        terms = [*ts.constraints, *ts.properties.values()]
+        assert terms
+        previous = None
+        for frame in range(5):
+            mapping = unroller.frame_mapping(frame)
+            for term in terms:
+                assert unroller.at_frame(term, frame).tid == substitute(term, mapping).tid
+            for state in ts.states:
+                assert unroller.state_term(state.name, frame).tid == mapping[state.symbol].tid
+                if previous is not None:
+                    assert mapping[state.symbol].tid == substitute(state.next, previous).tid
+            previous = mapping
+
 
 class TestBmc:
     def test_good_counter_holds(self):
@@ -111,6 +138,91 @@ class TestBmc:
         ts.add_constraint(T.bv_eq(ts.input_symbol("bmc_constrained_enable"), T.bv_false()))
         result = BmcEngine(ts).check("bounded", bound=8)
         assert result.holds is True
+
+
+def _model_over_frames(session: BmcSession, last_frame: int, seed: int) -> dict[str, int]:
+    """Random values for every variable of the session's frame terms."""
+    rng = random.Random(seed)
+    model: dict[str, int] = {}
+    for frame in range(last_frame + 1):
+        for term in session.unroller.frame_mapping(frame).values():
+            for var in free_variables(term):
+                model.setdefault(var.name, rng.getrandbits(var.width))
+    return model
+
+
+def _assert_trace_matches_fresh_evaluation(ts, session, model, last_frame):
+    """``build_trace`` against one fresh evaluation, with its own copy of
+    the model, per reported value (dropped signals replayed as before)."""
+    trace = build_trace(
+        ts,
+        session.unroller,
+        session.property_name,
+        model,
+        last_frame,
+        reduction=session.reduction,
+        fold=session.fold,
+    )
+
+    def value_of(term):
+        assignment = dict(model)
+        for var in free_variables(term):
+            assignment.setdefault(var.name, 0)
+        return evaluate(term, assignment)
+
+    reduction = session.reduction
+    dropped = set(reduction.dropped_states) if reduction is not None else set()
+    dropped_inputs = set(reduction.dropped_inputs) if reduction is not None else set()
+    previous = None
+    assert len(trace.steps) == last_frame + 1
+    for frame, step in enumerate(trace.steps):
+        mapping = session.unroller.frame_mapping(frame)
+        for state in ts.states:
+            if state.name in dropped:
+                expected = reduction.replay_state(state, frame, previous, model)
+            elif session.fold is not None:
+                expected = value_of(substitute(session.fold.state_terms[state.name], mapping))
+            else:
+                expected = value_of(mapping[state.symbol])
+            assert step.states[state.name] == expected, (frame, state.name)
+        for symbol in ts.inputs:
+            if symbol.name in dropped_inputs:
+                expected = 0
+            else:
+                expected = value_of(session.unroller.input_term(symbol.name, frame))
+            assert step.inputs[symbol.name] == expected, (frame, symbol.name)
+        previous = {**step.states, **step.inputs}
+    return trace
+
+
+class TestBuildTrace:
+    """One assignment and one evaluation cache per trace change no value."""
+
+    def test_folded_saturating_counter(self):
+        ts = _gallery()["saturating_counter"]()
+        session = BmcSession(ts, "bounded", opt_level=PipelineConfig(opt_level=2, absint=True))
+        assert session.fold is not None and session.fold.bits_folded > 0
+        for seed in range(3):
+            model = _model_over_frames(session, 8, seed)
+            _assert_trace_matches_fresh_evaluation(ts, session, model, 8)
+
+    def test_coi_reduced_zoo_model_with_dropped_states(self):
+        for _, ts in _zoo_targets(2, seed=4242):
+            session = BmcSession(ts, "qed_consistency", opt_level=PipelineConfig(opt_level=2))
+            if session.reduction is not None and session.reduction.dropped_inputs:
+                break
+        assert session.reduction.dropped_states
+        model = _model_over_frames(session, 5, seed=7)
+        _assert_trace_matches_fresh_evaluation(ts, session, model, 5)
+
+    def test_variable_missing_from_the_model_reads_zero(self):
+        ts = _counter_system("trace_missing", 5, buggy=True)
+        session = BmcSession(ts, "bounded", opt_level=PipelineConfig(opt_level=2))
+        model = _model_over_frames(session, 6, seed=3)
+        enable = session.unroller.input_term("trace_missing_enable", 2).name
+        del model[enable]
+        trace = _assert_trace_matches_fresh_evaluation(ts, session, model, 6)
+        assert trace.steps[2].inputs["trace_missing_enable"] == 0
 
 
 class TestKInduction:
