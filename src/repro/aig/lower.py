@@ -17,6 +17,15 @@ Clause shapes:
   naive blaster uses needs 3 auxiliary gates and 9 clauses for the same
   function, which is where much of the mux-heavy datapath's clause-count
   reduction comes from.
+
+The clauses are appended to ``cnf.clauses`` as they are, without
+:meth:`CNF.add_clause`'s normalisation, because they are already normal.
+``AIG.and_``, ``xor_`` and ``ite`` fold every constant, repeated or
+complementary operand, so a gate's operands are distinct non-constant
+nodes, and every node gets a fresh variable from :meth:`CNF.new_var`.
+A clause therefore never repeats a variable, never names the constant, and
+never names a variable above ``cnf.num_vars``.  The ``encoding.*`` lint
+rules check this on the lowered CNF.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ class CnfLowering:
     def _lower_cone(self, root: int) -> None:
         aig = self.aig
         cnf = self.cnf
-        add = cnf.add_clause
+        clauses = cnf.clauses
         stack: list[tuple[int, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
@@ -84,26 +93,19 @@ class CnfLowering:
                         stack.append((abs(arg), False))
                 continue
             out = cnf.new_var()
-            before = len(cnf.clauses)
             if kind == K_AND:
-                a, b = (self._cnf_lit(arg) for arg in aig._args[node])
-                add([-out, a])
-                add([-out, b])
-                add([out, -a, -b])
+                a, b = map(self._cnf_lit, aig._args[node])
+                gate = ((-out, a), (-out, b), (out, -a, -b))
             elif kind == K_XOR:
-                a, b = (self._cnf_lit(arg) for arg in aig._args[node])
-                add([-out, a, b])
-                add([-out, -a, -b])
-                add([out, -a, b])
-                add([out, a, -b])
+                a, b = map(self._cnf_lit, aig._args[node])
+                gate = ((-out, a, b), (-out, -a, -b), (out, -a, b), (out, a, -b))
             elif kind == K_ITE:
-                c, t, e = (self._cnf_lit(arg) for arg in aig._args[node])
-                add([-out, -c, t])
-                add([out, -c, -t])
-                add([-out, c, e])
-                add([out, c, -e])
+                c, t, e = map(self._cnf_lit, aig._args[node])
+                gate = ((-out, -c, t), (out, -c, -t), (-out, c, e), (out, c, -e))
             else:  # pragma: no cover - defensive
                 raise ValueError(f"cannot lower AIG node kind {kind!r}")
+            # Already normal, so appended as they are (see the module docstring).
+            clauses.extend(gate)
             self.nodes_lowered += 1
-            self.clauses_emitted += len(cnf.clauses) - before
+            self.clauses_emitted += len(gate)
             self._map[node] = out

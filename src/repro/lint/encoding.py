@@ -1,10 +1,13 @@
 """Encoding lint: rules over the AIG and CNF layers.
 
 These rules target artifacts that the constructors normally make
-impossible (``CNF.add_clause`` drops duplicate literals and tautologies,
-AIG nodes always reference earlier nodes): when one of them fires, some
-layer bypassed the constructors or corrupted the containers, which is
-exactly what generated encodings and preprocessing rewrites can do.
+impossible: ``CNF.add_clause`` drops duplicate literals and tautologies,
+and AIG nodes always reference earlier nodes.  The AIG lowering appends
+its gate clauses without ``CNF.add_clause``; it relies on the AIG
+constructors folding every constant, repeated or complementary operand,
+and these rules check that it holds.  When one of them fires, some layer
+bypassed the constructors or corrupted the containers, which is exactly
+what generated encodings and preprocessing rewrites can do.
 
 Rules:
 
@@ -69,7 +72,8 @@ def lint_cnf(cnf: CNF) -> LintReport:
                 SEV_WARNING,
                 where,
                 f"duplicate literals survived normalisation: {list(clause)}",
-                "route clauses through CNF.add_clause()",
+                "route clauses through CNF.add_clause(), or, for a lowered "
+                "gate, build its node through AIG.and_/xor_/ite",
             )
         if any(-lit in lits for lit in lits):
             report.add(
@@ -77,7 +81,8 @@ def lint_cnf(cnf: CNF) -> LintReport:
                 SEV_ERROR,
                 where,
                 f"tautological clause survived normalisation: {list(clause)}",
-                "route clauses through CNF.add_clause()",
+                "route clauses through CNF.add_clause(), or, for a lowered "
+                "gate, build its node through AIG.and_/xor_/ite",
             )
             continue
         key = frozenset(lits)

@@ -14,10 +14,12 @@ the persistent incremental context):
   variable is resolved away when *all* of its occurrences are still in the
   pending batch (so nothing already sent to the backend mentions it), it is
   not frozen, and the resolvent set is no larger than the clauses it
-  replaces.  The original clauses are stored; if a later batch or a later
-  assumption references an eliminated variable, the stored clauses are
-  re-emitted (*un-elimination*), which keeps the trick sound under
-  arbitrary future extension because ``originals ⊨ resolvents``.
+  replaces.  The resolvents are counted before any is built, so an attempt
+  over that budget builds none.  The original clauses are stored; if a
+  later batch or a later assumption references an eliminated variable, the
+  stored clauses are re-emitted (*un-elimination*), which keeps the trick
+  sound under arbitrary future extension because
+  ``originals ⊨ resolvents``.
 
 A flush is one pass: restore the eliminated variables the batch
 references, propagate root units, try each variable of the batch once for
@@ -148,14 +150,15 @@ class Preprocessor:
         if not self._eliminated:
             return model
         extended = dict(model)
-
-        def lit_true(lit: int) -> bool:
-            return extended.get(abs(lit), False) == (lit > 0)
-
-        for var in reversed(self._eliminated):
+        value = extended.get
+        for var, clauses in reversed(self._eliminated.items()):
+            # False first: the stored clauses hold ``var`` itself.
             extended[var] = False
-            for clause in self._eliminated[var]:
-                if not any(lit_true(lit) for lit in clause):
+            for clause in clauses:
+                for lit in clause:
+                    if value(abs(lit), False) == (lit > 0):
+                        break
+                else:
                     # Elimination guarantees a fixing value exists, and with
                     # every other literal false it can only be ``var`` itself.
                     extended[var] = True
@@ -288,84 +291,86 @@ class Preprocessor:
         Each variable is tried once, fewest occurrences first; resolvents
         join the batch and can take part in later eliminations of the pass.
         Propagation has run, so no pending clause holds a valued variable.
+
+        An attempt counts its non-tautological resolvents before it builds
+        any, and gives up once they outnumber the clauses they would replace
+        (the sizing step of MiniSat's ``eliminateVar``).  A pair is a
+        tautology exactly when the negative clause meets the negations of
+        the positive clause's other literals, because batch clauses are
+        normal: no repeated literal, no literal beside its complement.
         """
+        frozen = self._frozen
+        emitted = self._emitted_vars
+        # The set's iteration order breaks the sort's ties, so it is built
+        # over every variable of the batch, eliminable or not.
+        candidates = [
+            var
+            for var in {abs(lit) for clause in pending for lit in clause}
+            if var not in frozen and var not in emitted
+        ]
+        # Only eliminable literals are indexed.  The iteration order of each
+        # clause-id set sets the order of resolvents and stored clauses.
         occur: dict[int, set[int]] = {}
-        clauses: dict[int, tuple[int, ...]] = dict(enumerate(pending))
-        for pid, clause in clauses.items():
+        for var in candidates:
+            occur[var] = set()
+            occur[-var] = set()
+        clauses: list[Optional[tuple[int, ...]]] = list(pending)
+        for pid, clause in enumerate(pending):
             for lit in clause:
-                occur.setdefault(lit, set()).add(pid)
-        next_pid = len(pending)
+                ids = occur.get(lit)
+                if ids is not None:
+                    ids.add(pid)
+        candidates.sort(key=lambda v: len(occur[v]) + len(occur[-v]))
 
         limit = _ELIM_OCCURRENCE_LIMIT
-        candidates = sorted(
-            {abs(lit) for lit in occur},
-            key=lambda v: len(occur.get(v, ())) + len(occur.get(-v, ())),
-        )
         for var in candidates:
-            if var in self._frozen or var in self._emitted_vars:
+            pos_ids, neg_ids = occur[var], occur[-var]
+            if not pos_ids and not neg_ids:
                 continue
-            pos = list(occur.get(var, ()))
-            neg = list(occur.get(-var, ()))
-            if not pos and not neg:
+            if len(pos_ids) > limit or len(neg_ids) > limit:
                 continue
-            if len(pos) > limit or len(neg) > limit:
-                continue
-            if not set(pos).isdisjoint(neg):
+            if not pos_ids.isdisjoint(neg_ids):
                 continue  # a clause with var and -var would carry var into a resolvent
+            pos, neg = list(pos_ids), list(neg_ids)
             pos_clauses = [clauses[pid] for pid in pos]
             neg_clauses = [clauses[pid] for pid in neg]
-            resolvents = self._resolvents(var, pos_clauses, neg_clauses)
-            if resolvents is None:
+            budget = len(pos) + len(neg)
+            count = 0
+            rows: list[tuple[tuple[int, ...], set[int], list[tuple[int, ...]]]] = []
+            for clause in pos_clauses:
+                rest = tuple([lit for lit in clause if lit != var])
+                # Holds neither var nor -var, so a whole negative clause
+                # meets it exactly when the clause's remainder does.
+                negated = {-lit for lit in rest}
+                partners = list(filter(negated.isdisjoint, neg_clauses))
+                count += len(partners)
+                if count > budget:
+                    break
+                negated.add(var)  # keeps -var out of the resolvents below
+                rows.append((rest, negated, partners))
+            if count > budget:
+                continue
+            resolvents = [
+                rest + tuple([lit for lit in other if -lit not in negated])
+                for rest, negated, partners in rows
+                for other in partners
+            ]
+            if max(map(len, resolvents), default=0) > _ELIM_RESOLVENT_LEN_LIMIT:
                 continue
             # Accept: drop the var's clauses, keep their resolvents pending.
             for pid in pos + neg:
-                for lit in clauses.pop(pid):
-                    occur[lit].discard(pid)
+                for lit in clauses[pid]:
+                    ids = occur.get(lit)
+                    if ids is not None:
+                        ids.discard(pid)
+                clauses[pid] = None
             for resolvent in resolvents:
-                clauses[next_pid] = resolvent
                 for lit in resolvent:
-                    occur.setdefault(lit, set()).add(next_pid)
-                next_pid += 1
+                    ids = occur.get(lit)
+                    if ids is not None:
+                        ids.add(len(clauses))
+                clauses.append(resolvent)
             self.stats.resolvents_added += len(resolvents)
             self._eliminated[var] = pos_clauses + neg_clauses
             self.stats.vars_eliminated += 1
-        return list(clauses.values())
-
-    def _resolvents(
-        self,
-        var: int,
-        pos_clauses: list[tuple[int, ...]],
-        neg_clauses: list[tuple[int, ...]],
-    ) -> Optional[list[tuple[int, ...]]]:
-        """The non-tautological resolvents on ``var``, or None when one is
-        too long or there are more of them than clauses they replace."""
-        budget = len(pos_clauses) + len(neg_clauses)
-        resolvents: list[tuple[int, ...]] = []
-        for pos_clause in pos_clauses:
-            for neg_clause in neg_clauses:
-                resolvent = self._resolve(pos_clause, neg_clause, var)
-                if resolvent is None:
-                    continue  # tautology
-                if len(resolvent) > _ELIM_RESOLVENT_LEN_LIMIT:
-                    return None
-                resolvents.append(resolvent)
-                if len(resolvents) > budget:
-                    return None
-        return resolvents
-
-    @staticmethod
-    def _resolve(
-        pos_clause: tuple[int, ...], neg_clause: tuple[int, ...], var: int
-    ) -> tuple[int, ...] | None:
-        seen: set[int] = set()
-        out: list[int] = []
-        for clause, skip in ((pos_clause, var), (neg_clause, -var)):
-            for lit in clause:
-                if lit == skip:
-                    continue
-                if -lit in seen:
-                    return None
-                if lit not in seen:
-                    seen.add(lit)
-                    out.append(lit)
-        return tuple(out)
+        return [clause for clause in clauses if clause is not None]

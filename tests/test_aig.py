@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -197,6 +198,50 @@ class TestLowering:
         lowering = CnfLowering(aig, cnf, true_var)
         lowering.materialize(mux)
         assert len(cnf.clauses) == 5  # unit + 4 mux clauses
+
+
+class TestLoweringNormalForm:
+    """The lowering appends its clauses without ``CNF.add_clause``, so AIG
+    construction must already give them the form that method would store:
+    no repeated variable, every variable allocated by ``CNF.new_var``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_graphs_lower_to_normal_clauses(self, seed):
+        rng = random.Random(seed)
+        aig, inputs = _fresh_aig_with_inputs(rng.randint(2, 6))
+        pool = list(inputs)
+
+        def operand():
+            lit = aig.TRUE if rng.random() < 0.1 else rng.choice(pool)
+            return -lit if rng.random() < 0.5 else lit
+
+        for _ in range(rng.randint(40, 120)):
+            # Constant, repeated and complementary operands reach the
+            # folding rules.
+            a = operand()
+            b = rng.choice((a, -a, operand(), operand(), operand()))
+            kind = rng.choice(("and", "xor", "ite"))
+            if kind == "and":
+                lit = aig.and_(a, b)
+            elif kind == "xor":
+                lit = aig.xor_(a, b)
+            else:
+                else_lit = rng.choice((a, -a, b, -b, operand(), operand(), operand()))
+                lit = aig.ite(a, b, else_lit)
+            if abs(lit) != aig.TRUE:
+                pool.append(lit)
+        cnf = CNF()
+        true_var = cnf.new_var()
+        cnf.add_clause([true_var])
+        lowering = CnfLowering(aig, cnf, true_var)
+        roots = [lowering.materialize(lit) for lit in rng.sample(pool, len(pool))]
+        assert lowering.nodes_lowered > 0
+        for clause in cnf.clauses:
+            assert len({abs(lit) for lit in clause}) == len(clause), clause
+        assert CNF(cnf.clauses).clauses == cnf.clauses
+        used = {abs(lit) for clause in cnf.clauses for lit in clause}
+        used.update(abs(root) for root in roots)
+        assert cnf.num_vars == max(used)
 
 
 class TestStats:

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from typing import Optional
 
 import pytest
 
-from repro.sat.preprocess import Preprocessor
+from repro.sat.preprocess import (
+    _ELIM_OCCURRENCE_LIMIT,
+    _ELIM_RESOLVENT_LEN_LIMIT,
+    Preprocessor,
+)
 from repro.sat.solver import SatSolver
 
 
@@ -331,3 +337,215 @@ class TestMultiBatchStream:
                 model = pre.extend_model(result.model)
                 for clause in inputs:
                     assert any(model.get(abs(lit), False) == (lit > 0) for lit in clause)
+
+
+class _PairwiseReference(Preprocessor):
+    """Elimination that builds resolvents pair by pair, as it did before it
+    counted them first: it gives up at the first resolvent over the length
+    limit or past the budget.  ``seen`` counts which cases a batch reached.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.seen: Counter = Counter()
+
+    def _eliminate(self, pending):
+        occur: dict[int, set[int]] = {}
+        clauses: dict[int, tuple[int, ...]] = dict(enumerate(pending))
+        for pid, clause in clauses.items():
+            for lit in clause:
+                occur.setdefault(lit, set()).add(pid)
+        next_pid = len(pending)
+        candidates = sorted(
+            {abs(lit) for lit in occur},
+            key=lambda v: len(occur.get(v, ())) + len(occur.get(-v, ())),
+        )
+        for var in candidates:
+            if var in self._frozen or var in self._emitted_vars:
+                self.seen["frozen" if var in self._frozen else "emitted"] += 1
+                continue
+            pos = list(occur.get(var, ()))
+            neg = list(occur.get(-var, ()))
+            if not pos and not neg:
+                continue
+            if len(pos) > _ELIM_OCCURRENCE_LIMIT or len(neg) > _ELIM_OCCURRENCE_LIMIT:
+                self.seen["occurrence limit"] += 1
+                continue
+            if not set(pos).isdisjoint(neg):
+                self.seen["var and -var in one clause"] += 1
+                continue
+            pos_clauses = [clauses[pid] for pid in pos]
+            neg_clauses = [clauses[pid] for pid in neg]
+            resolvents = self._resolvents(var, pos_clauses, neg_clauses)
+            if resolvents is None:
+                continue
+            self.seen["eliminated"] += 1
+            for pid in pos + neg:
+                for lit in clauses.pop(pid):
+                    occur[lit].discard(pid)
+            for resolvent in resolvents:
+                clauses[next_pid] = resolvent
+                for lit in resolvent:
+                    occur.setdefault(lit, set()).add(next_pid)
+                next_pid += 1
+            self.stats.resolvents_added += len(resolvents)
+            self._eliminated[var] = pos_clauses + neg_clauses
+            self.stats.vars_eliminated += 1
+        return list(clauses.values())
+
+    def _resolvents(self, var, pos_clauses, neg_clauses):
+        budget = len(pos_clauses) + len(neg_clauses)
+        resolvents = []
+        pairs = len(pos_clauses) * len(neg_clauses)
+        for index, (pos_clause, neg_clause) in enumerate(
+            (p, n) for p in pos_clauses for n in neg_clauses
+        ):
+            resolvent = self._resolve(pos_clause, neg_clause, var)
+            if resolvent is None:
+                continue  # tautology
+            if len(resolvent) > _ELIM_RESOLVENT_LEN_LIMIT:
+                self.seen["resolvent over the length limit"] += 1
+                return None
+            resolvents.append(resolvent)
+            if len(resolvents) > budget:
+                self.seen["over budget"] += 1
+                if index == pairs - 1:
+                    self.seen["over budget on the last pair"] += 1
+                return None
+        return resolvents
+
+    @staticmethod
+    def _resolve(pos_clause, neg_clause, var) -> Optional[tuple[int, ...]]:
+        seen: set[int] = set()
+        out: list[int] = []
+        for clause, skip in ((pos_clause, var), (neg_clause, -var)):
+            for lit in clause:
+                if lit == skip:
+                    continue
+                if -lit in seen:
+                    return None
+                if lit not in seen:
+                    seen.add(lit)
+                    out.append(lit)
+        return tuple(out)
+
+
+def _random_clause(rng, vars, width):
+    return tuple(rng.choice([-1, 1]) * var for var in rng.sample(vars, width))
+
+
+def _elimination_batch(rng):
+    """A batch of normal clauses and the variables to freeze and mark emitted.
+
+    Random clauses over a few variables, plus some of these shapes over
+    fresh variables, each with its side variables frozen: a variable past
+    the occurrence limit, a pair whose resolvent is over the length limit,
+    nine pairs whose seventh non-tautological resolvent (one past the
+    budget) is the last pair, and a variable beside its complement.
+    """
+    num_vars = rng.randint(4, 12)
+    vars = list(range(1, num_vars + 1))
+    batch = [
+        _random_clause(rng, vars, min(num_vars, rng.choice([1, 2, 2, 3, 3, 3, 4, 6])))
+        for _ in range(rng.randint(4, 30))
+    ]
+    frozen = {var for var in vars if rng.random() < 0.2}
+    emitted = {var for var in vars if rng.random() < 0.15}
+    fresh = iter(range(num_vars + 1, num_vars + 200))
+    if rng.random() < 0.3:
+        hub = next(fresh)
+        sides = [next(fresh) for _ in range(_ELIM_OCCURRENCE_LIMIT + 1)]
+        batch += [(hub, side) for side in sides] + [(-hub, rng.choice(vars))]
+        frozen.update(sides)
+    if rng.random() < 0.3:
+        pivot = next(fresh)
+        half = _ELIM_RESOLVENT_LEN_LIMIT // 2 + 1
+        wide = [next(fresh) for _ in range(2 * half)]
+        batch += [(pivot, *wide[:half]), (-pivot, *wide[half:])]
+        frozen.update(wide)
+    if rng.random() < 0.3:
+        pivot = next(fresh)
+        a, b, c, d = (next(fresh) for _ in range(4))
+        batch += [(pivot, a), (pivot, b), (pivot, c), (-pivot, -a), (-pivot, -b), (-pivot, d)]
+        frozen.update((a, b, c, d))
+    if rng.random() < 0.2:
+        var = rng.choice(vars)
+        batch.append((var, -var))
+    rng.shuffle(batch)
+    return batch, frozen, emitted
+
+
+class TestEliminationMatchesPairwiseReference:
+    """Counting resolvents before building them changes no output."""
+
+    def test_random_batches(self):
+        reached: Counter = Counter()
+        for seed in range(240):
+            batch, frozen, emitted = _elimination_batch(random.Random(seed))
+            pre, ref = Preprocessor(), _PairwiseReference()
+            for each in (pre, ref):
+                each.freeze_all(frozen)
+                each._emitted_vars.update(emitted)
+            assert pre._eliminate(list(batch)) == ref._eliminate(list(batch)), seed
+            assert list(pre._eliminated.items()) == list(ref._eliminated.items()), seed
+            assert pre.stats == ref.stats, seed
+            reached.update(ref.seen)
+        for case in (
+            "frozen",
+            "emitted",
+            "occurrence limit",
+            "resolvent over the length limit",
+            "over budget on the last pair",
+            "var and -var in one clause",
+            "eliminated",
+        ):
+            assert reached[case], case
+
+
+def _extend_with_lit_true(eliminated, model):
+    """Model extension through a per-literal helper, as it was written
+    before the walk tested literals inline."""
+    extended = dict(model)
+
+    def lit_true(lit):
+        return extended.get(abs(lit), False) == (lit > 0)
+
+    for var in reversed(eliminated):
+        extended[var] = False
+        for clause in eliminated[var]:
+            if not any(lit_true(lit) for lit in clause):
+                extended[var] = True
+                break
+    return extended
+
+
+class TestExtendModel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inline_walk_matches_lit_true_walk(self, seed):
+        rng = random.Random(seed)
+        num_vars = 24
+        vars = list(range(1, num_vars + 1))
+        pre = Preprocessor()
+        pre.freeze_all(rng.sample(vars, 4))
+        emitted: list[tuple[int, ...]] = []
+        for _ in range(4):
+            batch = [
+                _random_clause(rng, vars, rng.choice([2, 2, 3, 3, 4]))
+                for _ in range(rng.randint(6, 16))
+            ]
+            emitted += pre.flush(batch)
+        assert pre._eliminated and not pre.unsat
+        for _ in range(20):
+            # Any assignment, with some variables left out of it.
+            model = {var: rng.random() < 0.5 for var in vars if rng.random() < 0.8}
+            assert pre.extend_model(model) == _extend_with_lit_true(pre._eliminated, model)
+            # A model of the emitted clauses extends to every stored clause.
+            assumptions = [var if rng.random() < 0.5 else -var for var in rng.sample(vars, 3)]
+            result = _solve(emitted, assumptions)
+            if not result.satisfiable:
+                continue
+            extended = pre.extend_model(result.model)
+            assert extended == _extend_with_lit_true(pre._eliminated, result.model)
+            for clauses in pre._eliminated.values():
+                for clause in clauses:
+                    assert any(extended.get(abs(lit), False) == (lit > 0) for lit in clause)
