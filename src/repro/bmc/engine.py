@@ -25,7 +25,6 @@ from repro.errors import BmcError
 from repro.sat.solver import SolverStats
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate
-from repro.solve.backend import is_default_backend
 from repro.solve.context import SolverContext
 from repro.solve.pipeline import EncodingStats, PipelineConfig
 from repro.ts.coi import CoiReduction, cached_property_cone
@@ -230,38 +229,14 @@ class BmcSession:
         self,
         ts: TransitionSystem,
         property_name: str,
-        start_frame: int = 0,
-        backend: str = "cdcl",
-        context: Optional[SolverContext] = None,
         opt_level: "PipelineConfig | int | None" = None,
-        lint: str = "off",
     ):
-        # Pre-solve lint gate (``lint`` = "error"/"warn"/"off").  Runs before
-        # validate() so a gated session reports *every* model defect, not
-        # just the first missing next-state function.
-        from repro.lint.gate import gate_transition_system
-
-        gate_transition_system(ts, lint, where="BmcSession")
         ts.validate()
         if property_name not in ts.properties:
             raise BmcError(f"unknown property {property_name!r}")
         self.ts = ts
         self.property_name = property_name
-        self.start_frame = start_frame
-        if context is not None and not is_default_backend(backend):
-            raise BmcError(
-                "pass either a backend spec or an explicit context, not both: "
-                "a supplied context already carries its own backend"
-            )
-        if context is not None and opt_level is not None:
-            raise BmcError(
-                "pass either an opt_level or an explicit context, not both: "
-                "a supplied context already carries its pipeline config"
-            )
-        if context is not None:
-            self.pipeline = context.pipeline
-        else:
-            self.pipeline = PipelineConfig.resolve(opt_level)
+        self.pipeline = PipelineConfig.resolve(opt_level)
         # Cone-of-influence reduction: unroll (and therefore encode) only
         # the state and logic the checked property can observe.
         reduced_ts, self.reduction = prepare_property_system(
@@ -275,14 +250,9 @@ class BmcSession:
         if self.fold is not None:
             reduced_ts = self.fold.ts
         self.unroller = Unroller(reduced_ts)
-        self.context = (
-            context
-            if context is not None
-            else SolverContext(backend=backend, opt_level=self.pipeline)
-        )
-        # Solver work is accumulated per extend_to call, so queries a shared
-        # context serves before or between calls are never attributed to
-        # this session.
+        self.context = SolverContext(opt_level=self.pipeline)
+        # Solver work is accumulated per extend_to call, so a query made
+        # directly on ``self.context`` is never attributed to this session.
         self._session_solver_stats = SolverStats()
         self.stats = BmcStats()
         self._constraints_loaded = 0  # frames whose constraints are asserted
@@ -373,9 +343,6 @@ class BmcSession:
 
         for frame in range(self._next_frame, bound + 1):
             self._load_constraints(frame)
-            if frame < self.start_frame:
-                self._next_frame = frame + 1
-                continue
             property_term = self.unroller.property_at(self.property_name, frame)
             violation = T.bv_not(property_term)
             if violation.is_const and violation.const_value() == 0:
@@ -428,28 +395,15 @@ class BmcEngine:
     def __init__(
         self,
         ts: TransitionSystem,
-        start_frame: int = 0,
-        backend: str = "cdcl",
         opt_level: "PipelineConfig | int | None" = None,
-        lint: str = "off",
     ):
         ts.validate()
         self.ts = ts
-        self.start_frame = start_frame
-        self.backend = backend
         self.opt_level = opt_level
-        self.lint = lint
 
     def session(self, property_name: str) -> BmcSession:
         """A fresh incremental session for ``property_name``."""
-        return BmcSession(
-            self.ts,
-            property_name,
-            start_frame=self.start_frame,
-            backend=self.backend,
-            opt_level=self.opt_level,
-            lint=self.lint,
-        )
+        return BmcSession(self.ts, property_name, opt_level=self.opt_level)
 
     def check(
         self,

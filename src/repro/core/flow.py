@@ -67,30 +67,14 @@ class _BaseFlow:
         self,
         config: ProcessorConfig,
         fifo_depth: int = 2,
-        compare_memory: bool = True,
-        backend: str = "cdcl",
         opt_level: Optional[int] = None,
-        lint: str = "off",
     ):
         self.config = config
         self.fifo_depth = fifo_depth
-        self.compare_memory = compare_memory
-        self.backend = backend
         self.opt_level = opt_level
-        #: Pre-solve lint gate mode ("error"/"warn"/"off").
-        self.lint = lint
 
     def build_model(self, bug: Optional[Bug] = None) -> QedVerificationModel:
         raise NotImplementedError
-
-    def _gate_model(self, model: QedVerificationModel) -> QedVerificationModel:
-        """Run the configured lint gate over a freshly built model."""
-        from repro.lint.gate import gate_transition_system
-
-        gate_transition_system(
-            model.ts, self.lint, where=f"{type(self).__name__}"
-        )
-        return model
 
     def run(
         self,
@@ -104,10 +88,8 @@ class _BaseFlow:
         its frames.
         """
         start = time.perf_counter()
-        model = self._gate_model(self.build_model(bug))
-        engine = BmcEngine(
-            model.ts, backend=self.backend, opt_level=self.opt_level
-        )
+        model = self.build_model(bug)
+        engine = BmcEngine(model.ts, opt_level=self.opt_level)
         result = engine.check(
             model.property_name, bound=bound, conflict_budget=conflict_budget
         )
@@ -162,14 +144,11 @@ class _BaseFlow:
                 f"unknown proof engine {engine!r}; expected one of {self.PROVE_ENGINES}"
             )
         start = time.perf_counter()
-        model = self._gate_model(self.build_model(bug))
+        model = self.build_model(bug)
         bug_name = None if bug is None else bug.name
         if engine == "pdr":
             pdr = PdrEngine(
-                model.ts,
-                backend=self.backend,
-                opt_level=self.opt_level,
-                max_frames=max_frames,
+                model.ts, opt_level=self.opt_level, max_frames=max_frames
             ).prove(
                 model.property_name,
                 conflict_budget=conflict_budget,
@@ -185,9 +164,9 @@ class _BaseFlow:
                 pdr_result=pdr,
                 model=model,
             )
-        kind = KInductionEngine(
-            model.ts, backend=self.backend, opt_level=self.opt_level
-        ).prove(model.property_name, max_k=max_k, conflict_budget=conflict_budget)
+        kind = KInductionEngine(model.ts, opt_level=self.opt_level).prove(
+            model.property_name, max_k=max_k, conflict_budget=conflict_budget
+        )
         return ProofOutcome(
             method=self.method,
             bug_name=bug_name,
@@ -211,11 +190,7 @@ class SqedFlow(_BaseFlow):
         memory = MemoryPartition(isa.mem_words)
         scheme = EddivScheme(partition, memory)
         return build_verification_model(
-            self.config,
-            scheme,
-            bug=bug,
-            fifo_depth=self.fifo_depth,
-            compare_memory=self.compare_memory,
+            self.config, scheme, bug=bug, fifo_depth=self.fifo_depth
         )
 
 
@@ -229,21 +204,9 @@ class SepeSqedFlow(_BaseFlow):
         config: ProcessorConfig,
         equivalents: Optional[Mapping[str, SynthesizedProgram]] = None,
         fifo_depth: int = 2,
-        compare_memory: bool = True,
-        num_temps: Optional[int] = None,
-        backend: str = "cdcl",
         opt_level: Optional[int] = None,
-        lint: str = "off",
     ):
-        super().__init__(
-            config,
-            fifo_depth=fifo_depth,
-            compare_memory=compare_memory,
-            backend=backend,
-            opt_level=opt_level,
-            lint=lint,
-        )
-        self.num_temps = num_temps
+        super().__init__(config, fifo_depth=fifo_depth, opt_level=opt_level)
         if equivalents is None:
             available = default_equivalent_programs(config.isa)
             equivalents = {
@@ -259,13 +222,9 @@ class SepeSqedFlow(_BaseFlow):
 
     def build_model(self, bug: Optional[Bug] = None) -> QedVerificationModel:
         isa = self.config.isa
-        partition = RegisterPartition.edsepv(isa.num_regs, num_temps=self.num_temps)
+        partition = RegisterPartition.edsepv(isa.num_regs)
         memory = MemoryPartition(isa.mem_words)
         scheme = EdsepvScheme(partition, memory, self.equivalents)
         return build_verification_model(
-            self.config,
-            scheme,
-            bug=bug,
-            fifo_depth=self.fifo_depth,
-            compare_memory=self.compare_memory,
+            self.config, scheme, bug=bug, fifo_depth=self.fifo_depth
         )

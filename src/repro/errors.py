@@ -20,7 +20,7 @@ class SmtError(ReproError):
 
 
 class SolveError(ReproError):
-    """Misuse of the persistent solver context or an unavailable backend."""
+    """Misuse of the persistent solver context or an unknown SAT kernel."""
 
 
 class IsaError(ReproError):
@@ -71,7 +71,7 @@ class ZooError(ReproError):
 
 
 class LintError(ReproError):
-    """Static analysis failure: a lint gate rejected a model, or lint misuse."""
+    """Lint misuse, such as a finding with an unknown severity."""
 
 
 class AbsintError(ReproError):

@@ -40,9 +40,6 @@ class Figure4Config:
     #: Compilation-pipeline level for every solver in the experiment
     #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
     opt_level: Optional[int] = None
-    #: Solver backend spec (``"arena"``/``"reference"`` pin a CDCL kernel,
-    #: see :mod:`repro.solve.backend`).
-    backend: str = "cdcl"
 
 
 @dataclass
@@ -121,14 +118,10 @@ def run_figure4(config: Figure4Config | None = None) -> Figure4Result:
             proc_config,
             equivalents=equivalents,
             fifo_depth=config.fifo_depth,
-            backend=config.backend,
             opt_level=config.opt_level,
         )
         sqed = SqedFlow(
-            proc_config,
-            fifo_depth=config.fifo_depth,
-            backend=config.backend,
-            opt_level=config.opt_level,
+            proc_config, fifo_depth=config.fifo_depth, opt_level=config.opt_level
         )
         sepe_outcome = sepe.run(bug, bound=config.bound)
         sqed_outcome = sqed.run(bug, bound=config.bound)
@@ -149,22 +142,9 @@ def main() -> None:  # pragma: no cover - CLI entry point
         default=None,
         help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
     )
-    parser.add_argument(
-        "--sat-backend",
-        choices=("cdcl", "arena", "reference"),
-        default="cdcl",
-        help=(
-            "SAT backend spec: 'cdcl' follows $REPRO_SAT_BACKEND (default "
-            "arena); 'arena'/'reference' pin one CDCL kernel"
-        ),
-    )
     args = parser.parse_args()
 
-    config = Figure4Config(
-        bug_names=list(QUICK_BUGS),
-        opt_level=args.opt_level,
-        backend=args.sat_backend,
-    )
+    config = Figure4Config(bug_names=list(QUICK_BUGS), opt_level=args.opt_level)
     if args.full:
         config.bug_names = None
     if args.bugs:

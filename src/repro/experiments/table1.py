@@ -48,10 +48,6 @@ class Table1Config:
     #: Compilation-pipeline level for every solver in the experiment
     #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
     opt_level: Optional[int] = None
-    #: Solver backend spec for every flow in the experiment — ``"cdcl"``
-    #: follows ``$REPRO_SAT_BACKEND``; ``"arena"`` / ``"reference"`` pin a
-    #: kernel (see :mod:`repro.solve.backend`).
-    backend: str = "cdcl"
     #: Engine for the SQED column: ``"bmc"`` (the paper's bounded check, the
     #: default) or an unbounded prover (``"kinduction"`` / ``"pdr"``) that
     #: upgrades the dash to a *proof* that SQED cannot detect the bug at any
@@ -132,14 +128,10 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
             proc_config,
             equivalents=equivalents,
             fifo_depth=config.fifo_depth,
-            backend=config.backend,
             opt_level=config.opt_level,
         )
         sqed = SqedFlow(
-            proc_config,
-            fifo_depth=config.fifo_depth,
-            backend=config.backend,
-            opt_level=config.opt_level,
+            proc_config, fifo_depth=config.fifo_depth, opt_level=config.opt_level
         )
         sepe_outcome = sepe.run(bug, bound=config.sepe_bound)
         if config.engine == "bmc":
@@ -200,22 +192,10 @@ def main() -> None:  # pragma: no cover - CLI entry point
             "into a proof of non-detection"
         ),
     )
-    parser.add_argument(
-        "--sat-backend",
-        choices=("cdcl", "arena", "reference"),
-        default="cdcl",
-        help=(
-            "SAT backend spec: 'cdcl' follows $REPRO_SAT_BACKEND (default "
-            "arena); 'arena'/'reference' pin one CDCL kernel"
-        ),
-    )
     args = parser.parse_args()
 
     config = Table1Config(
-        bug_names=list(QUICK_BUGS),
-        opt_level=args.opt_level,
-        engine=args.engine,
-        backend=args.sat_backend,
+        bug_names=list(QUICK_BUGS), opt_level=args.opt_level, engine=args.engine
     )
     if args.full:
         config.bug_names = None

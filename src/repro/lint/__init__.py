@@ -13,9 +13,7 @@ Three layers, one report format:
   ``REPRO_SANITIZE=1``) so the SAT layer stays import-independent of this
   package; :data:`ENV_SANITIZE` is re-exported here for discoverability.
 
-:mod:`repro.lint.gate` turns a report into a pre-solve gate (``lint=``
-``"error"`` / ``"warn"`` / ``"off"``, default off) used by
-:class:`~repro.bmc.engine.BmcSession` and the verification flows, and
+The zoo oracle lints every seeded model before solving it, and
 ``python -m repro.lint`` runs the analyzers from the command line.
 """
 
@@ -27,7 +25,6 @@ from repro.lint.findings import (
     LintReport,
 )
 from repro.lint.encoding import lint_aig, lint_cnf, lint_encoding_stats
-from repro.lint.gate import GATE_MODES, LintWarning, gate_transition_system
 from repro.lint.model import lint_transition_system
 from repro.sat.sanitize import ENV_SANITIZE
 
@@ -42,7 +39,4 @@ __all__ = [
     "lint_encoding_stats",
     "lint_transition_system",
     "ENV_SANITIZE",
-    "GATE_MODES",
-    "LintWarning",
-    "gate_transition_system",
 ]

@@ -13,9 +13,6 @@ SEV_INFO = "info"
 
 _SEVERITIES = (SEV_ERROR, SEV_WARNING, SEV_INFO)
 
-#: Rank for threshold comparisons: lower rank = more severe.
-_SEV_RANK = {SEV_ERROR: 0, SEV_WARNING: 1, SEV_INFO: 2}
-
 
 @dataclass(frozen=True)
 class LintFinding:
@@ -87,11 +84,6 @@ class LintReport:
     @property
     def infos(self) -> list[LintFinding]:
         return [f for f in self.findings if f.severity == SEV_INFO]
-
-    def at_least(self, severity: str) -> list[LintFinding]:
-        """Findings at ``severity`` or more severe."""
-        rank = _SEV_RANK[severity]
-        return [f for f in self.findings if _SEV_RANK[f.severity] <= rank]
 
     def by_rule(self, rule: str) -> list[LintFinding]:
         return [f for f in self.findings if f.rule == rule]

@@ -234,7 +234,6 @@ class PdrEngine:
     def __init__(
         self,
         ts: TransitionSystem,
-        backend: str = "cdcl",
         opt_level: "PipelineConfig | int | None" = None,
         max_frames: int = 100,
         seed_lemmas: Optional[Iterable[Cube]] = None,
@@ -243,7 +242,6 @@ class PdrEngine:
         if max_frames < 1:
             raise PdrError(f"max_frames must be >= 1, got {max_frames}")
         self.ts = ts
-        self.backend = backend
         self.pipeline = PipelineConfig.resolve(opt_level)
         self.max_frames = max_frames
         self.seed_lemmas = None if seed_lemmas is None else list(seed_lemmas)
@@ -265,7 +263,6 @@ class PdrEngine:
         run = _PdrRun(
             self.ts,
             property_name,
-            backend=self.backend,
             pipeline=self.pipeline,
             max_frames=max_frames if max_frames is not None else self.max_frames,
             conflict_budget=conflict_budget,
@@ -282,7 +279,6 @@ class _PdrRun:
         self,
         ts: TransitionSystem,
         property_name: str,
-        backend: str,
         pipeline: PipelineConfig,
         max_frames: int,
         conflict_budget: Optional[int],
@@ -359,25 +355,25 @@ class _PdrRun:
 
         # Consecution context: one transition relation, frames as
         # activation-guarded clauses, queried backwards from every frame.
-        self._cons = SolverContext(backend=backend, opt_level=pipeline)
+        self._cons = SolverContext(opt_level=pipeline)
         for term in constraints_curr:
             self._cons.add(term)
         for term in constraints_next:
             self._cons.add(term)
         # Bad-state context: no transition, permanently asserts ¬P.
-        self._bad = SolverContext(backend=backend, opt_level=pipeline)
+        self._bad = SolverContext(opt_level=pipeline)
         for term in constraints_curr:
             self._bad.add(term)
         self._bad.add(self._not_prop_curr)
         # Initiation context: Init plus the step constraints.
-        self._init = SolverContext(backend=backend, opt_level=pipeline)
+        self._init = SolverContext(opt_level=pipeline)
         for term in constraints_curr:
             self._init.add(term)
         self._init.add(self._init_term)
         # Lifting context for bad states: asserts P, so a bad state's cube
         # literals are jointly UNSAT and the core names the bits that
         # already force the violation.
-        self._safe = SolverContext(backend=backend, opt_level=pipeline)
+        self._safe = SolverContext(opt_level=pipeline)
         for term in constraints_curr:
             self._safe.add(term)
         self._safe.add(self._prop_curr)

@@ -50,7 +50,6 @@ def check_invariant(
     ts: TransitionSystem,
     property_name: str,
     clauses: Iterable[BV],
-    backend: str = "cdcl",
     opt_level: Optional[int] = 0,
 ) -> InvariantCheck:
     """Re-check that ``clauses`` form an inductive invariant proving the property.
@@ -102,7 +101,7 @@ def check_invariant(
     init_term = T.bv_and_all(init_parts) if init_parts else T.bv_true()
 
     def unsat(assertions: list[BV]) -> bool:
-        context = SolverContext(backend=backend, opt_level=opt_level)
+        context = SolverContext(opt_level=opt_level)
         for term in assertions:
             context.add(term)
         result = context.check(need_model=False)

@@ -76,14 +76,14 @@ class RegisterPartition:
         )
 
     @classmethod
-    def edsepv(cls, num_regs: int, num_temps: int | None = None) -> "RegisterPartition":
+    def edsepv(cls, num_regs: int) -> "RegisterPartition":
         """EDSEP-V: O / E / T split (Section 5 of the paper).
 
-        For 32 registers with the default temp count this gives
-        O = x0..x12, E = x13..x25, T = x26..x31, exactly as in the paper.
+        ``max(2, num_regs * 6 // 32)`` registers are temporaries: for 32
+        registers this gives O = x0..x12, E = x13..x25, T = x26..x31,
+        exactly as in the paper.
         """
-        if num_temps is None:
-            num_temps = max(2, num_regs * 6 // 32)
+        num_temps = max(2, num_regs * 6 // 32)
         paired = (num_regs - num_temps) // 2
         if paired < 2:
             raise QedError(

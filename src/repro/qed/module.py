@@ -87,7 +87,6 @@ def build_verification_model(
     scheme: TransformScheme,
     bug: Optional[Bug] = None,
     fifo_depth: int = 2,
-    compare_memory: bool = True,
     name: Optional[str] = None,
 ) -> QedVerificationModel:
     """Assemble the transition system for one (DUV, transformation) pair."""
@@ -293,7 +292,7 @@ def build_verification_model(
         T.bv_eq(handles.reg_symbols[o], handles.reg_symbols[s])
         for o, s in partition.compare_pairs(include_zero=False)
     ]
-    if compare_memory and memory_ops:
+    if memory_ops:
         comparisons.extend(
             T.bv_eq(handles.mem_symbols[o], handles.mem_symbols[s])
             for o, s in scheme.memory.compare_pairs()

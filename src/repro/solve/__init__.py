@@ -4,21 +4,15 @@ The subsystem has two halves:
 
 * :mod:`repro.solve.context` — :class:`SolverContext`, a long-lived pairing
   of one bit-blaster and one SAT backend with assumption-scoped push/pop,
-* :mod:`repro.solve.backend` — the pluggable backend protocol plus the
-  builtin CDCL backend and a DIMACS subprocess backend.
+* :mod:`repro.solve.backend` — :class:`CdclBackend`, the builtin CDCL
+  solver on the kernel ``$REPRO_SAT_BACKEND`` selects.
 
 Every solver loop in the stack (``BmcEngine``/``BmcSession``,
 ``KInductionEngine``, ``PdrEngine``, ``CegisEngine``,
 ``qed.verify_equivalence``) runs on ``SolverContext``, the only solver API.
 """
 
-from repro.solve.backend import (
-    CdclBackend,
-    DimacsBackend,
-    SatBackend,
-    create_backend,
-    dimacs_solver_available,
-)
+from repro.solve.backend import CdclBackend
 from repro.solve.context import BVResult, SolverContext
 from repro.solve.pipeline import (
     EncodingStats,
@@ -29,12 +23,8 @@ from repro.solve.pipeline import (
 __all__ = [
     "BVResult",
     "CdclBackend",
-    "DimacsBackend",
     "EncodingStats",
     "PipelineConfig",
-    "SatBackend",
     "SolverContext",
-    "create_backend",
     "default_opt_level",
-    "dimacs_solver_available",
 ]

@@ -1,8 +1,9 @@
 """A persistent, incremental QF_BV solving context.
 
 ``SolverContext`` owns one :class:`~repro.smt.bitblast.BitBlaster` and one
-SAT backend for its whole lifetime.  Everything the iterated solver loops
-need falls out of that single decision:
+:class:`~repro.solve.backend.CdclBackend` for its whole lifetime.
+Everything the iterated solver loops need falls out of that single
+decision:
 
 * repeated subterms — shared pipeline logic across BMC frames, repeated
   CEGIS example instantiations — hit the blaster's term and gate caches and
@@ -17,13 +18,12 @@ need falls out of that single decision:
   scope by asserting the negated activation literal — learned clauses
   survive the pop.
 
-The SAT backend is pluggable (see :mod:`repro.solve.backend`): the builtin
-CDCL solver by default, or a DIMACS subprocess for external solvers.
+The backend's CDCL kernel follows ``$REPRO_SAT_BACKEND`` (see
+:mod:`repro.solve.backend`).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -34,7 +34,7 @@ from repro.smt import terms as T
 from repro.smt.bitblast import BitBlaster
 from repro.smt.evaluator import evaluate, free_variables
 from repro.smt.terms import BV
-from repro.solve.backend import SatBackend, create_backend
+from repro.solve.backend import CdclBackend
 from repro.solve.pipeline import EncodingStats, PipelineConfig
 from repro.utils.bitops import from_bits
 
@@ -61,7 +61,7 @@ class BVResult:
     #: that — together with the asserted formulas and the open scopes —
     #: already makes the query unsatisfiable.  ``[]`` means the query is
     #: UNSAT without any of the passed assumptions; ``None`` on SAT/unknown
-    #: answers (or when the backend cannot report cores).
+    #: answers.
     core: Optional[list["BV"]] = None
 
     def __bool__(self) -> bool:
@@ -82,37 +82,6 @@ class BVResult:
         return evaluate(term, assignment)
 
 
-#: Backend instances already bound to a context (weak so contexts can die).
-_CLAIMED_BACKENDS: "weakref.WeakSet" = weakref.WeakSet()
-
-_ALREADY_OWNED = (
-    "SAT backend instance is already owned by another SolverContext; "
-    "pass a spec string (e.g. 'cdcl') or a fresh backend instance"
-)
-
-
-def _claim_backend(backend: SatBackend) -> None:
-    """Bind ``backend`` to exactly one context, whatever its class shape."""
-    try:
-        if backend in _CLAIMED_BACKENDS:
-            raise SolveError(_ALREADY_OWNED)
-        _CLAIMED_BACKENDS.add(backend)
-        return
-    except TypeError:
-        pass  # not weak-referenceable; fall back to an instance attribute
-    if getattr(backend, "_solver_context_owned", False):
-        raise SolveError(_ALREADY_OWNED)
-    try:
-        backend._solver_context_owned = True  # type: ignore[attr-defined]
-    except AttributeError:
-        # Neither weak-referenceable nor attribute-assignable: refusing is
-        # safer than risking the silent clause/variable-space collision.
-        raise SolveError(
-            "cannot track ownership of this SAT backend instance "
-            "(__slots__ without __weakref__); pass a spec string instead"
-        )
-
-
 class _Scope:
     """One assumption-guarded assertion scope."""
 
@@ -126,20 +95,10 @@ class _Scope:
 class SolverContext:
     """Incremental QF_BV solving over one blaster and one SAT backend."""
 
-    def __init__(
-        self,
-        backend: "str | SatBackend" = "cdcl",
-        opt_level: "PipelineConfig | int | None" = None,
-    ):
+    def __init__(self, opt_level: "PipelineConfig | int | None" = None):
         self.pipeline = PipelineConfig.resolve(opt_level)
         self._blaster = BitBlaster(pipeline=self.pipeline)
-        self._backend: SatBackend = create_backend(backend)
-        # A backend holds clauses numbered by this context's blaster, so a
-        # single instance must never serve two contexts: the second blaster
-        # restarts variable numbering and silently collides with the first
-        # context's clauses.  Spec strings always construct a fresh backend;
-        # instances are claimed on first use.
-        _claim_backend(self._backend)
+        self._backend = CdclBackend()
         # CNF preprocessing (opt_level >= 2) filters every synced batch; the
         # constant-true variable is frozen forever, named-variable bits and
         # activation literals are frozen as they appear, and a query's
@@ -164,7 +123,7 @@ class SolverContext:
     # ------------------------------------------------------------- properties
 
     @property
-    def backend(self) -> SatBackend:
+    def backend(self) -> CdclBackend:
         return self._backend
 
     @property
@@ -309,6 +268,10 @@ class SolverContext:
                     self._blaster.cnf.add_clause([-scope.activation])
             return
         literal = self._blaster.assumption_literal(term)
+        if literal == self._blaster._const_var:
+            # A non-constant term that lowers to TRUE: the blaster's unit on
+            # the constant-true variable already holds it.
+            return
         if scope is None:
             self._blaster.cnf.add_clause([literal])
         else:
@@ -488,21 +451,18 @@ class SolverContext:
 
     @staticmethod
     def _lift_core(
-        backend_core: Optional[list[int]],
+        backend_core: list[int],
         assumption_lits: list[int],
         assumption_terms: list["BV"],
-    ) -> Optional[list["BV"]]:
+    ) -> list["BV"]:
         """Map a backend literal core to the assumption terms it names.
 
         ``assumption_lits``/``assumption_terms`` are the aligned blast
         results of the caller's non-constant assumptions.  Scope activation
         literals in the backend core are internal and dropped; distinct
         terms sharing one blasted literal are all kept (the lifted set stays
-        a subset of the assumptions and still implies UNSAT).  ``None``
-        (backend without core support) is passed through.
+        a subset of the assumptions and still implies UNSAT).
         """
-        if backend_core is None:
-            return None
         failed = set(backend_core)
         return [
             term

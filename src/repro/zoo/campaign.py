@@ -26,6 +26,7 @@ from typing import Optional
 from repro.errors import ZooError
 from repro.par import TaskPool
 from repro.proc.bugs import BugRecipe
+from repro.solve.backend import default_sat_kernel
 from repro.zoo.families import FAMILIES, ZooInstance, instantiate, sample_recipe
 from repro.zoo.oracle import (
     OracleReport,
@@ -196,7 +197,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             "pdr_total_budget": config.settings.pdr_total_budget,
             "bmc_conflict_budget": config.settings.bmc_conflict_budget,
             "control_bound": config.settings.control_bound,
-            "backend": config.settings.backend,
+            "sat_kernel": default_sat_kernel(),
             "opt_level": config.settings.opt_level,
         },
         seeded=seeded,

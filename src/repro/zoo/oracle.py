@@ -74,7 +74,6 @@ class OracleSettings:
     #: surface at small bounds too, and the PDR/k-induction control legs
     #: cover depths beyond it.
     control_bound: int = 7
-    backend: str = "cdcl"
     opt_level: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -272,7 +271,6 @@ def make_flow(instance: ZooInstance, settings: OracleSettings) -> _BaseFlow:
     return cls(
         instance.config,
         fifo_depth=instance.fifo_depth,
-        backend=settings.backend,
         opt_level=settings.opt_level,
     )
 

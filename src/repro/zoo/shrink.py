@@ -43,7 +43,6 @@ def _bmc_only(settings: Optional[OracleSettings]) -> OracleSettings:
     return OracleSettings(
         engines=("bmc",),
         bmc_conflict_budget=base.bmc_conflict_budget,
-        backend=base.backend,
         opt_level=base.opt_level,
     )
 

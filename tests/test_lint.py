@@ -1,4 +1,4 @@
-"""The repro.lint subsystem: model rules, encoding rules, gates, CLI.
+"""The repro.lint subsystem: model rules, encoding rules, the oracle gate, CLI.
 
 Every rule is exercised in both directions — a fixture that trips it and
 a clean fixture that passes it.  Parser-expressible rules use the BTOR2
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -21,11 +20,9 @@ from repro.errors import Btor2Error, LintError, ReproError
 from repro.lint import (
     LintFinding,
     LintReport,
-    LintWarning,
     SEV_ERROR,
     SEV_INFO,
     SEV_WARNING,
-    gate_transition_system,
     lint_aig,
     lint_cnf,
     lint_encoding_stats,
@@ -69,7 +66,6 @@ class TestFindings:
         report.add("model.b", SEV_WARNING, "state y", "odd")
         report.add("model.c", SEV_INFO, "state z", "fyi")
         assert [f.rule for f in report.errors] == ["model.a"]
-        assert [f.rule for f in report.at_least("warning")] == ["model.a", "model.b"]
         assert report.rules() == {"model.a", "model.b", "model.c"}
         rendered = report.render()
         assert "error[model.a] state x: broken (hint: fix it)" in rendered
@@ -205,14 +201,17 @@ class TestShippedArtifactsLintClean:
             env=env,
         )
         assert export.returncode == 0, export.stdout + export.stderr
+        # --encode-bound 3 also lints the BMC encoding: a frame constraint
+        # that lowers to TRUE must not repeat the constant-true unit.
         result = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(model)],
+            [sys.executable, "-m", "repro.lint", str(model), "--encode-bound", "3"],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
             env=env,
         )
         assert result.returncode == 0, result.stdout + result.stderr
+        assert "encoding.dup-clause" not in result.stdout, result.stdout
 
     @pytest.mark.parametrize("buggy", [False, True])
     def test_pdr_designs_lint_clean(self, buggy):
@@ -337,60 +336,11 @@ class TestEncodingLint:
 
 
 # ---------------------------------------------------------------------------
-# gate plumbing
+# the zoo oracle's up-front lint gate
 # ---------------------------------------------------------------------------
 
 
 class TestLintGate:
-    def test_off_mode_skips_lint_entirely(self):
-        report = gate_transition_system(load_fixture("missing_next"), "off")
-        assert not report.findings
-
-    def test_error_mode_raises_on_errors(self):
-        with pytest.raises(LintError, match="model.missing-next"):
-            gate_transition_system(load_fixture("missing_next"), "error")
-
-    def test_error_mode_warns_on_warnings(self):
-        with pytest.warns(LintWarning, match="model.latch-no-init"):
-            gate_transition_system(load_fixture("latch_no_init"), "error")
-
-    def test_warn_mode_never_raises(self):
-        with pytest.warns(LintWarning, match="model.missing-next"):
-            report = gate_transition_system(load_fixture("missing_next"), "warn")
-        assert report.errors
-
-    def test_clean_system_passes_error_gate_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = gate_transition_system(counter_ts(), "error")
-        assert not report.findings
-
-    def test_default_mode_is_off_and_unknown_mode_raises(self):
-        broken = load_fixture("missing_next")
-        assert not gate_transition_system(broken).findings
-        with pytest.raises(LintError, match="loud"):
-            gate_transition_system(broken, "loud")
-
-    def test_bmc_session_gates(self):
-        from repro.bmc.engine import BmcSession
-
-        broken = load_fixture("missing_next")
-        with pytest.raises(LintError, match="BmcSession"):
-            BmcSession(broken, "r_saturates", lint="error")
-        # Clean model sails through the same gate.
-        session = BmcSession(counter_ts(), "safe", lint="error")
-        assert session is not None
-
-    def test_flow_gates_before_solving(self, tiny_processor_config):
-        from repro.core.flow import SqedFlow
-
-        flow = SqedFlow(tiny_processor_config, lint="error")
-        # The gate passes (no error-severity findings) but surfaces the
-        # QED model's dead uncompared latches as warnings.
-        with pytest.warns(LintWarning, match="model.dead-latch"):
-            outcome = flow.run(bound=2)
-        assert outcome.detected is False
-
     def test_zoo_oracle_rejects_lint_tripping_model(self, monkeypatch):
         from repro.zoo import oracle as Z
         from repro.zoo.families import instantiate, sample_recipe

@@ -246,7 +246,6 @@ class TestQueryLocalClauses:
         run = _PdrRun(
             ts,
             "consistent",
-            backend="cdcl",
             pipeline=PipelineConfig.resolve(None),
             max_frames=5,
             conflict_budget=None,

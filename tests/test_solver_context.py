@@ -9,8 +9,6 @@ workloads that now share it.
 from __future__ import annotations
 
 import os
-import stat
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +17,9 @@ from repro.errors import SmtError, SolveError
 from repro.smt import terms as T
 from repro.smt.bitblast import BitBlaster
 from repro.smt.evaluator import evaluate, free_variables
-from repro.solve import (
-    CdclBackend,
-    DimacsBackend,
-    SolverContext,
-    create_backend,
-)
+from repro.sat.arena import ArenaSolver
+from repro.sat.solver import SatSolver
+from repro.solve import SolverContext
 from repro.bmc.engine import BmcEngine, BmcSession
 from repro.bmc.kinduction import KInductionEngine
 from repro.synth.cegis import CegisConfig, CegisEngine
@@ -141,9 +136,10 @@ class TestPreprocessedDecisions:
     ``extend_model`` completes the eliminated ones afterwards.
     """
 
-    def test_eliminated_variables_are_never_decided(self):
+    def test_eliminated_variables_are_never_decided(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SAT_BACKEND", "arena")
         x, y, z = (T.bv_var(f"elim_{name}", W) for name in "xyz")
-        ctx = SolverContext(backend=CdclBackend(kernel="arena"), opt_level=2)
+        ctx = SolverContext(opt_level=2)
         solver = ctx.backend._solver
         pre = ctx._pre
         decided: list[int] = []
@@ -491,6 +487,27 @@ class TestAddClause:
 values = st.integers(min_value=0, max_value=mask(W))
 
 
+class TestConstantTrueAssertion:
+    """A non-constant term that lowers to TRUE adds no clause."""
+
+    def test_one_constant_unit_at_root_and_in_a_scope(self):
+        ctx = SolverContext(opt_level=2)
+        x = T.bv_var("ctrue_x", 4)
+        always = T.bv_ule(T.bv_const(0, 4), x)
+        assert not always.is_const
+        clauses = ctx.blaster.cnf.clauses
+        unit = (ctx.blaster._const_var,)
+        ctx.add(always)
+        assert [tuple(c) for c in clauses].count(unit) == 1
+        ctx.push()
+        before = len(clauses)
+        ctx.add(always)
+        assert len(clauses) == before
+        assert [tuple(c) for c in clauses].count(unit) == 1
+        assert ctx.assertions == [always, always]
+        assert ctx.check().satisfiable is True
+
+
 class TestIncrementalVsOneshot:
     """A reused context agrees with fresh per-query solving."""
 
@@ -644,123 +661,36 @@ class TestSharedEquivalenceChecking:
             assert verify_equivalence(program)
 
 
-class TestBackends:
-    def test_create_backend_specs(self):
-        assert isinstance(create_backend("cdcl"), CdclBackend)
-        backend = CdclBackend()
-        assert create_backend(backend) is backend
-        with pytest.raises(SolveError):
-            create_backend("unknown-backend")
-        with pytest.raises(SolveError):
-            create_backend("dimacs:")
-        with pytest.raises(SolveError):
-            create_backend("dimacs:definitely-not-a-solver-binary")
+class TestKernelSelection:
+    """``$REPRO_SAT_BACKEND`` is the one kernel selector, read per context."""
 
-    def test_backend_instance_cannot_serve_two_contexts(self):
-        # A backend holds clauses numbered by one blaster; sharing it with a
-        # second context would silently mix variable spaces.
-        backend = CdclBackend()
-        SolverContext(backend=backend)
-        with pytest.raises(SolveError):
-            SolverContext(backend=backend)
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_unset_or_empty_selects_the_arena(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_SAT_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SAT_BACKEND", value)
+        ctx = SolverContext()
+        assert ctx.backend.kernel == "arena"
+        assert isinstance(ctx.backend._solver, ArenaSolver)
 
-    @staticmethod
-    def _install_script(tmp_path, monkeypatch, name: str, body: str) -> str:
-        """Put an executable Python script called ``name`` first on PATH."""
-        script = tmp_path / name
-        script.write_text(f"#!{sys.executable}\n{body}")
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        monkeypatch.setenv("PATH", str(tmp_path), prepend=os.pathsep)
-        return name
+    def test_reference_reaches_the_bmc_session_context(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SAT_BACKEND", "reference")
+        session = BmcSession(_counter_system("kern_ref", 5), "bounded")
+        assert session.context.backend.kernel == "reference"
+        assert isinstance(session.context.backend._solver, SatSolver)
+        assert session.extend_to(6).holds is True
 
-    @pytest.fixture()
-    def stub_solver(self, tmp_path, monkeypatch):
-        """A DIMACS 'solver' that answers with the builtin CDCL engine."""
-        repo_src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        return self._install_script(
-            tmp_path,
-            monkeypatch,
-            "stub-sat-solver",
-            "import sys\n"
-            "sys.path.insert(0, %r)\n"
-            "from repro.sat.cnf import parse_dimacs\n"
-            "from repro.sat.solver import SatSolver\n"
-            "with open(sys.argv[1]) as fh:\n"
-            "    cnf = parse_dimacs(fh.read())\n"
-            "result = SatSolver(cnf).solve()\n"
-            "if result.satisfiable:\n"
-            "    print('s SATISFIABLE')\n"
-            "    lits = [v if val else -v for v, val in sorted(result.model.items())]\n"
-            "    print('v ' + ' '.join(map(str, lits)) + ' 0')\n"
-            "    sys.exit(10)\n"
-            "print('s UNSATISFIABLE')\n"
-            "sys.exit(20)\n" % os.path.abspath(repo_src),
-        )
+    def test_unknown_kernel_raises_naming_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SAT_BACKEND", "kissat")
+        with pytest.raises(SolveError, match="REPRO_SAT_BACKEND"):
+            SolverContext()
 
-    def test_dimacs_backend_rejects_malformed_model_line(self, tmp_path, monkeypatch):
-        name = self._install_script(
-            tmp_path,
-            monkeypatch,
-            "garbled-sat-solver",
-            "import sys\n"
-            "print('s SATISFIABLE')\n"
-            "print('v 1 -2 oops 0')\n"
-            "sys.exit(10)\n",
-        )
-        ctx = SolverContext(backend=f"dimacs:{name}")
-        x, _ = _vars("garbled")
-        ctx.add(T.bv_eq(x, T.bv_const(1, W)))
-        with pytest.raises(SolveError, match="garbled-sat-solver"):
-            ctx.check()
-
-    def test_dimacs_backend_roundtrip(self, stub_solver):
-        ctx = SolverContext(backend=f"dimacs:{stub_solver}")
-        x, y = _vars("dim")
-        ctx.add(T.bv_eq(T.bv_add(x, y), T.bv_const(9, W)))
-        result = ctx.check()
-        assert result.satisfiable
-        assert (result.model[x.name] + result.model[y.name]) & mask(W) == 9
-        ctx.push()
-        ctx.add(T.bv_eq(x, T.bv_const(1, W)))
-        scoped = ctx.check()
-        assert scoped.satisfiable and scoped.model[x.name] == 1
-        ctx.pop()
-        assert ctx.check(assumptions=[T.bv_ult(x, x)]).satisfiable is False
-
-    def test_dimacs_backend_agrees_with_cdcl(self, stub_solver):
-        backend_spec = f"dimacs:{stub_solver}"
-        x, y = _vars("dimeq")
-        constraints = [
-            [T.bv_ult(x, y), T.bv_ult(y, x)],
-            [T.bv_eq(T.bv_and(x, y), T.bv_const(3, W)), T.bv_ult(x, T.bv_const(4, W))],
-        ]
-        for terms in constraints:
-            external = SolverContext(backend=backend_spec)
-            external.add_all(terms)
-            builtin = SolverContext()
-            builtin.add_all(terms)
-            assert external.check().satisfiable == builtin.check().satisfiable
-
-    def test_dimacs_backend_cores(self, stub_solver):
-        # External solvers cannot minimise, but the core contract still
-        # holds: a subset of the assumptions (here: all of them), still
-        # UNSAT when re-checked, and empty exactly on root UNSAT.
-        ctx = SolverContext(backend=f"dimacs:{stub_solver}")
-        x, _ = _vars("dimcore")
-        ctx.add(T.bv_ult(x, T.bv_const(8, W)))
-        a1 = T.bv_eq(x, T.bv_const(9, W))
-        a2 = T.bv_eq(x, T.bv_const(3, W))
-        result = ctx.check(assumptions=[a1, a2])
-        assert result.satisfiable is False
-        assert result.core is not None and result.core
-        assert {t.tid for t in result.core} <= {a1.tid, a2.tid}
-        assert ctx.check(assumptions=result.core).satisfiable is False
-        # Root UNSAT: the clause set alone is contradictory -> empty core.
-        ctx.add(T.bv_eq(x, T.bv_const(1, W)))
-        ctx.add(T.bv_eq(x, T.bv_const(2, W)))
-        rooted = ctx.check(assumptions=[a2])
-        assert rooted.satisfiable is False
-        assert rooted.core == []
+    def test_context_runs_the_kernel_the_environment_names(self):
+        # Each CI leg sets the variable for the whole run: a leg whose
+        # value stopped reaching the kernel would re-run the arena unseen.
+        expected = os.environ.get("REPRO_SAT_BACKEND") or "arena"
+        assert SolverContext().backend.kernel == expected
 
 
 class TestFacade:

@@ -235,17 +235,16 @@ class TestOracleSample:
         assert report.concretized is True
         assert report.cex_length is not None and report.cex_length >= 4
 
-    @pytest.mark.parametrize("backend", ["arena", "reference"])
+    @pytest.mark.parametrize("kernel", ["arena", "reference"])
     @pytest.mark.parametrize("opt_level", [0, 2])
     def test_verdict_invariant_across_kernels_and_opt_levels(
-        self, backend, opt_level
+        self, monkeypatch, kernel, opt_level
     ):
         # The oracle's answer is a property of the design, not of the SAT
         # kernel or the encoding pipeline: both kernels at both ends of
         # the optimisation range must agree, cex length included.
-        settings = OracleSettings(
-            engines=("bmc",), backend=backend, opt_level=opt_level
-        )
+        monkeypatch.setenv("REPRO_SAT_BACKEND", kernel)
+        settings = OracleSettings(engines=("bmc",), opt_level=opt_level)
         report = run_instance(
             instantiate(sample_recipe("alu_op_swap", seed=1)), settings
         )
@@ -349,6 +348,19 @@ class TestCampaign:
         # The JSON form must be self-contained and serialisable.
         blob = json.dumps(report.to_dict())
         assert json.loads(blob)["summary"]["passed"] is True
+
+    def test_config_records_the_kernel_that_ran(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SAT_BACKEND", "reference")
+        config = CampaignConfig(
+            count=1,
+            seed=5,
+            families=("alu_op_swap",),
+            settings=_BMC_ONLY,
+            run_controls=False,
+        )
+        report = run_campaign(config)
+        assert report.summary["detected"] == 1
+        assert report.config["sat_kernel"] == "reference"
 
     def test_campaign_rejects_bad_config(self):
         with pytest.raises(ZooError):
