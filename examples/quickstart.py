@@ -28,7 +28,7 @@ from repro import (
 
 def main() -> None:
     # A narrow datapath keeps the pure-Python SAT backend fast; the flow is
-    # identical at XLEN=32 (see DESIGN.md for the substitution notes).
+    # identical at XLEN=32.
     isa = IsaConfig.small(xlen=8, num_regs=8)
 
     # The equivalent programs SEPE-SQED dispatches instead of duplicates.

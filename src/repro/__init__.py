@@ -22,7 +22,8 @@ Quickstart::
     outcome = SepeSqedFlow(config).run(bug, bound=10)
     assert outcome.detected
 
-See ``examples/`` and ``EXPERIMENTS.md`` for the full experiment harnesses.
+See ``examples/`` for runnable scripts and :mod:`repro.experiments` for the
+experiment harnesses.
 """
 
 from repro.isa.config import IsaConfig

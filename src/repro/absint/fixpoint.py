@@ -31,7 +31,7 @@ from repro.smt.evaluator import substitute
 from repro.ts.system import TransitionSystem
 
 #: Number of joins a latch absorbs before interval widening kicks in.
-DEFAULT_WIDEN_DELAY = 8
+WIDEN_DELAY = 8
 
 
 @dataclass
@@ -96,23 +96,18 @@ def _fingerprint(ts: TransitionSystem) -> tuple:
     return (states, inputs, props, constraints)
 
 
-def analyze(
-    ts: TransitionSystem, *, widen_delay: int = DEFAULT_WIDEN_DELAY
-) -> Analysis:
+def analyze(ts: TransitionSystem) -> Analysis:
     """The (cached) abstract reachability analysis of ``ts``."""
-    if widen_delay < 1:
-        raise AbsintError(f"widen_delay must be positive, got {widen_delay}")
     fingerprint = _fingerprint(ts)
     cached = _CACHE.get(ts)
-    if cached is not None and cached[0] == fingerprint and widen_delay == DEFAULT_WIDEN_DELAY:
+    if cached is not None and cached[0] == fingerprint:
         return cached[1]
-    analysis = _run(ts, widen_delay)
-    if widen_delay == DEFAULT_WIDEN_DELAY:
-        _CACHE[ts] = (fingerprint, analysis)
+    analysis = _run(ts)
+    _CACHE[ts] = (fingerprint, analysis)
     return analysis
 
 
-def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
+def _run(ts: TransitionSystem) -> Analysis:
     state_names = {s.name for s in ts.states}
     env: dict[str, AbstractValue] = {
         inp.name: D.top(inp.width) for inp in ts.inputs
@@ -170,7 +165,7 @@ def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
     # Backstop only: each component's chain height is linear in the width,
     # and widening bounds the interval changes by a constant.
     caps = {
-        name: widen_delay + 4 * ts.state_symbol(name).width + 16
+        name: WIDEN_DELAY + 4 * ts.state_symbol(name).width + 16
         for name in transition
     }
 
@@ -184,7 +179,7 @@ def _run(ts: TransitionSystem, widen_delay: int) -> Analysis:
         if joined == current:
             continue
         updates[name] += 1
-        if updates[name] > widen_delay:
+        if updates[name] > WIDEN_DELAY:
             joined = D.widen(current, joined)
             widenings += 1
             if joined == current:

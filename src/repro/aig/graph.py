@@ -23,7 +23,7 @@ which maximises strashing hits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 K_CONST = 0
 K_INPUT = 1
@@ -115,9 +115,6 @@ class AIG:
         self._args.append(())
         self._num_inputs += 1
         return len(self._kind) - 1
-
-    def not_(self, a: int) -> int:
-        return -a
 
     def and_(self, a: int, b: int) -> int:
         if a == self.FALSE or b == self.FALSE:
@@ -254,15 +251,3 @@ class AIG:
             else:  # K_ITE
                 cache[node] = values[1] if values[0] else values[2]
         return cache[abs(lit)] ^ (lit < 0)
-
-    def cone_nodes(self, roots: Iterable[int]) -> set[int]:
-        """Node ids of the transitive fan-in of ``roots`` (constants excluded)."""
-        seen: set[int] = set()
-        stack = [abs(root) for root in roots]
-        while stack:
-            node = stack.pop()
-            if node <= 1 or node in seen:
-                continue
-            seen.add(node)
-            stack.extend(abs(arg) for arg in self._args[node])
-        return seen

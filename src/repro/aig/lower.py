@@ -52,9 +52,6 @@ class CnfLowering:
         self.watched: set[int] = set()
         self.watched_lowered: list[int] = []
 
-    def is_lowered(self, lit: int) -> bool:
-        return abs(lit) in self._map
-
     def materialize(self, lit: int) -> int:
         """Return the CNF literal for ``lit``, lowering its cone on demand."""
         node = abs(lit)

@@ -69,10 +69,6 @@ class BmcResult:
     stats: BmcStats = field(default_factory=BmcStats)
 
     @property
-    def found_bug(self) -> bool:
-        return self.holds is False
-
-    @property
     def counterexample_length(self) -> Optional[int]:
         return None if self.trace is None else self.trace.length
 

@@ -1,26 +1,13 @@
 """Experiment harnesses that regenerate the paper's tables and figures.
 
-Each module can be run directly (``python -m repro.experiments.figure3``)
-and is also imported by the pytest-benchmark suites under ``benchmarks/``.
-The harnesses print the same rows/series the paper reports; EXPERIMENTS.md
-records the measured numbers next to the paper's.
+Each module runs directly (``python -m repro.experiments.figure3``) and
+prints the same rows/series the paper reports.  This package imports none
+of them: ``python -m`` would otherwise execute the module it runs twice.
 
-All experiments run on a scaled-down datapath (see DESIGN.md): absolute
-times differ from the paper (our backend is a pure-Python SAT solver), but
-the qualitative shape — HPF-CEGIS beating iterative CEGIS, SQED missing all
-single-instruction bugs while SEPE-SQED catches them, both methods catching
-multiple-instruction bugs with comparable traces — is what is reproduced.
+All experiments run on a scaled-down datapath (``IsaConfig.small``):
+absolute times differ from the paper (our backend is a pure-Python SAT
+solver), but the qualitative shape — HPF-CEGIS beating iterative CEGIS,
+SQED missing all single-instruction bugs while SEPE-SQED catches them, both
+methods catching multiple-instruction bugs with comparable traces — is what
+is reproduced.
 """
-
-from repro.experiments.figure3 import run_figure3, Figure3Config
-from repro.experiments.table1 import run_table1, Table1Config
-from repro.experiments.figure4 import run_figure4, Figure4Config
-
-__all__ = [
-    "run_figure3",
-    "Figure3Config",
-    "run_table1",
-    "Table1Config",
-    "run_figure4",
-    "Figure4Config",
-]

@@ -24,8 +24,7 @@ from repro.utils.tables import TextTable
 #: Default case list: all 26 supported instructions, as in the paper.
 ALL_CASES = synthesis_case_names()
 
-#: A compact case list used by the benchmark suite so a full run stays fast.
-#: (The full 26-case sweep is available via ``python -m repro.experiments.figure3 --full``.)
+#: The default case list, which the CLI runs unless given --full or --cases.
 QUICK_CASES = ["ADD", "SLT"]
 
 

@@ -21,7 +21,7 @@ from repro.proc.config import ProcessorConfig
 from repro.qed.equivalents import default_equivalent_programs
 from repro.utils.tables import TextTable
 
-#: Subset used by the benchmark suite.
+#: The bugs the CLI runs by default (every Figure 4 bug with --full).
 QUICK_BUGS = [
     "multi_no_forward_ex_rs1",
     "multi_wb_dropped_on_double_write",

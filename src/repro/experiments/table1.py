@@ -5,11 +5,14 @@ detection time and a dash for SQED (which, by construction, cannot observe
 a bug that corrupts the original instruction and its duplicate identically).
 This harness reproduces exactly that: for each bug it runs SEPE-SQED
 (expecting a counterexample) and SQED (expecting the property to hold up to
-the bound) and prints the table.
+the bound) and prints the table.  A dash means SQED finished its bound (or
+proof) without a detection; a run that exhausted its conflict budget reads
+"inconclusive".
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,7 +25,7 @@ from repro.proc.config import ProcessorConfig
 from repro.qed.equivalents import default_equivalent_programs
 from repro.utils.tables import TextTable
 
-#: The bug subset used by the benchmark suite (full set via --full).
+#: The bugs the CLI runs by default (every Table 1 bug with --full).
 QUICK_BUGS = [
     "single_add_off_by_one",
     "single_xor_as_or",
@@ -42,8 +45,8 @@ class Table1Config:
     fifo_depth: int = 2
     #: Conflict budget for the SQED runs.  SQED provably cannot detect these
     #: bugs, so its BMC queries are all UNSAT; bounding the proof effort keeps
-    #: the harness fast.  An exhausted budget is reported as "-" (no bug trace
-    #: found), matching the paper's Table 1 column for SQED.
+    #: the harness fast.  A run that exhausts the budget did not finish its
+    #: bound, so its cell reads "inconclusive", not the paper's "-".
     sqed_conflict_budget: int = 20_000
     #: Compilation-pipeline level for every solver in the experiment
     #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
@@ -85,6 +88,8 @@ class Table1Result:
             )
             if row.sqed.detected:
                 sqed_cell = f"FALSE DETECTION {row.sqed.runtime_seconds:.2f}s"
+            elif row.sqed.detected is None:
+                sqed_cell = "inconclusive"
             elif row.sqed_proof is not None and row.sqed_proof.proven:
                 # The unbounded engine upgraded the dash to a proof.
                 sqed_cell = (
@@ -104,7 +109,17 @@ class Table1Result:
 
     @property
     def none_detected_by_sqed(self) -> bool:
-        return all(not row.sqed.detected for row in self.rows)
+        """Every SQED run finished its bound or proof without a detection."""
+        return all(row.sqed.detected is False for row in self.rows)
+
+    def summary(self) -> str:
+        """The CLI's closing line, with SQED's rows counted by outcome."""
+        sqed = Counter(row.sqed.detected for row in self.rows)
+        return (
+            f"SEPE-SQED detected all: {self.all_detected_by_sepe}; "
+            f"SQED detected {sqed[True]}, finished without detection "
+            f"{sqed[False]}, inconclusive {sqed[None]}"
+        )
 
 
 def run_table1(config: Table1Config | None = None) -> Table1Result:
@@ -206,10 +221,7 @@ def main() -> None:  # pragma: no cover - CLI entry point
     except UnknownBugError as exc:
         parser.error(str(exc))
     print(result.render())
-    print(
-        f"SEPE-SQED detected all: {result.all_detected_by_sepe}; "
-        f"SQED detected none: {result.none_detected_by_sqed}"
-    )
+    print(result.summary())
 
 
 if __name__ == "__main__":  # pragma: no cover

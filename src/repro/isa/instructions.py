@@ -16,7 +16,7 @@ The "result" of an instruction is the value written to ``rd`` for ALU /
 multiply / LUI instructions.  For loads and stores the result is the
 *effective address*; the memory side effect is handled by the executor and
 by the processor models.  This convention is what the synthesis
-specifications use (see DESIGN.md, SW entry of Table 1).
+specifications use; Table 1's SW entry relies on it.
 """
 
 from __future__ import annotations
@@ -82,10 +82,6 @@ class InstructionDef:
     funct3: int = 0
     funct7: int = 0
     description: str = ""
-
-    @property
-    def num_reg_inputs(self) -> int:
-        return int(self.uses_rs1) + int(self.uses_rs2)
 
 
 # ---------------------------------------------------------------- helpers

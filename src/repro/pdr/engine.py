@@ -163,13 +163,6 @@ class PdrResult:
     stats: PdrStats = field(default_factory=PdrStats)
 
     @property
-    def invariant_term(self) -> Optional[BV]:
-        """The invariant clauses conjoined into a single width-1 term."""
-        if self.invariant is None:
-            return None
-        return T.bv_and_all(self.invariant) if self.invariant else T.bv_true()
-
-    @property
     def counterexample_length(self) -> Optional[int]:
         return None if self.cex_chain is None else len(self.cex_chain)
 

@@ -63,12 +63,6 @@ class ProcessorConfig:
                 f"opcode {name!r} is not in the processor's instruction pool"
             ) from exc
 
-    def with_pool(self, ops: list[str] | tuple[str, ...]) -> "ProcessorConfig":
-        """A copy of this configuration with a different instruction pool."""
-        return ProcessorConfig(
-            isa=self.isa, supported_ops=tuple(ops), forwarding=self.forwarding
-        )
-
     @classmethod
     def small(cls, ops: list[str] | None = None, xlen: int = 8, num_regs: int = 8) -> "ProcessorConfig":
         """The scaled-down configuration used by tests and experiments."""

@@ -35,7 +35,7 @@ from repro.proc.config import ProcessorConfig
 from repro.smt import terms as T
 from repro.smt.terms import BV
 from repro.ts.system import TransitionSystem
-from repro.utils.bitops import clog2, mask
+from repro.utils.bitops import clog2
 
 
 @dataclass
@@ -324,11 +324,4 @@ class PipelineProcessor:
             pipeline_empty=pipeline_empty,
             ex_valid=ex_valid,
             wb_valid=wb_valid,
-        )
-
-    # ----------------------------------------------------- reference executor
-
-    def reference_step(self, state: "object", instr) -> None:  # pragma: no cover
-        raise ProcessorError(
-            "use repro.isa.executor for architectural reference execution"
         )

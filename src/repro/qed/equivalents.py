@@ -55,13 +55,9 @@ def verify_equivalence(
     return not result.satisfiable
 
 
-def verify_equivalences(
-    programs: Mapping[str, SynthesizedProgram],
-    context: Optional[SolverContext] = None,
-    opt_level: Optional[int] = None,
-) -> dict[str, bool]:
+def verify_equivalences(programs: Mapping[str, SynthesizedProgram]) -> dict[str, bool]:
     """Check a whole table of equivalent programs on one shared context."""
-    ctx = context if context is not None else SolverContext(opt_level=opt_level)
+    ctx = SolverContext()
     return {name: verify_equivalence(program, ctx) for name, program in programs.items()}
 
 
@@ -105,7 +101,6 @@ def _extra_nic(cfg: IsaConfig, mnemonic: str) -> "ProgramSlot.__class__":
 def default_equivalent_programs(
     cfg: IsaConfig,
     ops: Optional[Iterable[str]] = None,
-    library: Optional[ComponentLibrary] = None,
 ) -> dict[str, SynthesizedProgram]:
     """Curated equivalent programs for (most of) the supported instructions.
 
@@ -116,7 +111,7 @@ def default_equivalent_programs(
     without using the same data path), matching the paper's point that CIC
     components are added exactly where needed.
     """
-    library = library or build_default_library(cfg)
+    library = build_default_library(cfg)
     imm_all_ones = mask(cfg.imm_width)
     zero_shift_up = cfg.xlen - cfg.imm_width
     zero_shift_down = max(0, cfg.xlen - cfg.imm_width - cfg.lui_shift)
@@ -280,13 +275,3 @@ def default_equivalent_programs(
         spec = spec_from_instruction(op, cfg)
         programs[op] = SynthesizedProgram(spec, recipes[op])
     return programs
-
-
-def equivalents_from_runs(runs: Mapping[str, "object"]) -> dict[str, SynthesizedProgram]:
-    """Pick the shortest program from a set of synthesis runs (see Figure 3)."""
-    selected: dict[str, SynthesizedProgram] = {}
-    for name, run in runs.items():
-        programs = getattr(run, "programs", None)
-        if programs:
-            selected[name] = min(programs, key=lambda p: p.num_instructions)
-    return selected

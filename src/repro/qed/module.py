@@ -260,7 +260,7 @@ def build_verification_model(
     ]
     # Loads and stores are restricted to x0-based addressing into the lower
     # (original) half of the data memory, which keeps the EDDI-V / EDSEP-V
-    # memory offsetting sound (see DESIGN.md).
+    # memory offsetting sound.
     memory_ops = [
         op_name for op_name in allowed if get_instruction(op_name).is_load or get_instruction(op_name).is_store
     ]

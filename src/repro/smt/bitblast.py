@@ -83,9 +83,6 @@ class BitBlaster:
             return self.aig.add_input()
         return self.cnf.new_var()
 
-    def _not(self, a: int) -> int:
-        return -a
-
     def _and(self, a: int, b: int) -> int:
         if self._use_aig:
             return self.aig.and_(a, b)

@@ -247,16 +247,8 @@ class TermManager:
         self._var_names[name] = term
         return term
 
-    def num_terms(self) -> int:
-        return len(self._table)
-
 
 _DEFAULT_MANAGER = TermManager()
-
-
-def default_manager() -> TermManager:
-    """The process-wide term manager used by the smart constructors."""
-    return _DEFAULT_MANAGER
 
 
 def _coerce(value: "BV | int", width: int) -> BV:
@@ -275,37 +267,35 @@ def _check_same_width(a: BV, b: BV, op: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def bv_const(value: int, width: int, mgr: TermManager | None = None) -> BV:
+def bv_const(value: int, width: int) -> BV:
     """A constant of the given width; ``value`` is truncated to ``width`` bits."""
-    mgr = mgr or _DEFAULT_MANAGER
-    return mgr.make(OP_CONST, width, value=value & mask(width))
+    return _DEFAULT_MANAGER.make(OP_CONST, width, value=value & mask(width))
 
 
-def bv_var(name: str, width: int, mgr: TermManager | None = None) -> BV:
+def bv_var(name: str, width: int) -> BV:
     """A free bit-vector variable (hash-consed by name)."""
-    mgr = mgr or _DEFAULT_MANAGER
-    return mgr.var(name, width)
+    return _DEFAULT_MANAGER.var(name, width)
 
 
 _FRESH_COUNTER = [0]
 
 
-def fresh_var(prefix: str, width: int, mgr: TermManager | None = None) -> BV:
+def fresh_var(prefix: str, width: int) -> BV:
     """A variable with a globally unique name derived from ``prefix``.
 
     Used by layers (unroller, CEGIS encoder) that need throw-away symbols
     and must not collide with user-chosen names or with each other.
     """
     _FRESH_COUNTER[0] += 1
-    return bv_var(f"{prefix}!{_FRESH_COUNTER[0]}", width, mgr)
+    return bv_var(f"{prefix}!{_FRESH_COUNTER[0]}", width)
 
 
-def bv_true(mgr: TermManager | None = None) -> BV:
-    return bv_const(1, 1, mgr)
+def bv_true() -> BV:
+    return bv_const(1, 1)
 
 
-def bv_false(mgr: TermManager | None = None) -> BV:
-    return bv_const(0, 1, mgr)
+def bv_false() -> BV:
+    return bv_const(0, 1)
 
 
 # --------------------------------------------------------------------------

@@ -143,11 +143,6 @@ class SolverContext:
     def num_vars(self) -> int:
         return self._blaster.cnf.num_vars
 
-    @property
-    def backend_clauses(self) -> int:
-        """Clauses actually handed to the SAT backend so far."""
-        return self._backend_clauses
-
     def encoding_stats(self) -> EncodingStats:
         """A snapshot of the compilation-pipeline size/effort counters.
 

@@ -20,9 +20,7 @@ once and the learned clauses of iteration ``i`` prune the search of
 iteration ``i + 1``.  The verification context re-checks a changing
 candidate against a fixed specification, so each candidate's disagreement
 constraint lives in a push/pop scope while the specification's encoding and
-the solver state persist.  Set ``CegisConfig.incremental = False`` to
-rebuild fresh solvers per query (the pre-refactor behaviour, kept for
-benchmarking and differential testing).
+the solver state persist.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ class CegisConfig:
     max_iterations: int = 16
     initial_examples: int = 2
     conflict_budget: Optional[int] = None
-    incremental: bool = True
     #: Compilation-pipeline level for both solver contexts (``None`` =
     #: process default, see :mod:`repro.solve.pipeline`).
     opt_level: Optional[int] = None
@@ -93,52 +90,34 @@ class CegisEngine:
         """Synthesize a program over ``components`` equivalent to ``spec``."""
         stats = CegisStats()
         encoder = LocationEncoder(spec, components)
-        incremental = self.config.incremental
 
         synth_terms: list[T.BV] = list(encoder.wfp_constraints())
         for example in self._seed_examples(spec):
             stats.counterexamples += 1
             synth_terms.extend(encoder.example_constraints(example))
-        # Oneshot mode rebuilds both contexts per query, so only build the
-        # persistent ones when they will actually be reused.
-        synth_ctx: Optional[SolverContext] = None
-        verify_ctx: Optional[SolverContext] = None
-        if incremental:
-            synth_ctx = SolverContext(opt_level=self.config.opt_level)
-            synth_ctx.add_all(synth_terms)
-            verify_ctx = SolverContext(opt_level=self.config.opt_level)
+        synth_ctx = SolverContext(opt_level=self.config.opt_level)
+        synth_ctx.add_all(synth_terms)
+        verify_ctx = SolverContext(opt_level=self.config.opt_level)
         verify_inputs = spec.fresh_input_terms(prefix="verify")
         spec_term = spec.output_term(verify_inputs)
 
-        program: Optional[SynthesizedProgram] = None
         for _ in range(self.config.max_iterations):
             stats.iterations += 1
             stats.synthesis_queries += 1
-            if not incremental:
-                synth_ctx = SolverContext(opt_level=self.config.opt_level)
-                synth_ctx.add_all(synth_terms)
-            assert synth_ctx is not None
             result = synth_ctx.check(conflict_budget=self.config.conflict_budget)
             stats.synthesis_solver_stats.merge(result.stats)
             if not result.satisfiable:
-                program = None
                 break
             candidate = encoder.decode(result)
             stats.verification_queries += 1
-            ctx = verify_ctx if incremental else SolverContext(opt_level=self.config.opt_level)
             counterexample = self._check_candidate(
-                ctx, verify_inputs, spec_term, candidate, stats
+                verify_ctx, verify_inputs, spec_term, candidate, stats
             )
             if counterexample is None:
-                program = candidate
-                break
+                return CegisOutcome(program=candidate, stats=stats)
             stats.counterexamples += 1
-            constraints = encoder.example_constraints(counterexample)
-            if incremental:
-                synth_ctx.add_all(constraints)
-            else:
-                synth_terms.extend(constraints)
-        return CegisOutcome(program=program, stats=stats)
+            synth_ctx.add_all(encoder.example_constraints(counterexample))
+        return CegisOutcome(program=None, stats=stats)
 
     def _check_candidate(
         self,

@@ -1,21 +1,19 @@
 """Classical component-based CEGIS (Gulwani et al., 2011).
 
-The classical formulation hands the *entire* component library (optionally
-with several copies of each component) to a single CEGIS invocation.  The
-encoding then carries location variables for every component at once, which
-is exactly the performance cliff the paper reports: with 29 components it
-"failed to synthesize a single original instruction even after several
-weeks".  We keep the algorithm for completeness and for the ablation
-benchmark that demonstrates the blow-up on small libraries.
+The classical formulation hands the *entire* component library to a single
+CEGIS invocation.  The encoding then carries location variables for every
+component at once, which is exactly the performance cliff the paper
+reports: with 29 components it "failed to synthesize a single original
+instruction even after several weeks".  We keep the algorithm for
+completeness; it still terminates on a tiny library.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
 
 from repro.synth.cegis import CegisConfig, CegisEngine
-from repro.synth.components import Component, ComponentLibrary
+from repro.synth.components import ComponentLibrary
 from repro.synth.search import SynthesisRun
 from repro.synth.spec import SynthesisSpec
 
@@ -24,12 +22,8 @@ class ClassicalCegis:
     """One-shot CEGIS over the whole library.
 
     Args:
-        library: the component library.
+        library: the component library; each component is available once.
         cegis_config: knobs forwarded to the core CEGIS engine.
-        copies: how many instances of each component are made available
-            (classical CEGIS needs one instance per potential use).
-        max_components: optional cap on how many components are handed to the
-            encoder — useful to keep the ablation benchmark bounded.
     """
 
     name = "classical"
@@ -38,29 +32,16 @@ class ClassicalCegis:
         self,
         library: ComponentLibrary,
         cegis_config: CegisConfig | None = None,
-        copies: int = 1,
-        max_components: Optional[int] = None,
     ):
         self.library = library
         self.engine = CegisEngine(cegis_config)
-        self.copies = copies
-        self.max_components = max_components
-
-    def _component_pool(self) -> list[Component]:
-        pool: list[Component] = []
-        for _ in range(self.copies):
-            pool.extend(self.library)
-        if self.max_components is not None:
-            pool = pool[: self.max_components]
-        return pool
 
     def synthesize_for(self, spec: SynthesisSpec) -> SynthesisRun:
         """Run a single CEGIS query with every available component."""
         run = SynthesisRun(spec_name=spec.name)
-        pool: Sequence[Component] = self._component_pool()
         run.multisets_total = 1
         start = time.perf_counter()
-        outcome = self.engine.synthesize(spec, pool)
+        outcome = self.engine.synthesize(spec, list(self.library))
         run.elapsed_seconds = time.perf_counter() - start
         run.cegis_calls = 1
         run.multisets_tried = 1

@@ -21,15 +21,14 @@ The three classes follow Section 4.1 of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import SynthesisError
 from repro.isa.config import IsaConfig
-from repro.isa.instructions import Instruction, get_instruction
+from repro.isa.instructions import get_instruction
 from repro.smt import terms as T
 from repro.smt.terms import BV
-from repro.utils.bitops import mask
 
 
 class ComponentClass(enum.Enum):
@@ -191,17 +190,6 @@ def _imm_instr_semantics(name: str) -> Callable[[IsaConfig, Sequence[BV], Sequen
         reg = inputs[0] if defn.uses_rs1 else T.bv_const(0, cfg.xlen)
         dummy = T.bv_const(0, cfg.xlen)
         return defn.symbolic(cfg, reg, dummy, attrs[0])
-
-    return semantics
-
-
-def _dyn_imm_semantics(name: str) -> Callable[[IsaConfig, Sequence[BV], Sequence[BV]], BV]:
-    """Semantics of an immediate instruction whose immediate is a dynamic input."""
-    defn = get_instruction(name)
-
-    def semantics(cfg: IsaConfig, inputs: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        dummy = T.bv_const(0, cfg.xlen)
-        return defn.symbolic(cfg, inputs[0], dummy, inputs[1])
 
     return semantics
 

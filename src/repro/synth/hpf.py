@@ -44,12 +44,11 @@ class PriorityDict:
         library: ComponentLibrary | Sequence[Component],
         alpha: float = 1.0,
         increment: float = 1.0,
-        initial_weight: float = 1.0,
     ) -> "PriorityDict":
         names = [component.name for component in library]
         return cls(
-            choice={name: initial_weight for name in names},
-            exclusion={name: initial_weight for name in names},
+            choice={name: 1.0 for name in names},
+            exclusion={name: 1.0 for name in names},
             alpha=alpha,
             increment=increment,
         )
@@ -90,7 +89,6 @@ class HpfCegis:
         alpha: float = 1.0,
         increment: float = 1.0,
         max_multisets: Optional[int] = None,
-        priority_dict: PriorityDict | None = None,
     ):
         self.library = library
         self.multiset_size = multiset_size
@@ -98,7 +96,7 @@ class HpfCegis:
         self.min_components = min_components
         self.engine = CegisEngine(cegis_config)
         self.max_multisets = max_multisets
-        self.priorities = priority_dict or PriorityDict.initial(
+        self.priorities = PriorityDict.initial(
             library, alpha=alpha, increment=increment
         )
 

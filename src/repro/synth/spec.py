@@ -77,7 +77,7 @@ def spec_from_instruction(name: str, cfg: IsaConfig) -> SynthesisSpec:
 
     Register source operands and the immediate (if any) become program
     inputs.  The output is the value the instruction writes to ``rd`` — for
-    stores and loads, the effective address (see DESIGN.md).
+    stores and loads, the effective address (see :mod:`repro.isa.instructions`).
     """
     defn = get_instruction(name)
     inputs: list[SpecInput] = []

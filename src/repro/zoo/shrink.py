@@ -20,6 +20,9 @@ from repro.proc.bugs import BugRecipe
 from repro.zoo.families import get_family, instantiate
 from repro.zoo.oracle import OracleReport, OracleSettings, run_instance
 
+#: Most simplification steps one shrink run accepts.
+_MAX_STEPS = 12
+
 
 @dataclass
 class ShrinkResult:
@@ -54,7 +57,6 @@ def _signature(report: OracleReport) -> tuple:
 def shrink_recipe(
     recipe: BugRecipe,
     settings: Optional[OracleSettings] = None,
-    max_steps: int = 12,
 ) -> ShrinkResult:
     """Greedily simplify ``recipe`` while its oracle verdict reproduces.
 
@@ -75,7 +77,7 @@ def shrink_recipe(
     steps = 0
     tried = 0
     if report.cex_length is not None:
-        while steps < max_steps:
+        while steps < _MAX_STEPS:
             progressed = False
             for params in family.shrink_candidates(dict(current.params)):
                 candidate = BugRecipe(

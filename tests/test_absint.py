@@ -309,7 +309,7 @@ def _analysis_from_cold_caches(ts, monkeypatch) -> Analysis:
     with monkeypatch.context() as patch:
         patch.setattr(TransitionEvaluator, "value", cold_value)
         patch.setattr(TransitionEvaluator, "_refine", cold_refine)
-        return fixpoint._run(ts, fixpoint.DEFAULT_WIDEN_DELAY)
+        return fixpoint._run(ts)
 
 
 def _assert_same_analysis(memoised: Analysis, cold: Analysis, name: str) -> None:
@@ -409,7 +409,7 @@ class TestMemoisedFixpoint:
                 while node.op == T.OP_ITE:
                     guard_ops.add(node.args[0].op)
                     node = node.args[2] if node.args[2].op == T.OP_ITE else node.args[1]
-            memoised = fixpoint._run(ts, fixpoint.DEFAULT_WIDEN_DELAY)
+            memoised = fixpoint._run(ts)
             _assert_same_analysis(memoised, _analysis_from_cold_caches(ts, monkeypatch), ts.name)
             widenings += memoised.widenings
         # Every refinement shape occurs as a guard, and counters widen.

@@ -7,15 +7,22 @@ its own bug set instead of passing vacuously on an empty table.
 
 from __future__ import annotations
 
+import subprocess
 import sys
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
+from repro.core.results import ProofOutcome, VerificationOutcome
 from repro.errors import UnknownBugError
 from repro.experiments import figure4, table1
 from repro.experiments.figure3 import Figure3Config, run_figure3
 from repro.experiments.figure4 import Figure4Config, run_figure4
-from repro.experiments.table1 import Table1Config, run_table1
+from repro.experiments.table1 import Table1Config, Table1Result, Table1Row, run_table1
+from repro.proc.bugs import single_instruction_bugs
+
+REPO_ROOT = Path(__file__).parent.parent
 
 
 class TestUnknownBugNames:
@@ -45,14 +52,76 @@ class TestUnknownBugNames:
 
 
 def test_table1_sepe_detects_what_sqed_cannot():
-    result = run_table1(
-        Table1Config(bug_names=["single_add_off_by_one"], xlen=4, sqed_bound=3)
-    )
-    [row] = result.rows
-    assert row.sepe.detected is True
-    assert row.sepe.counterexample_length == 7
-    assert row.sqed.detected is False
+    bug_names = [
+        "single_add_off_by_one",
+        "single_xor_as_or",
+        "single_and_as_or",
+        "single_xori_as_ori",
+    ]
+    result = run_table1(Table1Config(bug_names=bug_names, xlen=4, sqed_bound=3))
+    assert [row.bug.name for row in result.rows] == bug_names
+    for row in result.rows:
+        assert row.sepe.detected is True, row.bug.name
+        assert row.sepe.counterexample_length == 7, row.bug.name
+        assert row.sqed.detected is False, row.bug.name
     assert result.all_detected_by_sepe and result.none_detected_by_sqed
+
+
+def _sqed_outcome(detected: Optional[bool]) -> VerificationOutcome:
+    return VerificationOutcome(
+        method="SQED", bug_name=None, detected=detected, runtime_seconds=1.5, bound=3
+    )
+
+
+def test_table1_tells_an_exhausted_budget_from_a_finished_bound():
+    sepe = VerificationOutcome(
+        method="SEPE-SQED", bug_name=None, detected=True, runtime_seconds=0.5, bound=10
+    )
+    proof = ProofOutcome(
+        method="SQED", bug_name=None, engine="pdr", proven=True, runtime_seconds=2.0, depth=4
+    )
+    bugs = single_instruction_bugs()
+    rows = [
+        Table1Row(bugs[0], sepe, _sqed_outcome(True)),
+        Table1Row(bugs[1], sepe, _sqed_outcome(False)),
+        Table1Row(bugs[2], sepe, _sqed_outcome(None)),
+        Table1Row(bugs[3], sepe, _sqed_outcome(False), sqed_proof=proof),
+    ]
+    result = Table1Result(rows)
+    cells = [line.split(" | ")[-1].strip() for line in result.render().splitlines()[2:]]
+    assert cells == [
+        "FALSE DETECTION 1.50s",
+        "-",
+        "inconclusive",
+        "- (proven absent, pdr depth 4)",
+    ]
+    assert result.summary() == (
+        "SEPE-SQED detected all: True; "
+        "SQED detected 1, finished without detection 2, inconclusive 1"
+    )
+    assert not result.none_detected_by_sqed
+    # An exhausted budget alone also keeps "SQED detected none" from holding.
+    assert not Table1Result(rows[1:]).none_detected_by_sqed
+    assert Table1Result([rows[1], rows[3]]).none_detected_by_sqed
+
+
+@pytest.mark.parametrize("module", ["table1", "figure3", "figure4"])
+def test_cli_module_runs_once(module):
+    # ``python -m`` warns (an error here) when the package has already
+    # imported the module it is about to run as ``__main__``.
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         f"repro.experiments.{module}", "--help"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_figure3_hpf_priorities_carry_over_between_cases():

@@ -97,8 +97,9 @@ class TestCuratedEquivalents:
             )
 
     def test_table1_programs_avoid_their_own_datapath(self, equivalents):
-        """For Table 1 targets (except SRA, see DESIGN.md) the equivalent
-        program does not reuse the mutated opcode."""
+        """For Table 1 targets (except SRA, whose curated program
+        ``~(~a >>s b)`` keeps the SRA datapath) the equivalent program does
+        not reuse the mutated opcode."""
         for op in ("ADD", "SUB", "XOR", "OR", "AND", "SLT", "SLTU", "MULH",
                    "XORI", "SLLI", "SRAI", "SW"):
             mnemonics = {t.mnemonic for t in equivalents[op].expand()}

@@ -114,11 +114,18 @@ class TestSolverBasics:
         assert result.value(3) is True
 
     def test_model_satisfies_all_clauses(self, solver_cls):
-        clauses = [[1, 2, 3], [-1, -2], [-2, -3], [-1, -3], [2, 3]]
-        result = solver_cls(CNF(clauses)).solve()
-        assert result.satisfiable
-        for clause in clauses:
-            assert any(result.value(abs(l)) == (l > 0) for l in clause)
+        # A satisfiable random 3-SAT instance: 60 variables at clause ratio
+        # 3.5, below the phase transition.
+        rng = random.Random(42)
+        random_3sat = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 61), 3)]
+            for _ in range(210)
+        ]
+        for clauses in ([[1, 2, 3], [-1, -2], [-2, -3], [-1, -3], [2, 3]], random_3sat):
+            result = solver_cls(CNF(clauses)).solve()
+            assert result.satisfiable
+            for clause in clauses:
+                assert any(result.value(abs(l)) == (l > 0) for l in clause)
 
     def test_pigeonhole_3_into_2_unsat(self, solver_cls):
         assert solver_cls(CNF(_pigeonhole_clauses(3, 2))).solve().satisfiable is False

@@ -124,6 +124,8 @@ class TestSolverContextQueries:
         assert _valid(T.bv_eq(T.bv_not(T.bv_add(T.bv_not(X), Y)), T.bv_sub(X, Y)))
         assert _valid(T.bv_eq(T.bv_xor(T.bv_xor(X, Y), Y), X))
         assert not _valid(T.bv_eq(X, Y))
+        a, b, c = (T.bv_var(f"bb_assoc_{name}", 8) for name in "abc")
+        assert _valid(T.bv_eq(T.bv_add(T.bv_add(a, b), c), T.bv_add(a, T.bv_add(b, c))))
 
     def test_mulh_identity(self):
         """The MULH.C decomposition identity used by the component library.

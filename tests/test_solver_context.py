@@ -22,7 +22,7 @@ from repro.sat.solver import SatSolver
 from repro.solve import SolverContext
 from repro.bmc.engine import BmcEngine, BmcSession
 from repro.bmc.kinduction import KInductionEngine
-from repro.synth.cegis import CegisConfig, CegisEngine
+from repro.synth.cegis import CegisEngine
 from repro.synth.spec import spec_from_instruction
 from repro.qed.equivalents import (
     default_equivalent_programs,
@@ -628,17 +628,11 @@ class TestCegisIncremental:
         names = ["OR", "AND", "SUB"]
         return spec, [small_library.by_name(name) for name in names]
 
-    def test_incremental_and_oneshot_agree(self, spec_and_components):
+    def test_synthesized_program_is_equivalent(self, spec_and_components):
         spec, components = spec_and_components
-        incremental = CegisEngine(CegisConfig(incremental=True)).synthesize(
-            spec, components
-        )
-        oneshot = CegisEngine(CegisConfig(incremental=False)).synthesize(
-            spec, components
-        )
-        assert incremental.succeeded and oneshot.succeeded
-        assert verify_equivalence(incremental.program)
-        assert verify_equivalence(oneshot.program)
+        outcome = CegisEngine().synthesize(spec, components)
+        assert outcome.succeeded
+        assert verify_equivalence(outcome.program)
 
     def test_solver_stats_per_phase(self, spec_and_components):
         spec, components = spec_and_components

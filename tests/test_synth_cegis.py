@@ -137,12 +137,23 @@ class TestAlgorithms:
             max_multisets=40,
             shuffle_seed=7,
         )
-        run = iterative.synthesize_for(spec_from_instruction("ADD", isa))
+        spec = spec_from_instruction("ADD", isa)
+        run = iterative.synthesize_for(spec)
         assert run.multisets_tried <= 40
         # With a capped budget the baseline may or may not succeed; when it
         # does, the programs must be genuinely equivalent.
         for program in run.programs:
             assert program.evaluate([0xAA, 0x55]) == (0xAA + 0x55) & 0xFF
+        # Figure 3's claim on ADD: HPF needs no more multisets than the baseline.
+        hpf = HpfCegis(
+            small_library,
+            multiset_size=3,
+            target_programs=1,
+            cegis_config=CegisConfig(max_iterations=10),
+            max_multisets=40,
+        ).synthesize_for(spec)
+        assert hpf.succeeded
+        assert hpf.multisets_tried <= run.multisets_tried
 
     def test_hpf_weights_persist_across_instructions(self, isa, small_library):
         hpf = HpfCegis(

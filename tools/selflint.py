@@ -20,10 +20,10 @@ Exemptions:
 
 * comparisons against a literal ``0`` — the ``entry["seconds"] > 0``
   division-guard idiom measures nothing;
-* lines carrying a ``# selflint: allow-wallclock`` comment — for gates
-  that already guard themselves (e.g. ``bench_incremental.py``'s win test,
-  which reads wall-clock only as a tiebreaker between equal conflict
-  counts).
+* lines carrying a ``# selflint: allow-wallclock`` comment — for
+  comparisons that gate nothing (e.g. ``perfbench/run.py``'s pass loop,
+  which reads the clock only to decide how many passes fit the run
+  length).
 
 **Environment reads** (everywhere).  Process-default knobs must resolve in
 one designated config module per subsystem, so a knob's precedence
