@@ -57,7 +57,7 @@ BUG = "multi_no_forward_ex_rs1"
 def _build_session(bug, opt_level: int) -> BmcSession:
     isa = IsaConfig.small(xlen=XLEN, num_regs=NUM_REGS)
     config = ProcessorConfig(isa=isa, supported_ops=POOL)
-    model = SqedFlow(config, opt_level=opt_level).build_model(bug)
+    model = SqedFlow(config).build_model(bug)
     return BmcSession(model.ts, model.property_name, opt_level=opt_level)
 
 

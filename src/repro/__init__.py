@@ -46,11 +46,7 @@ from repro.synth.cegis import CegisConfig, CegisEngine
 from repro.synth.hpf import HpfCegis
 from repro.synth.iterative import IterativeCegis
 from repro.synth.classical import ClassicalCegis
-from repro.qed.equivalents import (
-    default_equivalent_programs,
-    verify_equivalence,
-    verify_equivalences,
-)
+from repro.qed.equivalents import default_equivalent_programs, verify_equivalence
 from repro.qed.mapping import RegisterPartition, MemoryPartition
 from repro.par import TaskPool
 from repro.core.flow import SqedFlow, SepeSqedFlow, pool_for_bug
@@ -101,7 +97,6 @@ __all__ = [
     "ClassicalCegis",
     "default_equivalent_programs",
     "verify_equivalence",
-    "verify_equivalences",
     "RegisterPartition",
     "MemoryPartition",
     "TaskPool",

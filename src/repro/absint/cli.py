@@ -24,12 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional
 
 from repro.absint.facts import latch_facts, validate_by_simulation
 from repro.absint.fixpoint import Analysis, analyze
 from repro.errors import ReproError
+from repro.lint.cli import add_target_args, load_targets
 from repro.ts.system import TransitionSystem
 
 
@@ -39,33 +39,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Abstract-interpretation reachability analysis over "
         "transition systems.",
     )
-    parser.add_argument(
-        "targets",
-        nargs="*",
-        help="BTOR2 files to parse and analyze",
-    )
-    parser.add_argument(
-        "--design",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="analyze a built-in design ('all' for the whole gallery; "
-        "repeatable)",
-    )
-    parser.add_argument(
-        "--zoo-sample",
-        type=int,
-        default=0,
-        metavar="N",
-        help="analyze N generated bug-zoo instances",
-    )
-    parser.add_argument(
-        "--zoo-seed",
-        type=int,
-        default=0,
-        metavar="S",
-        help="base seed for --zoo-sample (default 0)",
-    )
+    add_target_args(parser, "analyze")
     parser.add_argument(
         "--validate",
         type=int,
@@ -73,12 +47,6 @@ def _parser() -> argparse.ArgumentParser:
         metavar="N",
         help="cross-check facts against N random simulation runs per "
         "target (soundness oracle)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit a JSON report instead of text",
     )
     return parser
 
@@ -110,43 +78,10 @@ def _target_summary(
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    from repro.lint.cli import _gallery, _zoo_targets
-
-    gallery = _gallery()
     try:
-        targets: list[tuple[str, TransitionSystem]] = []
-        for path_text in args.targets:
-            path = Path(path_text)
-            from repro.btor.parser import parse_btor2
-            from repro.qed.module import reserve_model_prefixes
-
-            ts = parse_btor2(path.read_text(), name=path.stem)
-            reserve_model_prefixes(
-                [s.name for s in ts.states] + [i.name for i in ts.inputs]
-            )
-            targets.append((path_text, ts))
-        design_names = list(args.design)
-        if "all" in design_names:
-            design_names = sorted(gallery)
-        for name in design_names:
-            if name not in gallery:
-                print(
-                    f"unknown design {name!r}; available: "
-                    + ", ".join(sorted(gallery)),
-                    file=sys.stderr,
-                )
-                return 2
-            targets.append((f"design:{name}", gallery[name]()))
-        if args.zoo_sample:
-            targets.extend(_zoo_targets(args.zoo_sample, args.zoo_seed))
-
-        if not targets:
-            print(
-                "nothing to analyze (pass files, --design or --zoo-sample)",
-                file=sys.stderr,
-            )
+        targets = load_targets(args, "analyze")
+        if targets is None:
             return 2
-
         results: list[tuple[str, TransitionSystem, Analysis, Optional[int]]] = []
         for name, ts in targets:
             analysis = analyze(ts)

@@ -296,14 +296,8 @@ class BmcSession:
         """Context encoding stats with this session's COI numbers patched in."""
         stats = self.context.encoding_stats()
         if self.reduction is not None:
-            stats.coi_states_kept = len(self.reduction.kept_states)
             stats.coi_states_dropped = len(self.reduction.dropped_states)
             stats.coi_state_bits_dropped = self.reduction.dropped_state_bits
-        else:
-            stats.coi_states_kept = len(self.ts.states)
-        if self.fold is not None:
-            stats.absint_states_folded = self.fold.states_folded
-            stats.absint_bits_folded = self.fold.bits_folded
         return stats
 
     # --------------------------------------------------------------- checking

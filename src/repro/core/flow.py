@@ -63,15 +63,9 @@ class _BaseFlow:
 
     method = "base"
 
-    def __init__(
-        self,
-        config: ProcessorConfig,
-        fifo_depth: int = 2,
-        opt_level: Optional[int] = None,
-    ):
+    def __init__(self, config: ProcessorConfig, fifo_depth: int = 2):
         self.config = config
         self.fifo_depth = fifo_depth
-        self.opt_level = opt_level
 
     def build_model(self, bug: Optional[Bug] = None) -> QedVerificationModel:
         raise NotImplementedError
@@ -89,7 +83,7 @@ class _BaseFlow:
         """
         start = time.perf_counter()
         model = self.build_model(bug)
-        engine = BmcEngine(model.ts, opt_level=self.opt_level)
+        engine = BmcEngine(model.ts)
         result = engine.check(
             model.property_name, bound=bound, conflict_budget=conflict_budget
         )
@@ -107,6 +101,7 @@ class _BaseFlow:
             bound=bound,
             counterexample_length=result.counterexample_length,
             bmc_result=result,
+            model=model,
         )
 
     #: Engines accepted by :meth:`prove`.
@@ -147,9 +142,7 @@ class _BaseFlow:
         model = self.build_model(bug)
         bug_name = None if bug is None else bug.name
         if engine == "pdr":
-            pdr = PdrEngine(
-                model.ts, opt_level=self.opt_level, max_frames=max_frames
-            ).prove(
+            pdr = PdrEngine(model.ts, max_frames=max_frames).prove(
                 model.property_name,
                 conflict_budget=conflict_budget,
                 total_conflict_budget=total_conflict_budget,
@@ -164,7 +157,7 @@ class _BaseFlow:
                 pdr_result=pdr,
                 model=model,
             )
-        kind = KInductionEngine(model.ts, opt_level=self.opt_level).prove(
+        kind = KInductionEngine(model.ts).prove(
             model.property_name, max_k=max_k, conflict_budget=conflict_budget
         )
         return ProofOutcome(
@@ -204,9 +197,8 @@ class SepeSqedFlow(_BaseFlow):
         config: ProcessorConfig,
         equivalents: Optional[Mapping[str, SynthesizedProgram]] = None,
         fifo_depth: int = 2,
-        opt_level: Optional[int] = None,
     ):
-        super().__init__(config, fifo_depth=fifo_depth, opt_level=opt_level)
+        super().__init__(config, fifo_depth=fifo_depth)
         if equivalents is None:
             available = default_equivalent_programs(config.isa)
             equivalents = {

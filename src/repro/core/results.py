@@ -22,6 +22,9 @@ class VerificationOutcome:
     ``detected`` is ``True`` when BMC found a violation of the QED
     consistency property (i.e. a bug trace), ``False`` when the property held
     up to the bound, and ``None`` when the solver budget ran out.
+
+    ``model`` is the verification model BMC ran on, as in
+    :class:`ProofOutcome`: the trace names this model's symbols.
     """
 
     method: str
@@ -31,6 +34,7 @@ class VerificationOutcome:
     bound: int
     counterexample_length: Optional[int] = None
     bmc_result: Optional[BmcResult] = None
+    model: "Optional[QedVerificationModel]" = None
 
     @property
     def trace(self) -> Optional[Trace]:

@@ -27,22 +27,26 @@ ALL_CASES = synthesis_case_names()
 #: The default case list, which the CLI runs unless given --full or --cases.
 QUICK_CASES = ["ADD", "SLT"]
 
+XLEN = 8
+NUM_REGS = 8
+MULTISET_SIZE = 3
+SHUFFLE_SEED = 2024
+MAX_CEGIS_ITERATIONS = 12
+
 
 @dataclass
 class Figure3Config:
-    """Knobs of the Figure 3 experiment."""
+    """What a Figure 3 run varies: the cases, the programs to find per case
+    and the multiset budget.
+
+    The rest of the setup is the module constants above; the encoder level
+    is the process default (``$REPRO_OPT_LEVEL``, see
+    :mod:`repro.solve.pipeline`).
+    """
 
     cases: list[str] = field(default_factory=lambda: list(QUICK_CASES))
-    xlen: int = 8
-    num_regs: int = 8
-    multiset_size: int = 3
     target_programs: int = 2
     max_multisets: Optional[int] = 60
-    shuffle_seed: int = 2024
-    max_cegis_iterations: int = 12
-    #: Compilation-pipeline level for every CEGIS solver context
-    #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
-    opt_level: Optional[int] = None
 
 
 @dataclass
@@ -92,25 +96,23 @@ def run_figure3(config: Figure3Config | None = None) -> Figure3Result:
     weights carry over from case to case, as in Algorithm 1.
     """
     config = config or Figure3Config()
-    isa = IsaConfig.small(xlen=config.xlen, num_regs=config.num_regs)
+    isa = IsaConfig.small(xlen=XLEN, num_regs=NUM_REGS)
     library = build_default_library(isa)
-    cegis_cfg = CegisConfig(
-        max_iterations=config.max_cegis_iterations, opt_level=config.opt_level
-    )
+    cegis_cfg = CegisConfig(max_iterations=MAX_CEGIS_ITERATIONS)
 
     hpf = HpfCegis(
         library,
-        multiset_size=config.multiset_size,
+        multiset_size=MULTISET_SIZE,
         target_programs=config.target_programs,
         cegis_config=cegis_cfg,
         max_multisets=config.max_multisets,
     )
     iterative = IterativeCegis(
         library,
-        multiset_size=config.multiset_size,
+        multiset_size=MULTISET_SIZE,
         target_programs=config.target_programs,
         cegis_config=cegis_cfg,
-        shuffle_seed=config.shuffle_seed,
+        shuffle_seed=SHUFFLE_SEED,
         max_multisets=config.max_multisets,
     )
     specs = [spec_from_instruction(name, isa) for name in config.cases]
@@ -127,19 +129,9 @@ def main() -> None:  # pragma: no cover - CLI entry point
     parser.add_argument("--full", action="store_true", help="run all 26 cases")
     parser.add_argument("--cases", nargs="*", default=None, help="explicit case list")
     parser.add_argument("--max-multisets", type=int, default=60)
-    parser.add_argument(
-        "--opt-level",
-        type=int,
-        choices=(0, 1, 2),
-        default=None,
-        help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
-    )
     args = parser.parse_args()
 
-    config = Figure3Config(
-        max_multisets=args.max_multisets,
-        opt_level=args.opt_level,
-    )
+    config = Figure3Config(max_multisets=args.max_multisets)
     if args.full:
         config.cases = list(ALL_CASES)
     if args.cases:

@@ -28,18 +28,22 @@ QUICK_BUGS = [
 ]
 
 
+XLEN = 8
+NUM_REGS = 8
+BOUND = 10
+FIFO_DEPTH = 2
+
+
 @dataclass
 class Figure4Config:
-    """Knobs of the Figure 4 experiment."""
+    """What a Figure 4 run varies: the bugs (``None`` = every Figure 4 bug).
+
+    The rest of the setup is the module constants above; the encoder level
+    is the process default (``$REPRO_OPT_LEVEL``, see
+    :mod:`repro.solve.pipeline`).
+    """
 
     bug_names: Optional[list[str]] = None
-    xlen: int = 8
-    num_regs: int = 8
-    bound: int = 10
-    fifo_depth: int = 2
-    #: Compilation-pipeline level for every solver in the experiment
-    #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
-    opt_level: Optional[int] = None
 
 
 @dataclass
@@ -104,7 +108,7 @@ def run_figure4(config: Figure4Config | None = None) -> Figure4Result:
     """
     config = config or Figure4Config()
     bugs = select_bugs(multiple_instruction_bugs(), config.bug_names)
-    isa = IsaConfig.small(xlen=config.xlen, num_regs=config.num_regs)
+    isa = IsaConfig.small(xlen=XLEN, num_regs=NUM_REGS)
     equivalents_all = default_equivalent_programs(isa)
 
     result = Figure4Result()
@@ -115,16 +119,11 @@ def run_figure4(config: Figure4Config | None = None) -> Figure4Result:
             op: program for op, program in equivalents_all.items() if op in pool
         }
         sepe = SepeSqedFlow(
-            proc_config,
-            equivalents=equivalents,
-            fifo_depth=config.fifo_depth,
-            opt_level=config.opt_level,
+            proc_config, equivalents=equivalents, fifo_depth=FIFO_DEPTH
         )
-        sqed = SqedFlow(
-            proc_config, fifo_depth=config.fifo_depth, opt_level=config.opt_level
-        )
-        sepe_outcome = sepe.run(bug, bound=config.bound)
-        sqed_outcome = sqed.run(bug, bound=config.bound)
+        sqed = SqedFlow(proc_config, fifo_depth=FIFO_DEPTH)
+        sepe_outcome = sepe.run(bug, bound=BOUND)
+        sqed_outcome = sqed.run(bug, bound=BOUND)
         result.rows.append(Figure4Row(bug=bug, sepe=sepe_outcome, sqed=sqed_outcome))
     return result
 
@@ -135,16 +134,9 @@ def main() -> None:  # pragma: no cover - CLI entry point
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="run every Figure 4 bug")
     parser.add_argument("--bugs", nargs="*", default=None)
-    parser.add_argument(
-        "--opt-level",
-        type=int,
-        choices=(0, 1, 2),
-        default=None,
-        help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
-    )
     args = parser.parse_args()
 
-    config = Figure4Config(bug_names=list(QUICK_BUGS), opt_level=args.opt_level)
+    config = Figure4Config(bug_names=list(QUICK_BUGS))
     if args.full:
         config.bug_names = None
     if args.bugs:

@@ -32,34 +32,38 @@ QUICK_BUGS = [
     "single_and_as_or",
 ]
 
+NUM_REGS = 8
+FIFO_DEPTH = 2
+SEPE_BOUND = 10
+#: Conflict budget for the SQED runs.  SQED provably cannot detect these
+#: bugs, so its BMC queries are all UNSAT; bounding the proof effort keeps
+#: the harness fast.  A run that exhausts the budget did not finish its
+#: bound, so its cell reads "inconclusive", not the paper's "-".
+SQED_CONFLICT_BUDGET = 20_000
+#: Depth limits for the unbounded SQED engines.
+SQED_MAX_K = 4
+SQED_MAX_FRAMES = 10
+
 
 @dataclass
 class Table1Config:
-    """Knobs of the Table 1 experiment."""
+    """What a Table 1 run varies: the bugs, the datapath width, the SQED
+    bound and the SQED engine.
+
+    The rest of the setup is the module constants above; the encoder level
+    is the process default (``$REPRO_OPT_LEVEL``, see
+    :mod:`repro.solve.pipeline`).
+    """
 
     bug_names: Optional[list[str]] = None
     xlen: int = 8
-    num_regs: int = 8
-    sepe_bound: int = 10
     sqed_bound: int = 5
-    fifo_depth: int = 2
-    #: Conflict budget for the SQED runs.  SQED provably cannot detect these
-    #: bugs, so its BMC queries are all UNSAT; bounding the proof effort keeps
-    #: the harness fast.  A run that exhausts the budget did not finish its
-    #: bound, so its cell reads "inconclusive", not the paper's "-".
-    sqed_conflict_budget: int = 20_000
-    #: Compilation-pipeline level for every solver in the experiment
-    #: (``None`` = process default, see :mod:`repro.solve.pipeline`).
-    opt_level: Optional[int] = None
     #: Engine for the SQED column: ``"bmc"`` (the paper's bounded check, the
     #: default) or an unbounded prover (``"kinduction"`` / ``"pdr"``) that
     #: upgrades the dash to a *proof* that SQED cannot detect the bug at any
     #: depth.  The unbounded engines can be slow on full-size processor
     #: configurations; they are opt-in.
     engine: str = "bmc"
-    #: Depth limits for the unbounded SQED engines.
-    sqed_max_k: int = 4
-    sqed_max_frames: int = 10
 
 
 @dataclass
@@ -130,7 +134,7 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
     """
     config = config or Table1Config()
     bugs = select_bugs(single_instruction_bugs(), config.bug_names)
-    isa = IsaConfig.small(xlen=config.xlen, num_regs=config.num_regs)
+    isa = IsaConfig.small(xlen=config.xlen, num_regs=NUM_REGS)
     equivalents_all = default_equivalent_programs(isa)
 
     def run_row(bug: Bug) -> Table1Row:
@@ -140,20 +144,15 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
             op: program for op, program in equivalents_all.items() if op in pool
         }
         sepe = SepeSqedFlow(
-            proc_config,
-            equivalents=equivalents,
-            fifo_depth=config.fifo_depth,
-            opt_level=config.opt_level,
+            proc_config, equivalents=equivalents, fifo_depth=FIFO_DEPTH
         )
-        sqed = SqedFlow(
-            proc_config, fifo_depth=config.fifo_depth, opt_level=config.opt_level
-        )
-        sepe_outcome = sepe.run(bug, bound=config.sepe_bound)
+        sqed = SqedFlow(proc_config, fifo_depth=FIFO_DEPTH)
+        sepe_outcome = sepe.run(bug, bound=SEPE_BOUND)
         if config.engine == "bmc":
             sqed_outcome = sqed.run(
                 bug,
                 bound=config.sqed_bound,
-                conflict_budget=config.sqed_conflict_budget,
+                conflict_budget=SQED_CONFLICT_BUDGET,
             )
             return Table1Row(bug=bug, sepe=sepe_outcome, sqed=sqed_outcome)
         # Unbounded SQED column: prove (rather than bound-check) that the
@@ -161,9 +160,9 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
         sqed_proof = sqed.prove(
             bug,
             engine=config.engine,
-            max_k=config.sqed_max_k,
-            max_frames=config.sqed_max_frames,
-            conflict_budget=config.sqed_conflict_budget,
+            max_k=SQED_MAX_K,
+            max_frames=SQED_MAX_FRAMES,
+            conflict_budget=SQED_CONFLICT_BUDGET,
         )
         detected: Optional[bool]
         if sqed_proof.proven is None:
@@ -191,13 +190,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
     parser.add_argument("--full", action="store_true", help="run every Table 1 bug")
     parser.add_argument("--bugs", nargs="*", default=None)
     parser.add_argument(
-        "--opt-level",
-        type=int,
-        choices=(0, 1, 2),
-        default=None,
-        help="compilation pipeline level (default: $REPRO_OPT_LEVEL or 2)",
-    )
-    parser.add_argument(
         "--engine",
         choices=("bmc", "kinduction", "pdr"),
         default="bmc",
@@ -209,9 +201,7 @@ def main() -> None:  # pragma: no cover - CLI entry point
     )
     args = parser.parse_args()
 
-    config = Table1Config(
-        bug_names=list(QUICK_BUGS), opt_level=args.opt_level, engine=args.engine
-    )
+    config = Table1Config(bug_names=list(QUICK_BUGS), engine=args.engine)
     if args.full:
         config.bug_names = None
     if args.bugs:

@@ -53,22 +53,20 @@ def _gallery() -> dict[str, Callable[[], TransitionSystem]]:
     return gallery
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="Static analysis over transition systems and encodings.",
-    )
+def add_target_args(parser: argparse.ArgumentParser, verb: str) -> None:
+    """The target and output arguments of ``python -m repro.lint`` and
+    ``python -m repro.absint``; ``verb`` says what each does to a target."""
     parser.add_argument(
         "targets",
         nargs="*",
-        help="BTOR2 files to parse and lint",
+        help=f"BTOR2 files to parse and {verb}",
     )
     parser.add_argument(
         "--design",
         action="append",
         default=[],
         metavar="NAME",
-        help="lint a built-in design ('all' for the whole gallery; "
+        help=f"{verb} a built-in design ('all' for the whole gallery; "
         "repeatable)",
     )
     parser.add_argument(
@@ -76,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="lint N generated bug-zoo instances",
+        help=f"{verb} N generated bug-zoo instances",
     )
     parser.add_argument(
         "--zoo-seed",
@@ -86,17 +84,71 @@ def _parser() -> argparse.ArgumentParser:
         help="base seed for --zoo-sample (default 0)",
     )
     parser.add_argument(
+        "--json",
+        action="store_true",
+        dest="as_json",
+        help="emit a JSON report instead of text",
+    )
+
+
+def load_targets(
+    args: argparse.Namespace, verb: str
+) -> Optional[list[tuple[str, TransitionSystem]]]:
+    """The named transition systems :func:`add_target_args` selected.
+
+    Returns ``None`` after printing a usage error (an unknown design, or no
+    target at all), for which the caller exits 2.  Parse and I/O errors
+    propagate.
+    """
+    from repro.btor.parser import parse_btor2
+    from repro.qed.module import reserve_model_prefixes
+
+    gallery = _gallery()
+    targets: list[tuple[str, TransitionSystem]] = []
+    for path_text in args.targets:
+        path = Path(path_text)
+        ts = parse_btor2(path.read_text(), name=path.stem)
+        # A parsed QED model re-interns its m<N>_* symbols; keep later
+        # in-process builds (--zoo-sample) off those prefixes.
+        reserve_model_prefixes(
+            [s.name for s in ts.states] + [i.name for i in ts.inputs]
+        )
+        targets.append((path_text, ts))
+    design_names = list(args.design)
+    if "all" in design_names:
+        design_names = sorted(gallery)
+    for name in design_names:
+        if name not in gallery:
+            print(
+                f"unknown design {name!r}; available: "
+                + ", ".join(sorted(gallery)),
+                file=sys.stderr,
+            )
+            return None
+        targets.append((f"design:{name}", gallery[name]()))
+    if args.zoo_sample:
+        targets.extend(_zoo_targets(args.zoo_sample, args.zoo_seed))
+    if not targets:
+        print(
+            f"nothing to {verb} (pass files, --design or --zoo-sample)",
+            file=sys.stderr,
+        )
+        return None
+    return targets
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.lint",
+        description="Static analysis over transition systems and encodings.",
+    )
+    add_target_args(parser, "lint")
+    parser.add_argument(
         "--encode-bound",
         type=int,
         default=None,
         metavar="K",
         help="also unroll each target to bound K and lint the encoding",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit a JSON report instead of text",
     )
     parser.add_argument(
         "--fail-on",
@@ -125,58 +177,25 @@ def _lint_encoding(
 
 def _zoo_targets(count: int, seed: int) -> list[tuple[str, TransitionSystem]]:
     from repro.zoo.families import FAMILIES, instantiate, sample_recipe
-    from repro.zoo.oracle import OracleSettings, make_flow
+    from repro.zoo.oracle import make_flow
 
-    settings = OracleSettings()
     families = sorted(FAMILIES)
     targets: list[tuple[str, TransitionSystem]] = []
     for index in range(count):
         family = families[index % len(families)]
         recipe = sample_recipe(family, seed + index)
         instance = instantiate(recipe)
-        model = make_flow(instance, settings).build_model(instance.bug)
+        model = make_flow(instance).build_model(instance.bug)
         targets.append((f"zoo:{family}[seed={seed + index}]", model.ts))
     return targets
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    gallery = _gallery()
-
     try:
-        targets: list[tuple[str, TransitionSystem]] = []
-        for path_text in args.targets:
-            path = Path(path_text)
-            from repro.btor.parser import parse_btor2
-            from repro.qed.module import reserve_model_prefixes
-
-            ts = parse_btor2(path.read_text(), name=path.stem)
-            # A parsed QED model re-interns its m<N>_* symbols; keep later
-            # in-process builds (--zoo-sample) off those prefixes.
-            reserve_model_prefixes(
-                [s.name for s in ts.states] + [i.name for i in ts.inputs]
-            )
-            targets.append((path_text, ts))
-        design_names = list(args.design)
-        if "all" in design_names:
-            design_names = sorted(gallery)
-        for name in design_names:
-            if name not in gallery:
-                print(
-                    f"unknown design {name!r}; available: "
-                    + ", ".join(sorted(gallery)),
-                    file=sys.stderr,
-                )
-                return 2
-            targets.append((f"design:{name}", gallery[name]()))
-        if args.zoo_sample:
-            targets.extend(_zoo_targets(args.zoo_sample, args.zoo_seed))
-
-        if not targets:
-            print("nothing to lint (pass files, --design or --zoo-sample)",
-                  file=sys.stderr)
+        targets = load_targets(args, "lint")
+        if targets is None:
             return 2
-
         results: list[tuple[str, LintReport]] = []
         for name, ts in targets:
             report = lint_transition_system(ts)

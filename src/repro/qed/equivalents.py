@@ -13,7 +13,7 @@ with :func:`verify_equivalence`, and the test suite does exactly that.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from repro.errors import QedError
 from repro.isa.config import IsaConfig
@@ -25,40 +25,13 @@ from repro.synth.spec import spec_from_instruction
 from repro.utils.bitops import mask
 
 
-def verify_equivalence(
-    program: SynthesizedProgram,
-    context: Optional[SolverContext] = None,
-    opt_level: Optional[int] = None,
-) -> bool:
-    """Prove (by exhaustive bit-vector reasoning) that a program matches its spec.
-
-    Pass a shared ``context`` to amortise the encoding across a batch of
-    checks: each program's disagreement constraint then lives in a push/pop
-    scope, so component semantics shared between programs blast once and
-    the SAT backend keeps its learned clauses from check to check.
-    ``opt_level`` selects the compilation pipeline for an internally built
-    context (a supplied context already carries its own).
-    """
+def verify_equivalence(program: SynthesizedProgram) -> bool:
+    """Prove (by exhaustive bit-vector reasoning) that a program matches its spec."""
     spec = program.spec
     inputs = spec.fresh_input_terms(prefix="eqcheck")
-    disagreement = T.bv_ne(spec.output_term(inputs), program.output_term(inputs))
-    if context is None:
-        ctx = SolverContext(opt_level=opt_level)
-        ctx.add(disagreement)
-        return not ctx.check().satisfiable
-    context.push()
-    try:
-        context.add(disagreement)
-        result = context.check()
-    finally:
-        context.pop()
-    return not result.satisfiable
-
-
-def verify_equivalences(programs: Mapping[str, SynthesizedProgram]) -> dict[str, bool]:
-    """Check a whole table of equivalent programs on one shared context."""
     ctx = SolverContext()
-    return {name: verify_equivalence(program, ctx) for name, program in programs.items()}
+    ctx.add(T.bv_ne(spec.output_term(inputs), program.output_term(inputs)))
+    return not ctx.check().satisfiable
 
 
 def _slot(library: ComponentLibrary, name: str, sources, attrs=()) -> ProgramSlot:

@@ -16,14 +16,12 @@ the readable differential reference.
 """
 
 from repro.sat.arena import ArenaSolver
-from repro.sat.cnf import CNF, parse_dimacs, to_dimacs
+from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver, SatResult
 
 __all__ = [
     "ArenaSolver",
     "CNF",
-    "parse_dimacs",
-    "to_dimacs",
     "SatSolver",
     "SatResult",
 ]

@@ -1,4 +1,4 @@
-"""CNF formula container and DIMACS serialisation.
+"""CNF formula container.
 
 Literals follow the DIMACS convention: variables are positive integers and a
 negative integer denotes the negated variable.  Variable 0 is never used.
@@ -76,57 +76,3 @@ class CNF:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CNF(num_vars={self.num_vars}, num_clauses={len(self.clauses)})"
-
-
-def to_dimacs(cnf: CNF) -> str:
-    """Serialise ``cnf`` to DIMACS text."""
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
-def _dimacs_int(token: str, number: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SatError(f"DIMACS line {number}: {token!r} is not an integer") from None
-
-
-def parse_dimacs(text: str) -> CNF:
-    """Parse DIMACS text into a :class:`CNF`.
-
-    Comment lines (``c ...``) are ignored; the problem line is optional but,
-    when present, its variable count is honoured even if larger than any
-    literal actually used.  Malformed text raises :class:`SatError` naming
-    the 1-based line.
-    """
-    cnf = CNF()
-    declared_vars = 0
-    current: list[int] = []
-    for number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise SatError(f"DIMACS line {number}: malformed problem line {line!r}")
-            declared_vars = _dimacs_int(parts[2], number)
-            declared_clauses = _dimacs_int(parts[3], number)
-            if declared_vars < 0 or declared_clauses < 0:
-                raise SatError(
-                    f"DIMACS line {number}: negative count in problem line {line!r}"
-                )
-            continue
-        for token in line.split():
-            lit = _dimacs_int(token, number)
-            if lit == 0:
-                cnf.add_clause(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        raise SatError("DIMACS input ends with an unterminated clause")
-    cnf.num_vars = max(cnf.num_vars, declared_vars)
-    return cnf

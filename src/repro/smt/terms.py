@@ -151,42 +151,6 @@ class BV:
     def __rshift__(self, other: "BV | int") -> "BV":
         return bv_lshr(self, _coerce(other, self.width))
 
-    def eq(self, other: "BV | int") -> "BV":
-        """Equality as a width-1 term."""
-        return bv_eq(self, _coerce(other, self.width))
-
-    def ne(self, other: "BV | int") -> "BV":
-        """Disequality as a width-1 term."""
-        return bv_ne(self, _coerce(other, self.width))
-
-    def ult(self, other: "BV | int") -> "BV":
-        return bv_ult(self, _coerce(other, self.width))
-
-    def ule(self, other: "BV | int") -> "BV":
-        return bv_ule(self, _coerce(other, self.width))
-
-    def slt(self, other: "BV | int") -> "BV":
-        return bv_slt(self, _coerce(other, self.width))
-
-    def sle(self, other: "BV | int") -> "BV":
-        return bv_sle(self, _coerce(other, self.width))
-
-    def ite(self, then_term: "BV", else_term: "BV") -> "BV":
-        """Use this width-1 term as the condition of an if-then-else."""
-        return bv_ite(self, then_term, else_term)
-
-    def extract(self, high: int, low: int) -> "BV":
-        return bv_extract(self, high, low)
-
-    def zext(self, to_width: int) -> "BV":
-        return bv_zext(self, to_width)
-
-    def sext(self, to_width: int) -> "BV":
-        return bv_sext(self, to_width)
-
-    def implies(self, other: "BV") -> "BV":
-        return bv_implies(self, other)
-
     # ----------------------------------------------------------------- repr
 
     def __repr__(self) -> str:
@@ -519,7 +483,7 @@ def bv_sext(a: BV, to_width: int) -> BV:
         return bv_const(extended, to_width)
     sign = bv_extract(a, a.width - 1, a.width - 1)
     ext = bv_ite(
-        sign.eq(bv_const(1, 1)),
+        bv_eq(sign, bv_const(1, 1)),
         bv_const(mask(to_width - a.width), to_width - a.width),
         bv_const(0, to_width - a.width),
     )

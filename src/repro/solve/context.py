@@ -155,13 +155,8 @@ class SolverContext:
         stats.cnf_clauses_post = self._backend_clauses
         aig = self._blaster.aig
         if aig is not None:
-            aig_stats = aig.stats()
             stats.aig_nodes = aig.num_nodes()
-            stats.aig_and = aig_stats.num_and
-            stats.aig_xor = aig_stats.num_xor
-            stats.aig_ite = aig_stats.num_ite
-            stats.aig_rewrite_hits = aig_stats.rewrite_hits
-            stats.aig_strash_hits = aig_stats.strash_hits
+            stats.aig_rewrite_hits = aig.stats().rewrite_hits
         if self._pre is not None:
             pre = self._pre.stats
             stats.units_found = pre.units_found

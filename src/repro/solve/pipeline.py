@@ -1,8 +1,10 @@
 """Configuration of the staged term → AIG → CNF → preprocess compilation.
 
-Every solver entry point (``SolverContext``, the BMC, k-induction and PDR
-engines, CEGIS, the flows and the experiment harnesses) accepts
-an ``opt_level`` that resolves to a :class:`PipelineConfig`:
+``SolverContext``, the BMC, k-induction and PDR engines and
+``check_invariant`` accept an ``opt_level`` that resolves to a
+:class:`PipelineConfig`; the layers above them (the flows, CEGIS,
+equivalence checking, the bug zoo and the experiment harnesses) take none
+and run at the process default:
 
 * ``opt_level=0`` — the naive reference path: direct Tseitin bit-blasting
   with only local gate caching, no cone-of-influence reduction, no CNF
@@ -124,11 +126,7 @@ class EncodingStats:
 
     opt_level: int = DEFAULT_OPT_LEVEL
     aig_nodes: int = 0
-    aig_and: int = 0
-    aig_xor: int = 0
-    aig_ite: int = 0
     aig_rewrite_hits: int = 0
-    aig_strash_hits: int = 0
     cnf_vars: int = 0
     cnf_clauses_pre: int = 0
     cnf_clauses_post: int = 0
@@ -136,14 +134,8 @@ class EncodingStats:
     vars_eliminated: int = 0
     vars_restored: int = 0
     resolvents_added: int = 0
-    coi_states_kept: int = 0
     coi_states_dropped: int = 0
     coi_state_bits_dropped: int = 0
-    absint_states_folded: int = 0
-    absint_bits_folded: int = 0
 
     def copy(self) -> "EncodingStats":
         return dataclasses.replace(self)
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)

@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.errors import SynthesisError
 from repro.sat.solver import SolverStats
 from repro.smt import terms as T
 from repro.solve.context import SolverContext
@@ -40,16 +39,15 @@ from repro.synth.spec import SynthesisSpec
 from repro.utils.bitops import mask
 
 
+#: Counterexamples the loop starts from, taken from the corner values 0/1.
+INITIAL_EXAMPLES = 2
+
+
 @dataclass
 class CegisConfig:
     """Tunable knobs of the CEGIS loop."""
 
     max_iterations: int = 16
-    initial_examples: int = 2
-    conflict_budget: Optional[int] = None
-    #: Compilation-pipeline level for both solver contexts (``None`` =
-    #: process default, see :mod:`repro.solve.pipeline`).
-    opt_level: Optional[int] = None
 
 
 @dataclass
@@ -95,16 +93,16 @@ class CegisEngine:
         for example in self._seed_examples(spec):
             stats.counterexamples += 1
             synth_terms.extend(encoder.example_constraints(example))
-        synth_ctx = SolverContext(opt_level=self.config.opt_level)
+        synth_ctx = SolverContext()
         synth_ctx.add_all(synth_terms)
-        verify_ctx = SolverContext(opt_level=self.config.opt_level)
+        verify_ctx = SolverContext()
         verify_inputs = spec.fresh_input_terms(prefix="verify")
         spec_term = spec.output_term(verify_inputs)
 
         for _ in range(self.config.max_iterations):
             stats.iterations += 1
             stats.synthesis_queries += 1
-            result = synth_ctx.check(conflict_budget=self.config.conflict_budget)
+            result = synth_ctx.check()
             stats.synthesis_solver_stats.merge(result.stats)
             if not result.satisfiable:
                 break
@@ -131,12 +129,10 @@ class CegisEngine:
         ctx.push()
         try:
             ctx.add(T.bv_ne(spec_term, program.output_term(input_terms)))
-            result = ctx.check(conflict_budget=self.config.conflict_budget)
+            result = ctx.check()
         finally:
             ctx.pop()
         stats.verification_solver_stats.merge(result.stats)
-        if result.satisfiable is None:
-            raise SynthesisError("verification query exceeded its conflict budget")
         if not result.satisfiable:
             return None
         return [result.value_of(term) for term in input_terms]
@@ -148,7 +144,7 @@ class CegisEngine:
         input_terms = spec.fresh_input_terms(prefix="verify")
         spec_term = spec.output_term(input_terms)
         return self._check_candidate(
-            SolverContext(opt_level=self.config.opt_level),
+            SolverContext(),
             input_terms,
             spec_term,
             program,
@@ -163,7 +159,7 @@ class CegisEngine:
         seeds: list[list[int]] = []
         for combo in itertools.islice(
             itertools.product(corner_values, repeat=spec.arity),
-            self.config.initial_examples,
+            INITIAL_EXAMPLES,
         ):
             seeds.append(
                 [value & mask(inp.width) for value, inp in zip(combo, spec.inputs)]

@@ -27,8 +27,10 @@ from repro.errors import ZooError
 from repro.par import TaskPool
 from repro.proc.bugs import BugRecipe
 from repro.solve.backend import default_sat_kernel
+from repro.solve.pipeline import default_opt_level
 from repro.zoo.families import FAMILIES, ZooInstance, instantiate, sample_recipe
 from repro.zoo.oracle import (
+    CONTROL_BOUND,
     OracleReport,
     OracleSettings,
     STATUS_CLEAN,
@@ -196,9 +198,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             "engines": list(config.settings.engines),
             "pdr_total_budget": config.settings.pdr_total_budget,
             "bmc_conflict_budget": config.settings.bmc_conflict_budget,
-            "control_bound": config.settings.control_bound,
+            "control_bound": CONTROL_BOUND,
             "sat_kernel": default_sat_kernel(),
-            "opt_level": config.settings.opt_level,
+            "opt_level": default_opt_level(),
         },
         seeded=seeded,
         controls=controls,

@@ -42,7 +42,6 @@ def _settings(args: argparse.Namespace) -> OracleSettings:
         engines=engines,
         bmc_conflict_budget=args.bmc_budget,
         pdr_total_budget=args.pdr_budget,
-        opt_level=args.opt_level,
     )
 
 
@@ -59,7 +58,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=4_000,
         help="cumulative PDR effort budget; exhausted ⇒ inconclusive",
     )
-    parser.add_argument("--opt-level", type=int, choices=(0, 1, 2), default=None)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -27,6 +27,7 @@ from typing import Optional
 
 from repro.bmc.trace import Trace
 from repro.core.flow import SepeSqedFlow, SqedFlow, _BaseFlow
+from repro.core.results import VerificationOutcome
 from repro.errors import ZooError
 from repro.isa.executor import ArchState, execute_program
 from repro.isa.instructions import Instruction
@@ -51,6 +52,16 @@ STATUS_DISAGREEMENT = "disagreement"
 #: Per-engine verdicts.
 CEX, SAFE, UNKNOWN = "cex", "safe", "inconclusive"
 
+#: Frame limit of the PDR leg and induction depth of the k-induction leg.
+PDR_MAX_FRAMES = 8
+KINDUCTION_MAX_K = 3
+#: Bound cap for control (bug-free) BMC runs.  Golden-model UNSAT cost
+#: explodes per frame (measured ~2.6s at bound 7 vs ~330s at bound 9 on
+#: the SEPE configuration); a false alarm — an encoding artefact — would
+#: surface at small bounds too, and the PDR/k-induction control legs
+#: cover depths beyond it.
+CONTROL_BOUND = 7
+
 
 @dataclass
 class OracleSettings:
@@ -66,15 +77,6 @@ class OracleSettings:
     #: on buggy QED models is an obligation storm, so this is what keeps a
     #: campaign from hanging (satellite: budget-exceeded ⇒ inconclusive).
     pdr_total_budget: int = 4_000
-    pdr_max_frames: int = 8
-    kinduction_max_k: int = 3
-    #: Bound cap for control (bug-free) BMC runs.  Golden-model UNSAT cost
-    #: explodes per frame (measured ~2.6s at bound 7 vs ~330s at bound 9 on
-    #: the SEPE configuration); a false alarm — an encoding artefact — would
-    #: surface at small bounds too, and the PDR/k-induction control legs
-    #: cover depths beyond it.
-    control_bound: int = 7
-    opt_level: Optional[int] = None
 
     def __post_init__(self) -> None:
         for engine in self.engines:
@@ -266,13 +268,9 @@ def _pdr_chain_check(model: QedVerificationModel, chain) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def make_flow(instance: ZooInstance, settings: OracleSettings) -> _BaseFlow:
+def make_flow(instance: ZooInstance) -> _BaseFlow:
     cls = SepeSqedFlow if instance.flow_kind == FLOW_SEPE else SqedFlow
-    return cls(
-        instance.config,
-        fifo_depth=instance.fifo_depth,
-        opt_level=settings.opt_level,
-    )
+    return cls(instance.config, fifo_depth=instance.fifo_depth)
 
 
 def _charge_run(report: OracleReport, outcome) -> None:
@@ -302,7 +300,7 @@ def run_instance(
         kind="seeded",
         status=STATUS_INCONCLUSIVE,
     )
-    flow = make_flow(instance, settings)
+    flow = make_flow(instance)
 
     if "bmc" not in settings.engines:
         raise ZooError("the oracle always needs the BMC leg ('bmc' engine)")
@@ -342,10 +340,7 @@ def run_instance(
 
     report.bmc_verdict = CEX
     report.cex_length = outcome.counterexample_length
-    # The trace came from an identically-built model; symbol names match
-    # because flows build models deterministically — but never reuse the
-    # *outcome's* trace against a model with a different prefix.
-    failure = replay_check_from_run(flow, instance, outcome)
+    failure = replay_check_from_run(outcome)
     if failure is not None:
         report.concretized = False
         report.status = STATUS_DISAGREEMENT
@@ -358,7 +353,7 @@ def run_instance(
         proof = flow.prove(
             instance.bug,
             engine="pdr",
-            max_frames=settings.pdr_max_frames,
+            max_frames=PDR_MAX_FRAMES,
             total_conflict_budget=settings.pdr_total_budget,
         )
         _charge_proof(report, proof)
@@ -392,7 +387,7 @@ def run_instance(
         proof = flow.prove(
             instance.bug,
             engine="kinduction",
-            max_k=settings.kinduction_max_k,
+            max_k=KINDUCTION_MAX_K,
             conflict_budget=settings.bmc_conflict_budget,
         )
         _charge_proof(report, proof)
@@ -406,48 +401,11 @@ def run_instance(
     return report
 
 
-def replay_check_from_run(
-    flow: _BaseFlow, instance: ZooInstance, outcome
-) -> Optional[str]:
-    """Replay-check a flow.run outcome's trace against a matching model.
-
-    ``flow.run`` built its own model internally (with its own symbol
-    prefix), so the trace must be checked against a model whose names come
-    from the *trace itself*: we rebuild and rely on deterministic
-    construction, then remap by position if prefixes differ.
-    """
-    trace = None if outcome.bmc_result is None else outcome.bmc_result.trace
-    if trace is None:
+def replay_check_from_run(outcome: VerificationOutcome) -> Optional[str]:
+    """Replay-check a ``flow.run`` outcome's trace on the model BMC checked."""
+    if outcome.trace is None:
         return "BMC reported a counterexample but produced no trace"
-    model = flow.build_model(instance.bug)
-    fresh_prefix = _model_prefix(model)
-    # The trace's prefix is whatever run() minted; recover it from any
-    # qed_sel input key.
-    sel_keys = [k for k in trace.steps[0].inputs if k.endswith("_qed_sel")]
-    if len(sel_keys) != 1:
-        return f"cannot identify the trace's model prefix: {sel_keys}"
-    trace_prefix = sel_keys[0][: -len("_qed_sel")]
-    if trace_prefix != fresh_prefix:
-        trace = _remap_trace(trace, trace_prefix, fresh_prefix)
-    return replay_check(model, trace)
-
-
-def _remap_trace(trace: Trace, old: str, new: str) -> Trace:
-    from repro.bmc.trace import TraceStep
-
-    def remap(d: dict) -> dict:
-        return {
-            (new + k[len(old):] if k.startswith(old) else k): v
-            for k, v in d.items()
-        }
-
-    return Trace(
-        steps=[
-            TraceStep(frame=s.frame, states=remap(s.states), inputs=remap(s.inputs))
-            for s in trace.steps
-        ],
-        property_name=trace.property_name,
-    )
+    return replay_check(outcome.model, outcome.trace)
 
 
 def run_control(
@@ -462,10 +420,10 @@ def run_control(
         kind="control",
         status=STATUS_CLEAN,
     )
-    flow = make_flow(instance, settings)
+    flow = make_flow(instance)
     outcome = flow.run(
         None,
-        bound=min(instance.bound, settings.control_bound),
+        bound=min(instance.bound, CONTROL_BOUND),
         conflict_budget=settings.bmc_conflict_budget,
     )
     _charge_run(report, outcome)
@@ -482,7 +440,7 @@ def run_control(
         proof = flow.prove(
             None,
             engine="pdr",
-            max_frames=settings.pdr_max_frames,
+            max_frames=PDR_MAX_FRAMES,
             total_conflict_budget=settings.pdr_total_budget,
         )
         _charge_proof(report, proof)
@@ -497,7 +455,7 @@ def run_control(
         proof = flow.prove(
             None,
             engine="kinduction",
-            max_k=settings.kinduction_max_k,
+            max_k=KINDUCTION_MAX_K,
             conflict_budget=settings.bmc_conflict_budget,
         )
         _charge_proof(report, proof)

@@ -44,9 +44,7 @@ class ShrinkResult:
 def _bmc_only(settings: Optional[OracleSettings]) -> OracleSettings:
     base = settings or OracleSettings()
     return OracleSettings(
-        engines=("bmc",),
-        bmc_conflict_budget=base.bmc_conflict_budget,
-        opt_level=base.opt_level,
+        engines=("bmc",), bmc_conflict_budget=base.bmc_conflict_budget
     )
 
 

@@ -558,3 +558,8 @@ class TestCli:
     def test_unknown_design_exits_2(self):
         proc = self._run("--design", "definitely_not_a_design")
         assert proc.returncode == 2
+
+    def test_no_targets_exits_2(self):
+        proc = self._run()
+        assert proc.returncode == 2
+        assert "nothing to analyze" in proc.stderr

@@ -360,16 +360,53 @@ class TestKInductionAcrossLevels:
 
 
 class TestCegisAcrossLevels:
-    def test_synthesis_agrees_with_naive_pipeline(self, small_isa, small_library):
+    def test_synthesis_agrees_with_naive_pipeline(
+        self, monkeypatch, small_isa, small_library
+    ):
         from repro.qed.equivalents import verify_equivalence
-        from repro.synth.cegis import CegisConfig, CegisEngine
+        from repro.synth.cegis import CegisEngine
         from repro.synth.spec import spec_from_instruction
 
         spec = spec_from_instruction("XOR", small_isa)
         components = [small_library.by_name(name) for name in ("OR", "AND", "SUB")]
         for opt in OPT_LEVELS:
-            outcome = CegisEngine(CegisConfig(opt_level=opt)).synthesize(
-                spec, components
-            )
+            monkeypatch.setenv(ENV_OPT_LEVEL, str(opt))
+            outcome = CegisEngine().synthesize(spec, components)
             assert outcome.succeeded, opt
-            assert verify_equivalence(outcome.program, opt_level=opt), opt
+            assert verify_equivalence(outcome.program), opt
+
+
+class TestLevelSelection:
+    """``$REPRO_OPT_LEVEL`` is the one level selector above the engines."""
+
+    def test_every_layer_runs_the_level_the_environment_names(
+        self, monkeypatch, small_isa, small_library
+    ):
+        from repro.qed.equivalents import verify_equivalence
+        from repro.synth.cegis import CegisEngine
+        from repro.synth.spec import spec_from_instruction
+        from repro.zoo import OracleSettings, instantiate, run_instance, sample_recipe
+        from repro.zoo.oracle import STATUS_DETECTED
+
+        levels = []
+        init = SolverContext.__init__
+
+        def recording_init(ctx, *args, **kwargs):
+            init(ctx, *args, **kwargs)
+            levels.append(ctx.pipeline.opt_level)
+
+        monkeypatch.setattr(SolverContext, "__init__", recording_init)
+        # No default produces level 1, so a layer that picked its own level
+        # instead of the environment's would record another one here.
+        monkeypatch.setenv(ENV_OPT_LEVEL, "1")
+        report = run_instance(
+            instantiate(sample_recipe("alu_op_swap", seed=1)),
+            OracleSettings(engines=("bmc",)),
+        )
+        assert report.status == STATUS_DETECTED, report.failure
+        spec = spec_from_instruction("XOR", small_isa)
+        components = [small_library.by_name(name) for name in ("OR", "AND", "SUB")]
+        outcome = CegisEngine().synthesize(spec, components)
+        assert outcome.succeeded
+        assert verify_equivalence(outcome.program)
+        assert len(levels) >= 4 and set(levels) == {1}

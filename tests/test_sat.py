@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SatError
 from repro.sat.arena import ArenaSolver
-from repro.sat.cnf import CNF, parse_dimacs, to_dimacs
+from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver
 
 #: Both kernels must pass every contract test.
@@ -42,39 +42,6 @@ class TestCnf:
         cnf = CNF()
         assert cnf.new_var() == 1
         assert cnf.new_var() == 2
-
-    def test_dimacs_roundtrip(self):
-        cnf = CNF([[1, 2], [-1, 3], [-2, -3]])
-        text = to_dimacs(cnf)
-        parsed = parse_dimacs(text)
-        assert parsed.num_vars == cnf.num_vars
-        assert list(parsed) == list(cnf)
-
-    def test_parse_dimacs_with_comments(self):
-        parsed = parse_dimacs("c a comment\np cnf 3 2\n1 2 0\n-3 0\n")
-        assert parsed.num_vars == 3
-        assert len(parsed) == 2
-
-    def test_parse_dimacs_negative_counts(self):
-        for text, line in (
-            ("p cnf -3 1\n1 0\n", 1),
-            ("c header\np cnf 3 -1\n1 0\n", 2),
-        ):
-            with pytest.raises(SatError, match=f"line {line}"):
-                parse_dimacs(text)
-
-    def test_parse_dimacs_unterminated_clause(self):
-        with pytest.raises(SatError):
-            parse_dimacs("1 2")
-        # Non-integer tokens are malformed input too: a typed error naming
-        # the offending line, never a bare ValueError.
-        for text, line in (
-            ("p cnf 3 1\n1 x 0\n", 2),
-            ("p cnf three 1\n1 0\n", 1),
-            ("1 2 0\n-", 2),
-        ):
-            with pytest.raises(SatError, match=f"line {line}"):
-                parse_dimacs(text)
 
     def test_copy_is_independent(self):
         cnf = CNF([[1, 2]])

@@ -24,11 +24,7 @@ from repro.bmc.engine import BmcEngine, BmcSession
 from repro.bmc.kinduction import KInductionEngine
 from repro.synth.cegis import CegisEngine
 from repro.synth.spec import spec_from_instruction
-from repro.qed.equivalents import (
-    default_equivalent_programs,
-    verify_equivalence,
-    verify_equivalences,
-)
+from repro.qed.equivalents import verify_equivalence
 from repro.ts.system import TransitionSystem
 from repro.utils.bitops import mask
 
@@ -641,18 +637,6 @@ class TestCegisIncremental:
         stats = outcome.stats
         assert stats.synthesis_solver_stats.decisions > 0
         assert stats.verification_solver_stats.propagations > 0
-
-
-class TestSharedEquivalenceChecking:
-    def test_batch_verification_on_one_context(self, small_isa):
-        programs = default_equivalent_programs(
-            small_isa, ops=["ADD", "SUB", "XOR", "OR", "AND"]
-        )
-        shared = verify_equivalences(programs)
-        assert shared == {op: True for op in programs}
-        # Fresh-context verdicts agree program by program.
-        for program in programs.values():
-            assert verify_equivalence(program)
 
 
 class TestKernelSelection:

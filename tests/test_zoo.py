@@ -45,6 +45,8 @@ from repro.zoo.oracle import (
     STATUS_CLEAN,
     STATUS_DETECTED,
     STATUS_INCONCLUSIVE,
+    make_flow,
+    replay_check,
 )
 
 #: Fast BMC-only oracle settings for tier-1 tests.
@@ -244,9 +246,9 @@ class TestOracleSample:
         # kernel or the encoding pipeline: both kernels at both ends of
         # the optimisation range must agree, cex length included.
         monkeypatch.setenv("REPRO_SAT_BACKEND", kernel)
-        settings = OracleSettings(engines=("bmc",), opt_level=opt_level)
+        monkeypatch.setenv("REPRO_OPT_LEVEL", str(opt_level))
         report = run_instance(
-            instantiate(sample_recipe("alu_op_swap", seed=1)), settings
+            instantiate(sample_recipe("alu_op_swap", seed=1)), _BMC_ONLY
         )
         assert report.status == STATUS_DETECTED, report.failure
         assert report.concretized is True
@@ -264,6 +266,18 @@ class TestOracleSample:
             assert report.pdr_chain_length >= report.cex_length
         else:
             assert report.pdr_verdict == "inconclusive"
+
+    def test_trace_replays_on_the_model_bmc_checked(self):
+        instance = instantiate(sample_recipe("alu_op_swap", seed=1))
+        outcome = make_flow(instance).run(instance.bug, bound=instance.bound)
+        assert outcome.detected is True
+        ts = outcome.model.ts
+        states = {s.name for s in ts.states}
+        inputs = {i.name for i in ts.inputs}
+        for step in outcome.trace.steps:
+            assert step.states and set(step.states) <= states
+            assert step.inputs and set(step.inputs) <= inputs
+        assert replay_check(outcome.model, outcome.trace) is None
 
     def test_control_produces_no_false_alarm(self):
         report = run_control(
@@ -361,6 +375,23 @@ class TestCampaign:
         report = run_campaign(config)
         assert report.summary["detected"] == 1
         assert report.config["sat_kernel"] == "reference"
+
+    @pytest.mark.parametrize("value,level", [("1", 1), (None, 2)])
+    def test_config_records_the_level_that_ran(self, monkeypatch, value, level):
+        if value is None:
+            monkeypatch.delenv("REPRO_OPT_LEVEL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_OPT_LEVEL", value)
+        config = CampaignConfig(
+            count=1,
+            seed=5,
+            families=("alu_op_swap",),
+            settings=_BMC_ONLY,
+            run_controls=False,
+        )
+        report = run_campaign(config)
+        assert report.summary["detected"] == 1
+        assert report.config["opt_level"] == level
 
     def test_campaign_rejects_bad_config(self):
         with pytest.raises(ZooError):

@@ -27,9 +27,10 @@ Exemptions:
 
 **Environment reads** (everywhere).  Process-default knobs must resolve in
 one designated config module per subsystem, so a knob's precedence
-(explicit argument > environment > default) is auditable in one place and
-workers inherit configuration through pickled config objects rather than
-ambient environment state.  Flagged: any ``os.environ`` / ``os.getenv``
+(explicit argument > environment > default) is auditable in one place.
+The ``REPRO_*`` selectors are process-wide: forked ``TaskPool`` workers
+inherit them from the parent's environment, and the resolver in each
+worker reads the same value.  Flagged: any ``os.environ`` / ``os.getenv``
 use outside the allowlisted config modules.  Lines carrying a
 ``# selflint: allow-env`` comment are exempt — for reads that genuinely
 belong where they are (document why at the site).
