@@ -11,9 +11,13 @@ This example reproduces the core claim of the paper on a scaled-down DUV:
    the consistency property fails and we get a concrete bug trace.
 
 Run with:  python examples/quickstart.py
+It takes about ten seconds and exits 1 when a verdict is not the expected
+one.
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro import (
     IsaConfig,
@@ -25,11 +29,17 @@ from repro import (
     pool_for_bug,
 )
 
+#: BMC bounds.  SQED's bug-free-looking run must finish the whole bound,
+#: which costs seconds per frame from bound 5 on; SEPE-SQED finds the bug
+#: at a trace of 7 cycles.
+SQED_BOUND = 5
+SEPE_BOUND = 9
 
-def main() -> None:
+
+def main() -> int:
     # A narrow datapath keeps the pure-Python SAT backend fast; the flow is
     # identical at XLEN=32.
-    isa = IsaConfig.small(xlen=8, num_regs=8)
+    isa = IsaConfig.small(xlen=4, num_regs=8)
 
     # The equivalent programs SEPE-SQED dispatches instead of duplicates.
     equivalents = default_equivalent_programs(isa)
@@ -44,14 +54,14 @@ def main() -> None:
     print(f"DUV instruction pool: {', '.join(pool)}")
     print()
 
-    print("running classic SQED (EDDI-V)...")
-    sqed_outcome = SqedFlow(config).run(bug, bound=6)
-    print(f"  property violated: {bool(sqed_outcome.detected)} "
+    print(f"running classic SQED (EDDI-V) to bound {SQED_BOUND}...")
+    sqed_outcome = SqedFlow(config).run(bug, bound=SQED_BOUND)
+    print(f"  property violated: {sqed_outcome.detected} "
           f"(expected False - the bug hits original and duplicate identically)")
 
-    print("running SEPE-SQED (EDSEP-V)...")
-    sepe_outcome = SepeSqedFlow(config).run(bug, bound=9)
-    print(f"  property violated: {bool(sepe_outcome.detected)} "
+    print(f"running SEPE-SQED (EDSEP-V) to bound {SEPE_BOUND}...")
+    sepe_outcome = SepeSqedFlow(config).run(bug, bound=SEPE_BOUND)
+    print(f"  property violated: {sepe_outcome.detected} "
           f"(expected True), counterexample length: {sepe_outcome.counterexample_length} cycles, "
           f"runtime {sepe_outcome.runtime_seconds:.1f}s")
 
@@ -61,6 +71,11 @@ def main() -> None:
         signals = [name for name in sorted(sepe_outcome.trace.steps[0].inputs)]
         print(sepe_outcome.trace.render(signals))
 
+    if sqed_outcome.detected is not False or sepe_outcome.detected is not True:
+        print("unexpected verdict", file=sys.stderr)
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,23 +10,25 @@ Four consumers, four shapes:
   consecution before admitting any of them;
 * :func:`fold_system` — a rewritten :class:`TransitionSystem` with
   proven-constant latches removed and partially-known latches narrowed to
-  their unknown bits, plus the assembly terms needed to rebuild original
-  traces;
+  their unknown bits (BMC reports its traces by simulating the original
+  system);
 * :func:`validate_by_simulation` — the independent soundness oracle:
-  every fact must subsume bounded random concrete runs.
+  every fact must subsume bounded random concrete runs, stepped by
+  :mod:`repro.ts.simulate`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.absint.domains import AbstractValue
 from repro.absint.fixpoint import Analysis
 from repro.errors import AbsintError
 from repro.smt import terms as T
-from repro.smt.evaluator import evaluate, free_variables, substitute
+from repro.smt.evaluator import evaluate, substitute
 from repro.smt.terms import BV
+from repro.ts.simulate import initial_state, next_state, rigid_symbols
 from repro.ts.system import TransitionSystem
 from repro.utils.bitops import mask
 
@@ -106,12 +108,9 @@ def pdr_seed_cubes(
 
 @dataclass
 class AbsintFold:
-    """A folded system plus the map back to the original state space."""
+    """A folded system and how much it folded."""
 
     ts: TransitionSystem
-    #: Original latch name -> equivalent term over the folded system's
-    #: symbols (the original symbol itself for untouched latches).
-    state_terms: dict[str, BV] = field(default_factory=dict)
     #: Latches removed entirely (proven constant).
     states_folded: int = 0
     #: Proven-constant bits eliminated (includes removed latches' bits).
@@ -171,28 +170,22 @@ def fold_system(ts: TransitionSystem, analysis: Analysis) -> AbsintFold | None:
     for inp in ts.inputs:
         folded.add_input(inp.name, inp.width)
 
-    # Replacement terms for every original latch symbol.
+    # Replacement terms for every folded latch symbol.
     replacement: dict[BV, BV] = {}
-    state_terms: dict[str, BV] = {}
     narrow_symbols: dict[str, BV] = {}
     for s in ts.states:
         if s.name in const_latches:
             value = const_latches[s.name]
-            term = T.bv_const(value.const_value(), s.width)
-            replacement[s.symbol] = term
-            state_terms[s.name] = term
+            replacement[s.symbol] = T.bv_const(value.const_value(), s.width)
         elif s.name in narrowed:
             value = narrowed[s.name]
             narrow = folded.add_state(
                 _narrowed_name(s.name, value), value.unknown_count
             )
             narrow_symbols[s.name] = narrow
-            term = _assemble(value, narrow)
-            replacement[s.symbol] = term
-            state_terms[s.name] = term
+            replacement[s.symbol] = _assemble(value, narrow)
         else:
             folded.add_state(s.name, s.width)
-            state_terms[s.name] = s.symbol
 
     def rewrite(term: BV) -> BV:
         return substitute(term, replacement) if replacement else term
@@ -222,7 +215,6 @@ def fold_system(ts: TransitionSystem, analysis: Analysis) -> AbsintFold | None:
     bits += sum(v.width - v.unknown_count for v in narrowed.values())
     return AbsintFold(
         ts=folded,
-        state_terms=state_terms,
         states_folded=len(const_latches),
         bits_folded=bits,
     )
@@ -244,7 +236,8 @@ def validate_by_simulation(
     """Cross-check every fact against bounded random concrete simulation.
 
     Drives ``runs`` random executions for ``steps`` cycles each (random
-    inputs every cycle, random values for unconstrained latches) and
+    inputs every cycle, random values for the rigid symbols and for
+    latches without an init term) and
     checks that each latch's abstract value contains its concrete value
     and that abstractly-decided properties match their concrete
     evaluation.  Returns the number of containment checks performed;
@@ -253,56 +246,40 @@ def validate_by_simulation(
     """
     rng = random.Random(seed)
     checks = 0
-    declared = {s.name for s in ts.states} | {i.name for i in ts.inputs}
-    aux: dict[str, int] = {}
-    all_terms = list(ts.constraints) + list(ts.properties.values())
-    for s in ts.states:
-        all_terms.extend(t for t in (s.init, s.next) if t is not None)
-    for term in all_terms:
-        for var in free_variables(term):
-            if var.name not in declared:
-                aux[var.name] = var.width
+    rigid = rigid_symbols(ts)
     for _ in range(runs):
-        env: dict[str, int] = {}
-        # Undeclared auxiliary symbols are rigid: one random value per run.
-        for name, width in aux.items():
-            env[name] = rng.getrandbits(width)
-        for inp in ts.inputs:
-            env[inp.name] = rng.getrandbits(inp.width)
-        for s in ts.states:
-            env[s.name] = rng.getrandbits(s.width)
-        # Two passes so init terms referencing other latches settle.
-        for _ in range(2):
-            for s in ts.states:
-                if s.init is not None:
-                    env[s.name] = evaluate(s.init, env)
+        # Rigid symbols keep one random value per run.
+        env = {name: rng.getrandbits(width) for name, width in rigid.items()}
+        free = {
+            s.name: rng.getrandbits(s.width) for s in ts.states if s.init is None
+        }
+        states = initial_state(ts, env, free)
         for step in range(steps):
+            frame = {**env, **states}
+            for inp in ts.inputs:
+                frame[inp.name] = rng.getrandbits(inp.width)
             for s in ts.states:
                 value = analysis.latches[s.name]
-                if not value.contains(env[s.name]):
+                if not value.contains(states[s.name]):
                     raise AbsintError(
                         f"soundness violation: latch {s.name!r} = "
-                        f"{env[s.name]:#x} at step {step} escapes "
+                        f"{states[s.name]:#x} at step {step} escapes "
                         f"{value.describe()}"
                     )
                 checks += 1
             for pname, term in ts.properties.items():
                 abstract = analysis.properties[pname]
                 if abstract.is_const:
-                    if evaluate(term, env) != abstract.const_value():
+                    if evaluate(term, frame) != abstract.const_value():
                         raise AbsintError(
                             f"soundness violation: property {pname!r} "
                             f"disagrees with abstract value "
                             f"{abstract.describe()} at step {step}"
                         )
                     checks += 1
-            stepped = {}
-            for s in ts.states:
-                if s.next is not None:
-                    stepped[s.name] = evaluate(s.next, env)
-                else:
-                    stepped[s.name] = rng.getrandbits(s.width)
-            for inp in ts.inputs:
-                env[inp.name] = rng.getrandbits(inp.width)
-            env.update(stepped)
+            # A latch without a next function is input-like.
+            states = {
+                s.name: rng.getrandbits(s.width) for s in ts.states if s.next is None
+            }
+            states.update(next_state(ts, frame))
     return checks

@@ -13,6 +13,11 @@ under test is passed as an assumption, and the session can be *extended* to
 larger bounds without redoing earlier frames.  ``BmcEngine`` is the classic
 one-call facade; ``KInductionEngine`` drives one session across its whole
 base-case schedule.
+
+A satisfiable frame becomes a trace by simulating the original system
+(:func:`build_trace`), and the session re-checks that trace before it
+reports it: a trace that breaks a constraint or satisfies the property
+raises :class:`~repro.errors.BmcError`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.smt.evaluator import evaluate
 from repro.solve.context import SolverContext
 from repro.solve.pipeline import EncodingStats, PipelineConfig
 from repro.ts.coi import CoiReduction, cached_property_cone
+from repro.ts.simulate import initial_state, next_state, rigid_symbols
 from repro.ts.system import TransitionSystem
 from repro.ts.unroll import Unroller
 from repro.bmc.trace import Trace, TraceStep
@@ -99,9 +105,8 @@ def prepare_property_system(
     """The system to unroll for ``property_name`` under ``pipeline``.
 
     At ``opt_level >= 1`` the transition system is restricted to the
-    property's cone of influence; the returned reduction (``None`` when
-    nothing was dropped or COI is off) carries what a trace builder needs to
-    reconstruct the dropped signals.
+    property's cone of influence; the returned reduction is ``None`` when
+    nothing was dropped or COI is off.
     """
     if not pipeline.coi:
         return ts, None
@@ -140,75 +145,35 @@ def build_trace(
     property_name: str,
     model: dict[str, int],
     last_frame: int,
-    reduction: Optional[CoiReduction] = None,
-    fold=None,
 ) -> Trace:
-    """Concretise a full bit-blasted model into a counterexample trace.
+    """Concretise a bit-blasted model into a counterexample trace of ``ts``.
 
-    ``ts`` is the *original* system; when ``reduction`` is given, the
-    unroller only covers the cone, and the dropped signals are reconstructed
-    by forward simulation (dropped inputs read 0 — they are unconstrained,
-    so any value yields a consistent run).  When ``fold`` (an
-    :class:`~repro.absint.AbsintFold`) is given, the unroller covers the
-    folded system and each original latch is read back through its
-    assembly term, so traces are reported in original coordinates.
-    Variables the model leaves unassigned read 0.
+    ``ts`` is the *original* system; ``unroller`` may cover a reduced or
+    folded copy of it.  The model supplies only what a run leaves free:
+    the rigid symbols, the initial value of each state without an init
+    term and each frame's inputs, read from the unroller's variables.  The
+    states are then simulated on ``ts`` itself.  A value the unroller does
+    not cover (a COI-dropped input or state) or the model leaves
+    unassigned reads 0.
     """
-    # One assignment for the whole trace: the model plus 0 for every
-    # unassigned variable of the terms read, which one walk shared by
-    # all of them fills in; so one evaluation cache serves every value.
-    assignment = dict(model)
-    walked: set[int] = set()
-    cache: dict[int, int] = {}
+    env = {name: model.get(name, 0) for name in rigid_symbols(ts)}
 
-    def value_of(term: T.BV) -> int:
-        stack = [term]
-        while stack:
-            node = stack.pop()
-            if node.tid in walked:
-                continue
-            walked.add(node.tid)
-            if node.is_var:
-                assignment.setdefault(node.name or "", 0)
-            stack.extend(node.args)
-        return evaluate(term, assignment, cache)
+    def read(symbols, frame: int) -> dict[str, int]:
+        mapping = unroller.frame_mapping(frame)
+        return {
+            s.name: model.get(mapping[s].name, 0) if s in mapping else 0
+            for s in symbols
+        }
 
-    dropped_states: set[str] = set()
-    dropped_inputs: set[str] = set()
-    if reduction is not None and reduction.reduced:
-        dropped_states = set(reduction.dropped_states)
-        dropped_inputs = set(reduction.dropped_inputs)
-
-    def kept_state_term(name: str, frame: int) -> T.BV:
-        if fold is not None:
-            return unroller.at_frame(fold.state_terms[name], frame)
-        return unroller.state_term(name, frame)
-
+    states = initial_state(
+        ts, env, read([s.symbol for s in ts.states if s.init is None], 0)
+    )
     trace = Trace(property_name=property_name)
-    previous: Optional[dict[str, int]] = None
-    for frame in range(0, last_frame + 1):
-        step = TraceStep(frame=frame)
-        for state in ts.states:
-            if state.name not in dropped_states:
-                step.states[state.name] = value_of(
-                    kept_state_term(state.name, frame)
-                )
-        for symbol in ts.inputs:
-            assert symbol.name is not None
-            if symbol.name in dropped_inputs:
-                step.inputs[symbol.name] = 0
-            else:
-                step.inputs[symbol.name] = value_of(
-                    unroller.input_term(symbol.name, frame)
-                )
-        if dropped_states:
-            for state in ts.states:
-                if state.name in dropped_states:
-                    step.states[state.name] = reduction.replay_state(
-                        state, frame, previous, model
-                    )
-        previous = {**step.states, **step.inputs}
-        trace.steps.append(step)
+    for frame in range(last_frame + 1):
+        inputs = read(ts.inputs, frame)
+        trace.steps.append(TraceStep(frame=frame, states=states, inputs=inputs))
+        if frame < last_frame:
+            states = next_state(ts, {**env, **states, **inputs})
     return trace
 
 
@@ -360,23 +325,41 @@ class BmcSession:
                 return finish(None, frame)
             stats.frames_checked += 1
             if result.satisfiable:
-                trace = self._build_trace(result.model, frame)
+                trace = build_trace(
+                    self.ts, self.unroller, self.property_name, result.model, frame
+                )
+                self._certify(trace, result.model)
                 return finish(False, frame, trace=trace)
             self._next_frame = frame + 1
         return finish(True, bound)
 
     # ------------------------------------------------------------------ trace
 
-    def _build_trace(self, model: dict[str, int], last_frame: int) -> Trace:
-        return build_trace(
-            self.ts,
-            self.unroller,
-            self.property_name,
-            model,
-            last_frame,
-            reduction=self.reduction,
-            fold=self.fold,
-        )
+    def _certify(self, trace: Trace, model: dict[str, int]) -> None:
+        """Re-check a counterexample on the original system.
+
+        Every constraint must hold at every frame of ``trace`` and the
+        property must fail at its last frame.  Rigid symbols take their
+        model values (unassigned ones read 0), so nothing of the unrolling,
+        the cone or the fold vouches for the verdict.
+        """
+        env = {name: model.get(name, 0) for name in rigid_symbols(self.ts)}
+        for step in trace.steps:
+            frame_env = {**env, **step.states, **step.inputs}
+            cache: dict[int, int] = {}
+            for constraint in self.ts.constraints:
+                if evaluate(constraint, frame_env, cache) != 1:
+                    raise BmcError(
+                        f"counterexample for {self.property_name!r} violates a "
+                        f"constraint at frame {step.frame}"
+                    )
+        last = trace.steps[-1]
+        prop = self.ts.properties[self.property_name]
+        if evaluate(prop, {**env, **last.states, **last.inputs}) != 0:
+            raise BmcError(
+                f"counterexample for {self.property_name!r} does not violate "
+                f"the property at its last frame {last.frame}"
+            )
 
 
 class BmcEngine:

@@ -27,10 +27,10 @@ from repro.bmc.engine import BmcResult, BmcSession, prepare_property_system
 from repro.errors import BmcError
 from repro.sat.solver import SolverStats
 from repro.smt import terms as T
-from repro.smt.evaluator import substitute
 from repro.solve.context import SolverContext
 from repro.solve.pipeline import PipelineConfig
 from repro.ts.system import TransitionSystem
+from repro.ts.unroll import Unroller
 
 
 @dataclass
@@ -56,29 +56,6 @@ class KInductionEngine:
         self.ts = ts
         self.pipeline = PipelineConfig.resolve(opt_level)
 
-    @staticmethod
-    def _initial_frame(ts: TransitionSystem) -> dict:
-        """Frame map for a fully symbolic state (no init)."""
-        mapping: dict = {}
-        for state in ts.states:
-            mapping[state.symbol] = T.fresh_var(f"ind_{state.name}@0", state.width)
-        for symbol in ts.inputs:
-            mapping[symbol] = T.fresh_var(f"ind_{symbol.name}@0", symbol.width)
-        return mapping
-
-    @staticmethod
-    def _extend_frames(ts: TransitionSystem, frames: list[dict]) -> None:
-        """Append the successor of the last frame (fresh inputs, stepped states)."""
-        k = len(frames)
-        prev = frames[k - 1]
-        new_map: dict = {}
-        for symbol in ts.inputs:
-            new_map[symbol] = T.fresh_var(f"ind_{symbol.name}@{k}", symbol.width)
-        for state in ts.states:
-            assert state.next is not None
-            new_map[state.symbol] = substitute(state.next, prev)
-        frames.append(new_map)
-
     def prove(
         self,
         property_name: str,
@@ -88,7 +65,8 @@ class KInductionEngine:
         """Try to prove ``property_name`` with induction depth up to ``max_k``."""
         if property_name not in self.ts.properties:
             raise BmcError(f"unknown property {property_name!r}")
-        prop = self.ts.properties[property_name]
+        if max_k < 1:
+            raise BmcError(f"max_k must be >= 1, got {max_k}")
 
         # The inductive step only needs the property's cone of influence;
         # the base session applies the same reduction internally.
@@ -100,9 +78,10 @@ class KInductionEngine:
         # for every inductive step.
         base_session = BmcSession(self.ts, property_name, opt_level=self.pipeline)
         step_ctx = SolverContext(opt_level=self.pipeline)
-        frames = [self._initial_frame(step_ts)]
-        for constraint in step_ts.constraints:
-            step_ctx.add(substitute(constraint, frames[0]))
+        # The step frames 0..k start from a free state.
+        frames = Unroller(step_ts, initial=False)
+        for constraint in frames.constraints_at(0):
+            step_ctx.add(constraint)
 
         # Abstract-interpretation strengthening: the fixpoint facts form an
         # inductive invariant that holds initially, so conjoining them to
@@ -115,7 +94,7 @@ class KInductionEngine:
 
             strengthening = strengthening_terms(step_ts, analyze(step_ts))
             for fact in strengthening:
-                step_ctx.add(substitute(fact, frames[0]))
+                step_ctx.add(frames.at_frame(fact, 0))
 
         base: Optional[BmcResult] = None
 
@@ -139,18 +118,17 @@ class KInductionEngine:
                     base_result=base,
                     step_solver_stats=step_ctx.stats.copy(),
                 )
-            # Inductive step at depth k: extend the symbolic unrolling by one
-            # frame, permanently assert P at frame k-1 (sound for all later
-            # depths), and assume the violation at frame k for this query
-            # only.
-            self._extend_frames(step_ts, frames)
-            for constraint in step_ts.constraints:
-                step_ctx.add(substitute(constraint, frames[k]))
+            # Inductive step at depth k: assert the constraints of frame k
+            # (the unroller extends by one frame), permanently assert P at
+            # frame k-1 (sound for all later depths), and assume the
+            # violation at frame k for this query only.
+            for constraint in frames.constraints_at(k):
+                step_ctx.add(constraint)
             for fact in strengthening:
-                step_ctx.add(substitute(fact, frames[k]))
-            step_ctx.add(substitute(prop, frames[k - 1]))
+                step_ctx.add(frames.at_frame(fact, k))
+            step_ctx.add(frames.property_at(property_name, k - 1))
             result = step_ctx.check(
-                assumptions=[T.bv_not(substitute(prop, frames[k]))],
+                assumptions=[T.bv_not(frames.property_at(property_name, k))],
                 conflict_budget=conflict_budget,
                 need_model=False,
             )

@@ -75,14 +75,17 @@ class _BaseFlow:
         bug: Optional[Bug] = None,
         bound: int = 12,
         conflict_budget: Optional[int] = None,
+        model: Optional[QedVerificationModel] = None,
     ) -> VerificationOutcome:
         """Build the verification model, run BMC and summarise the outcome.
 
         ``conflict_budget`` caps the conflicts of the whole run, summed over
-        its frames.
+        its frames.  ``model`` is a model this flow already built for
+        ``bug``; the run then checks it instead of building another.
         """
         start = time.perf_counter()
-        model = self.build_model(bug)
+        if model is None:
+            model = self.build_model(bug)
         engine = BmcEngine(model.ts)
         result = engine.check(
             model.property_name, bound=bound, conflict_budget=conflict_budget
@@ -115,6 +118,7 @@ class _BaseFlow:
         max_frames: int = 20,
         conflict_budget: Optional[int] = None,
         total_conflict_budget: Optional[int] = None,
+        model: Optional[QedVerificationModel] = None,
     ) -> ProofOutcome:
         """Attempt an *unbounded* proof of the QED consistency property.
 
@@ -132,14 +136,16 @@ class _BaseFlow:
         The returned outcome carries the verification ``model`` the engine
         ran on: re-check a PDR invariant against ``outcome.model.ts`` (a
         fresh ``build_model`` call mints new symbol names, so the check
-        must use this exact system).
+        must use this exact system).  As in :meth:`run`, ``model`` is a
+        model this flow already built for ``bug``.
         """
         if engine not in self.PROVE_ENGINES:
             raise VerificationError(
                 f"unknown proof engine {engine!r}; expected one of {self.PROVE_ENGINES}"
             )
         start = time.perf_counter()
-        model = self.build_model(bug)
+        if model is None:
+            model = self.build_model(bug)
         bug_name = None if bug is None else bug.name
         if engine == "pdr":
             pdr = PdrEngine(model.ts, max_frames=max_frames).prove(

@@ -11,7 +11,13 @@ generalised into a stronger clause.  When a propagation pass leaves some
 frame identical to its successor, that frame is an inductive invariant and
 the property is proven for **all** depths.
 
-Everything runs on the PR-1 incremental substrate:
+Every query reads the current and next state as frames 0 and 1 of one
+free-initial :class:`~repro.ts.unroll.Unroller` over the property's cone,
+and a refutation's obligation chain is concretised link by link: the
+consecution context picks each link's inputs, and
+:func:`repro.ts.simulate.next_state` computes the successor on them.
+
+Everything runs on the incremental substrate:
 
 * four persistent :class:`~repro.solve.context.SolverContext` instances
   (consecution, bad-state, initiation, bad-state lifting) keep their
@@ -61,11 +67,12 @@ from repro.bmc.engine import prepare_property_system
 from repro.errors import PdrError
 from repro.sat.solver import SolverStats
 from repro.smt import terms as T
-from repro.smt.evaluator import evaluate, free_variables, substitute
 from repro.smt.terms import BV
 from repro.solve.context import SolverContext
 from repro.solve.pipeline import PipelineConfig
+from repro.ts.simulate import next_state, rigid_symbols
 from repro.ts.system import TransitionSystem
+from repro.ts.unroll import Unroller
 
 #: A cube literal: state variable name, bit index, required value.
 CubeLit = tuple[str, int, bool]
@@ -290,7 +297,6 @@ class _PdrRun:
         # the original system because kept states keep their next functions.
         reduced, _reduction = prepare_property_system(ts, property_name, pipeline)
         self.ts = reduced
-        prop = reduced.properties[property_name]
 
         # Candidate F_inf lemmas: explicit, or the abstract-interpretation
         # fixpoint's per-latch facts (computed on the reduced system, whose
@@ -303,47 +309,18 @@ class _PdrRun:
             [] if seed_lemmas is None else [tuple(cube) for cube in seed_lemmas]
         )
 
-        # One shared set of "current state" / input variables for all three
-        # contexts: terms are hash-consed globally, so each context blasts
-        # the same term graph into its own clause space.
-        self._state_widths: dict[str, int] = {}
-        curr_map: dict[BV, BV] = {}
-        self._curr_vars: dict[str, BV] = {}
-        for state in reduced.states:
-            var = T.fresh_var(f"pdr_{state.name}", state.width)
-            self._state_widths[state.name] = state.width
-            self._curr_vars[state.name] = var
-            curr_map[state.symbol] = var
-        input_map: dict[BV, BV] = {}
-        next_input_map: dict[BV, BV] = {}
-        for symbol in reduced.inputs:
-            assert symbol.name is not None
-            input_map[symbol] = T.fresh_var(f"pdr_in_{symbol.name}", symbol.width)
-            next_input_map[symbol] = T.fresh_var(
-                f"pdr_in1_{symbol.name}", symbol.width
-            )
-        full_curr = {**curr_map, **input_map}
-
-        # next(S, I) per state, and the frame-1 mapping for constraints'.
-        self._next_exprs: dict[str, BV] = {}
-        next_map: dict[BV, BV] = dict(next_input_map)
-        for state in reduced.states:
-            assert state.next is not None
-            expr = substitute(state.next, full_curr)
-            self._next_exprs[state.name] = expr
-            next_map[state.symbol] = expr
-
-        init_parts = []
-        for state in reduced.states:
-            if state.init is not None:
-                init_parts.append(
-                    T.bv_eq(self._curr_vars[state.name], substitute(state.init, full_curr))
-                )
-        self._init_term = T.bv_and_all(init_parts) if init_parts else T.bv_true()
-
-        constraints_curr = [substitute(c, full_curr) for c in reduced.constraints]
-        constraints_next = [substitute(c, next_map) for c in reduced.constraints]
-        self._prop_curr = substitute(prop, full_curr)
+        # Frames 0 and 1 of one free-initial unrolling are the current and
+        # next state of every query.  Terms are hash-consed globally, so
+        # each context blasts the same term graph into its own clause space.
+        frames = Unroller(reduced, initial=False)
+        states = reduced.states
+        self._state_widths = {s.name: s.width for s in states}
+        self._curr_vars = {s.name: frames.state_term(s.name, 0) for s in states}
+        self._next_exprs = {s.name: frames.state_term(s.name, 1) for s in states}
+        self._init_term = frames.initial_condition()
+        constraints_curr = frames.constraints_at(0)
+        constraints_next = frames.constraints_at(1)
+        self._prop_curr = frames.property_at(property_name, 0)
         self._not_prop_curr = T.bv_not(self._prop_curr)
 
         # Consecution context: one transition relation, frames as
@@ -391,12 +368,8 @@ class _PdrRun:
         self._curr_bits: dict[tuple[str, int], BV] = {}
         self._next_bits: dict[tuple[str, int], BV] = {}
         self._input_bits: dict[tuple[str, int], BV] = {}
-        self._input_vars: dict[str, BV] = {
-            symbol.name: input_map[symbol] for symbol in reduced.inputs
-        }
-        self._input_widths: dict[str, int] = {
-            symbol.name: symbol.width for symbol in reduced.inputs
-        }
+        self._input_vars = {s.name: frames.input_term(s.name, 0) for s in reduced.inputs}
+        self._rigid = rigid_symbols(reduced)
 
     # ------------------------------------------------------------ frame store
 
@@ -517,9 +490,9 @@ class _PdrRun:
     def _extract_input_lits(self, model: dict[str, int]) -> list[BV]:
         """The model's input assignment as per-bit assumption terms."""
         lits: list[BV] = []
-        for name, width in self._input_widths.items():
-            value = model.get(self._input_vars[name].name or "", 0)
-            for bit in range(width):
+        for name, var in self._input_vars.items():
+            value = model.get(var.name, 0)
+            for bit in range(var.width):
                 lits.append(self._input_lit(name, bit, bool((value >> bit) & 1)))
         return lits
 
@@ -627,13 +600,12 @@ class _PdrRun:
         result = self._check(self._cons, assumptions, need_model=True)
         if not result.satisfiable:
             return None
-        assignment = dict(result.model)
-        successor: dict[str, int] = {}
-        for name, expr in self._next_exprs.items():
-            for var in free_variables(expr):
-                assignment.setdefault(var.name or "", 0)
-            successor[name] = evaluate(expr, assignment)
-        return successor
+        model = result.model
+        env = {name: model.get(name, 0) for name in self._rigid}
+        env.update(state)
+        for name, var in self._input_vars.items():
+            env[name] = model.get(var.name, 0)
+        return next_state(self.ts, env)
 
     def _build_cex(
         self, start_state: dict[str, int], ob: _Obligation

@@ -23,10 +23,10 @@ from typing import Iterable, Optional
 
 from repro.errors import PdrError
 from repro.smt import terms as T
-from repro.smt.evaluator import substitute
 from repro.smt.terms import BV
 from repro.solve.context import SolverContext
 from repro.ts.system import TransitionSystem
+from repro.ts.unroll import Unroller
 
 
 @dataclass
@@ -67,38 +67,13 @@ def check_invariant(
     for clause in clause_list:
         if clause.width != 1:
             raise PdrError(f"invariant clauses must have width 1, got {clause.width}")
-    prop = ts.properties[property_name]
-
-    curr_map: dict[BV, BV] = {}
-    for state in ts.states:
-        curr_map[state.symbol] = T.fresh_var(f"invchk_{state.name}", state.width)
-    input_map: dict[BV, BV] = {}
-    next_input_map: dict[BV, BV] = {}
-    for symbol in ts.inputs:
-        assert symbol.name is not None
-        input_map[symbol] = T.fresh_var(f"invchk_in_{symbol.name}", symbol.width)
-        next_input_map[symbol] = T.fresh_var(f"invchk_in1_{symbol.name}", symbol.width)
-    full_curr = {**curr_map, **input_map}
-
-    next_map: dict[BV, BV] = dict(next_input_map)
-    for state in ts.states:
-        assert state.next is not None
-        next_map[state.symbol] = substitute(state.next, full_curr)
-
-    inv = T.bv_and_all([substitute(c, full_curr) for c in clause_list]) \
-        if clause_list else T.bv_true()
-    inv_next = T.bv_and_all([substitute(c, next_map) for c in clause_list]) \
-        if clause_list else T.bv_true()
-    constraints_curr = [substitute(c, full_curr) for c in ts.constraints]
-    constraints_next = [substitute(c, next_map) for c in ts.constraints]
-
-    init_parts = []
-    for state in ts.states:
-        if state.init is not None:
-            init_parts.append(
-                T.bv_eq(curr_map[state.symbol], substitute(state.init, full_curr))
-            )
-    init_term = T.bv_and_all(init_parts) if init_parts else T.bv_true()
+    # Frames 0 and 1 of a free-initial unrolling: the current state and
+    # its successor.
+    frames = Unroller(ts, initial=False)
+    inv = T.bv_and_all([frames.at_frame(c, 0) for c in clause_list])
+    inv_next = T.bv_and_all([frames.at_frame(c, 1) for c in clause_list])
+    constraints_curr = frames.constraints_at(0)
+    constraints_next = frames.constraints_at(1)
 
     def unsat(assertions: list[BV]) -> bool:
         context = SolverContext(opt_level=opt_level)
@@ -107,11 +82,13 @@ def check_invariant(
         result = context.check(need_model=False)
         return result.satisfiable is False
 
-    initiation = unsat([init_term, *constraints_curr, T.bv_not(inv)])
+    initiation = unsat([frames.initial_condition(), *constraints_curr, T.bv_not(inv)])
     consecution = unsat(
         [inv, *constraints_curr, *constraints_next, T.bv_not(inv_next)]
     )
-    safety = unsat([inv, *constraints_curr, substitute(T.bv_not(prop), full_curr)])
+    safety = unsat(
+        [inv, *constraints_curr, T.bv_not(frames.property_at(property_name, 0))]
+    )
     return InvariantCheck(
         initiation=initiation,
         consecution=consecution,

@@ -21,20 +21,21 @@ system is the projection of the original onto the cone, and the dropped
 state variables are functionally determined by (and never feed back into)
 the cone, so satisfiability is unchanged frame by frame.
 
-For counterexample traces the dropped signals can be reconstructed by
-forward simulation — see :meth:`CoiReduction.replay_state` — with dropped
-inputs reading as 0 (they are unconstrained, so any value is consistent).
+A counterexample found on the reduced system is reported on the original
+one: the trace builder simulates the original system
+(:mod:`repro.ts.simulate`), where dropped inputs and the free initial
+values of dropped states read 0 (they are unconstrained, so any value is
+consistent).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
 
 from repro.errors import TransitionSystemError
-from repro.smt.evaluator import evaluate, free_variables
-from repro.ts.system import StateVar, TransitionSystem
+from repro.smt.evaluator import free_variables
+from repro.ts.system import TransitionSystem
 
 
 @dataclass
@@ -57,35 +58,6 @@ class CoiReduction:
     @property
     def reduced(self) -> bool:
         return bool(self.dropped_states or self.dropped_inputs)
-
-    def replay_state(
-        self,
-        state: StateVar,
-        frame: int,
-        previous: Optional[Mapping[str, int]],
-        model: Mapping[str, int],
-    ) -> int:
-        """Value of a dropped state variable at ``frame`` by forward simulation.
-
-        ``previous`` maps every state/input name to its frame ``frame - 1``
-        value (``None`` for frame 0, where the init term is evaluated
-        instead).  ``model`` supplies values for rigid symbolic constants
-        (e.g. shared initial-value symbols); anything unknown reads as 0.
-        """
-        if frame == 0:
-            term = state.init
-            if term is None:
-                return 0  # unconstrained initial value
-            assignment = dict(model)
-        else:
-            assert previous is not None
-            term = state.next
-            assert term is not None
-            assignment = dict(model)
-            assignment.update(previous)
-        for var in free_variables(term):
-            assignment.setdefault(var.name or "", 0)
-        return evaluate(term, assignment)
 
 
 # One cone per (system, property), shared by the lint rules, the BMC

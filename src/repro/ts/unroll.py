@@ -5,6 +5,10 @@ next-state function, constraint and property.  Because the processor models
 start from a fully concrete initial state, the first frames constant-fold
 aggressively inside the smart constructors, which keeps the bit-blasted BMC
 queries small.
+
+With ``initial=False`` frame 0 is a free state instead (every state is a
+fresh variable there), which is what k-induction's step, PDR's transition
+relation and the invariant re-check reason over.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.ts.system import TransitionSystem
 class Unroller:
     """Unrolls a validated transition system over discrete time frames."""
 
-    def __init__(self, ts: TransitionSystem):
+    def __init__(self, ts: TransitionSystem, initial: bool = True):
         ts.validate()
         self.ts = ts
         # _frames[k] maps every state/input symbol to its frame-k term;
@@ -31,13 +35,13 @@ class Unroller:
         self._frames: list[dict[BV, BV]] = []
         self._caches: list[dict[int, BV]] = []
         self._input_vars: list[dict[str, BV]] = []
-        self._build_frame_zero()
+        self._build_frame_zero(initial)
 
-    def _build_frame_zero(self) -> None:
+    def _build_frame_zero(self, initial: bool) -> None:
         mapping: dict[BV, BV] = {}
         inputs: dict[str, BV] = {}
         for state in self.ts.states:
-            if state.init is not None:
+            if initial and state.init is not None:
                 mapping[state.symbol] = state.init
             else:
                 mapping[state.symbol] = T.fresh_var(f"{state.name}@0", state.width)
@@ -98,6 +102,21 @@ class Unroller:
         """The full symbol-to-term mapping of a frame (read-only use)."""
         self._extend_to(frame)
         return dict(self._frames[frame])
+
+    def initial_condition(self) -> BV:
+        """``Init`` over a free-initial unroller's frame 0 (true if no init).
+
+        Init terms are instantiated at frame 0 here, so a state an init term
+        reads stands for its frame-0 value; the initial-state unrolling
+        reads it as a rigid symbol instead.
+        """
+        return T.bv_and_all(
+            [
+                T.bv_eq(self.state_term(s.name, 0), self.at_frame(s.init, 0))
+                for s in self.ts.states
+                if s.init is not None
+            ]
+        )
 
     def constraints_at(self, frame: int) -> list[BV]:
         """All global constraints instantiated at ``frame``."""

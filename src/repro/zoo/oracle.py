@@ -309,7 +309,9 @@ def run_instance(
     # *encoding*, not the design's behaviour — that is an artefact of the
     # family, not a bug instance, and counts as a disagreement so campaigns
     # surface it instead of crediting a detection.
-    lint_report = lint_transition_system(flow.build_model(instance.bug).ts)
+    # Lint and every engine leg run on this one model.
+    model = flow.build_model(instance.bug)
+    lint_report = lint_transition_system(model.ts)
     if lint_report.errors:
         report.status = STATUS_DISAGREEMENT
         report.failure = "seeded model failed lint: " + "; ".join(
@@ -320,6 +322,7 @@ def run_instance(
         instance.bug,
         bound=instance.bound,
         conflict_budget=settings.bmc_conflict_budget,
+        model=model,
     )
     _charge_run(report, outcome)
     if outcome.detected is None:
@@ -355,6 +358,7 @@ def run_instance(
             engine="pdr",
             max_frames=PDR_MAX_FRAMES,
             total_conflict_budget=settings.pdr_total_budget,
+            model=model,
         )
         _charge_proof(report, proof)
         if proof.proven is True:
@@ -389,6 +393,7 @@ def run_instance(
             engine="kinduction",
             max_k=KINDUCTION_MAX_K,
             conflict_budget=settings.bmc_conflict_budget,
+            model=model,
         )
         _charge_proof(report, proof)
         if proof.proven is True:
@@ -421,10 +426,13 @@ def run_control(
         status=STATUS_CLEAN,
     )
     flow = make_flow(instance)
+    # Every engine leg runs on this one model.
+    model = flow.build_model(None)
     outcome = flow.run(
         None,
         bound=min(instance.bound, CONTROL_BOUND),
         conflict_budget=settings.bmc_conflict_budget,
+        model=model,
     )
     _charge_run(report, outcome)
     if outcome.detected is True:
@@ -442,6 +450,7 @@ def run_control(
             engine="pdr",
             max_frames=PDR_MAX_FRAMES,
             total_conflict_budget=settings.pdr_total_budget,
+            model=model,
         )
         _charge_proof(report, proof)
         if proof.proven is False:
@@ -457,6 +466,7 @@ def run_control(
             engine="kinduction",
             max_k=KINDUCTION_MAX_K,
             conflict_budget=settings.bmc_conflict_budget,
+            model=model,
         )
         _charge_proof(report, proof)
         if proof.proven is False:

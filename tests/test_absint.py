@@ -40,6 +40,7 @@ from repro.proc.config import ProcessorConfig
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate
 from repro.ts.coi import reduce_to_property_cone
+from repro.ts.simulate import initial_state, next_state
 from repro.ts.system import TransitionSystem
 from repro.utils.bitops import mask
 
@@ -258,15 +259,14 @@ class TestFixpointGallery:
         # Walk the concrete system from init for a few steps; every
         # strengthening term must evaluate to 1 in every visited state.
         rng = random.Random(5)
-        env = {s.name: evaluate(s.init, {}) for s in ts.states}
+        states = initial_state(ts, {}, {})
         for _ in range(16):
+            env = dict(states)
             for inp in ts.inputs:
                 env[inp.name] = rng.getrandbits(inp.width)
             for term in terms:
                 assert evaluate(term, env) == 1
-            env.update(
-                {s.name: evaluate(s.next, env) for s in ts.states}
-            )
+            states = next_state(ts, env)
 
     def test_engine_no_weaker_than_syntactic_seq_const(self):
         # The fixpoint must find every latch the old syntactic greatest-

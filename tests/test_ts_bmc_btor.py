@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.bmc import engine as bmc_engine
 from repro.bmc.engine import BmcEngine, BmcSession, build_trace
 from repro.bmc.kinduction import KInductionEngine
 from repro.btor import parse_btor2, write_btor2
@@ -93,21 +95,26 @@ class TestUnroller:
         # Frame k's substitution cache serves every term instantiated at
         # frame k and the next-state terms that build frame k + 1; each
         # result must be the very term a fresh substitution builds.
+        # Both kinds of frame 0 are covered: the initial state and a free
+        # state (every state a fresh variable).
         config = ProcessorConfig(isa=IsaConfig.small(xlen=4, num_regs=4), supported_ops=("ADD", "SUB"))
         ts = SqedFlow(config).build_model(None).ts
-        unroller = Unroller(ts)
         terms = [*ts.constraints, *ts.properties.values()]
         assert terms
-        previous = None
-        for frame in range(5):
-            mapping = unroller.frame_mapping(frame)
-            for term in terms:
-                assert unroller.at_frame(term, frame).tid == substitute(term, mapping).tid
-            for state in ts.states:
-                assert unroller.state_term(state.name, frame).tid == mapping[state.symbol].tid
-                if previous is not None:
-                    assert mapping[state.symbol].tid == substitute(state.next, previous).tid
-            previous = mapping
+        for initial in (True, False):
+            unroller = Unroller(ts, initial=initial)
+            previous = None
+            for frame in range(5):
+                mapping = unroller.frame_mapping(frame)
+                for term in terms:
+                    assert unroller.at_frame(term, frame).tid == substitute(term, mapping).tid
+                for state in ts.states:
+                    assert unroller.state_term(state.name, frame).tid == mapping[state.symbol].tid
+                    if previous is not None:
+                        assert mapping[state.symbol].tid == substitute(state.next, previous).tid
+                    elif not initial or state.init is None:
+                        assert mapping[state.symbol].is_var
+                previous = mapping
 
 
 class TestBmc:
@@ -139,6 +146,29 @@ class TestBmc:
         result = BmcEngine(ts).check("bounded", bound=8)
         assert result.holds is True
 
+    @pytest.mark.parametrize(
+        "constrained, message",
+        [(False, "does not violate"), (True, "violates a constraint at frame 0")],
+    )
+    def test_certificate_rejects_a_corrupted_model(self, monkeypatch, constrained, message):
+        # Zeroing every input of the model keeps the simulated counter at
+        # 0, so the trace no longer violates the property; with the enable
+        # constrained to 1, it breaks the constraint first.
+        real = bmc_engine.build_trace
+
+        def corrupted(ts, unroller, property_name, model, last_frame):
+            model = dict(model)
+            for frame in range(last_frame + 1):
+                model[unroller.input_term("cert_bad_enable", frame).name] = 0
+            return real(ts, unroller, property_name, model, last_frame)
+
+        monkeypatch.setattr(bmc_engine, "build_trace", corrupted)
+        ts = _counter_system("cert_bad", 5, buggy=True)
+        if constrained:
+            ts.add_constraint(T.bv_eq(ts.input_symbol("cert_bad_enable"), T.bv_true()))
+        with pytest.raises(BmcError, match=message):
+            BmcEngine(ts).check("bounded", bound=10)
+
 
 def _model_over_frames(session: BmcSession, last_frame: int, seed: int) -> dict[str, int]:
     """Random values for every variable of the session's frame terms."""
@@ -151,52 +181,59 @@ def _model_over_frames(session: BmcSession, last_frame: int, seed: int) -> dict[
     return model
 
 
-def _assert_trace_matches_fresh_evaluation(ts, session, model, last_frame):
-    """``build_trace`` against one fresh evaluation, with its own copy of
-    the model, per reported value (dropped signals replayed as before)."""
-    trace = build_trace(
-        ts,
-        session.unroller,
-        session.property_name,
-        model,
-        last_frame,
-        reduction=session.reduction,
-        fold=session.fold,
-    )
+def _assert_trace_matches_reference(ts, session, model, last_frame):
+    """``build_trace`` against the plain unrolling of the original system.
+
+    The reference unrolls ``ts`` itself (no cone, no fold) and evaluates
+    it under a model of its own: each frame's inputs and each free
+    initial value take the session model's value of the session's
+    variable for them (0 for one the session does not unroll or the model
+    leaves out), and the rigid symbols their session model values (0 when
+    missing).
+    """
+    trace = build_trace(ts, session.unroller, session.property_name, model, last_frame)
+    kept_states = {s.name for s in session.unroller.ts.states}
+    kept_inputs = {s.name for s in session.unroller.ts.inputs}
+    reference = Unroller(ts)
+    assignment: dict[str, int] = {}
+    expected_inputs = []
+    for frame in range(last_frame + 1):
+        inputs = {}
+        for symbol in ts.inputs:
+            value = 0
+            if symbol.name in kept_inputs:
+                value = model.get(session.unroller.input_term(symbol.name, frame).name, 0)
+            inputs[symbol.name] = value
+            assignment[reference.input_term(symbol.name, frame).name] = value
+        expected_inputs.append(inputs)
+    for state in ts.states:
+        if state.init is None:
+            value = 0
+            if state.name in kept_states:
+                value = model.get(session.unroller.state_term(state.name, 0).name, 0)
+            assignment[reference.state_term(state.name, 0).name] = value
 
     def value_of(term):
-        assignment = dict(model)
+        env = dict(assignment)
         for var in free_variables(term):
-            assignment.setdefault(var.name, 0)
-        return evaluate(term, assignment)
+            env.setdefault(var.name, model.get(var.name, 0))
+        return evaluate(term, env)
 
-    reduction = session.reduction
-    dropped = set(reduction.dropped_states) if reduction is not None else set()
-    dropped_inputs = set(reduction.dropped_inputs) if reduction is not None else set()
-    previous = None
     assert len(trace.steps) == last_frame + 1
     for frame, step in enumerate(trace.steps):
-        mapping = session.unroller.frame_mapping(frame)
+        assert step.frame == frame
+        assert step.inputs == expected_inputs[frame], frame
+        assert list(step.states) == [s.name for s in ts.states]
         for state in ts.states:
-            if state.name in dropped:
-                expected = reduction.replay_state(state, frame, previous, model)
-            elif session.fold is not None:
-                expected = value_of(substitute(session.fold.state_terms[state.name], mapping))
-            else:
-                expected = value_of(mapping[state.symbol])
+            expected = value_of(reference.state_term(state.name, frame))
             assert step.states[state.name] == expected, (frame, state.name)
-        for symbol in ts.inputs:
-            if symbol.name in dropped_inputs:
-                expected = 0
-            else:
-                expected = value_of(session.unroller.input_term(symbol.name, frame))
-            assert step.inputs[symbol.name] == expected, (frame, symbol.name)
-        previous = {**step.states, **step.inputs}
     return trace
 
 
 class TestBuildTrace:
-    """One assignment and one evaluation cache per trace change no value."""
+    """A trace is the run of the original system that the model's inputs
+    and free initial values fix, whatever cone or fold the session
+    unrolled."""
 
     def test_folded_saturating_counter(self):
         ts = _gallery()["saturating_counter"]()
@@ -204,7 +241,7 @@ class TestBuildTrace:
         assert session.fold is not None and session.fold.bits_folded > 0
         for seed in range(3):
             model = _model_over_frames(session, 8, seed)
-            _assert_trace_matches_fresh_evaluation(ts, session, model, 8)
+            _assert_trace_matches_reference(ts, session, model, 8)
 
     def test_coi_reduced_zoo_model_with_dropped_states(self):
         for _, ts in _zoo_targets(2, seed=4242):
@@ -213,7 +250,7 @@ class TestBuildTrace:
                 break
         assert session.reduction.dropped_states
         model = _model_over_frames(session, 5, seed=7)
-        _assert_trace_matches_fresh_evaluation(ts, session, model, 5)
+        _assert_trace_matches_reference(ts, session, model, 5)
 
     def test_variable_missing_from_the_model_reads_zero(self):
         ts = _counter_system("trace_missing", 5, buggy=True)
@@ -221,8 +258,21 @@ class TestBuildTrace:
         model = _model_over_frames(session, 6, seed=3)
         enable = session.unroller.input_term("trace_missing_enable", 2).name
         del model[enable]
-        trace = _assert_trace_matches_fresh_evaluation(ts, session, model, 6)
+        trace = _assert_trace_matches_reference(ts, session, model, 6)
         assert trace.steps[2].inputs["trace_missing_enable"] == 0
+
+    def test_init_terms_read_rigid_symbols(self):
+        # The initial values of a and b read each other's symbol: those are
+        # rigid symbols of their own, not the latches' initial values.
+        ts = parse_btor2(
+            (Path(__file__).parent / "data" / "lint" / "init_state_ref.btor2").read_text(),
+            name="init_state_ref",
+        )
+        session = BmcSession(ts, "a_saturates", opt_level=PipelineConfig(opt_level=2))
+        for seed in range(3):
+            model = _model_over_frames(session, 4, seed)
+            trace = _assert_trace_matches_reference(ts, session, model, 4)
+            assert trace.steps[0].states == {"a": model["b"], "b": model["a"]}
 
 
 class TestKInduction:
@@ -238,6 +288,12 @@ class TestKInduction:
         ts = _counter_system("kind_bad", 2, buggy=True)
         result = KInductionEngine(ts).prove("bounded", max_k=4)
         assert result.proven is False
+
+    def test_max_k_below_one_rejected(self):
+        ts = _counter_system("kind_max_k", 2, buggy=True)
+        for max_k in (0, -3):
+            with pytest.raises(BmcError, match="max_k"):
+                KInductionEngine(ts).prove("bounded", max_k=max_k)
 
     def test_max_k_exhaustion_keeps_base_result(self):
         # A property that holds but is not 1-inductive (x copies y with one
