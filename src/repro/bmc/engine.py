@@ -43,7 +43,6 @@ from repro.bmc.trace import Trace, TraceStep
 class BmcStats:
     """Work counters for one BMC run."""
 
-    solver_calls: int = 0
     frames_checked: int = 0
     solver_stats: SolverStats = field(default_factory=SolverStats)
     #: Compilation-pipeline counters (AIG size, CNF before/after
@@ -310,7 +309,6 @@ class BmcSession:
                 # inconclusive without counting the frame, so a re-extend
                 # with a fresh budget does not double-count it.
                 return finish(None, frame)
-            stats.solver_calls += 1
             result = self.context.check(
                 assumptions=[violation],
                 conflict_budget=remaining_budget,

@@ -40,11 +40,6 @@ class VerificationOutcome:
     def trace(self) -> Optional[Trace]:
         return None if self.bmc_result is None else self.bmc_result.trace
 
-    @property
-    def solver_stats(self):
-        """CDCL work counters of the underlying BMC run (``None`` if absent)."""
-        return None if self.bmc_result is None else self.bmc_result.stats.solver_stats
-
     def summary_row(self) -> list[str]:
         """Row used by the experiment harnesses' tables."""
         status = {True: "detected", False: "not detected", None: "inconclusive"}[self.detected]
@@ -91,23 +86,6 @@ class ProofOutcome:
     def invariant(self) -> "Optional[list[BV]]":
         """The PDR-emitted inductive invariant clauses (``None`` otherwise)."""
         return None if self.pdr_result is None else self.pdr_result.invariant
-
-    @property
-    def solver_stats(self):
-        """CDCL work counters of the proof engine (``None`` if absent)."""
-        if self.pdr_result is not None:
-            return self.pdr_result.stats.solver_stats
-        if self.kinduction_result is not None:
-            return self.kinduction_result.step_solver_stats
-        return None
-
-    @property
-    def pdr_stats(self):
-        """IC3/PDR work counters — generalisation attribution (core/MIC/CTG
-        literal drops), CTGs blocked, subsumption and ``F_inf`` promotion
-        counts — so benchmark harnesses can attribute where a proof's
-        conflict budget went.  ``None`` for non-PDR engines."""
-        return None if self.pdr_result is None else self.pdr_result.stats
 
     def summary_row(self) -> list[str]:
         status = {True: "proven", False: "refuted", None: "inconclusive"}[self.proven]

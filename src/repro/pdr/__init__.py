@@ -10,7 +10,8 @@ Built on the failed-assumption-core capability of the SAT layer:
   re-verification of an emitted invariant (initiation, consecution,
   safety) on fresh contexts through the naive reference encoding;
 * :mod:`repro.pdr.designs` — the tractable baseline design suite shared
-  by the tests and ``benchmarks/bench_pdr.py``.
+  by the tests, the lint/absint gallery and the repo benchmark's
+  ``golden-pdr`` workload.
 """
 
 from repro.pdr.engine import (

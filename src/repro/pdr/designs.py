@@ -1,9 +1,9 @@
 """The baseline design suite for unbounded proving.
 
 Small, fully tractable transition systems — each with a bug-free baseline
-and an injectable bug — shared by the PDR test suite and
-``benchmarks/bench_pdr.py`` so the benchmark's correctness gate can never
-drift from what the tests verify:
+and an injectable bug — shared by the PDR test suite, the lint/absint
+gallery and the repo benchmark's ``golden-pdr`` workload, so the
+benchmark's verdict check can never drift from what the tests verify:
 
 * :func:`saturating_counter` — the classic bounded-counter safety property;
 * :func:`lockstep_accumulators` — two duplicated datapaths in lockstep

@@ -107,21 +107,8 @@ class PdrStats:
     lift_queries: int = 0
     obligations: int = 0
     cubes_blocked: int = 0
-    clauses_pushed: int = 0
-    #: Literals removed by the blocking query's own failed-assumption core.
-    literals_dropped_core: int = 0
-    #: Literals removed by MIC drop trials (including their chained cores).
-    literals_dropped_mic: int = 0
-    #: Literals removed by drop trials that only went through after blocking
-    #: one or more counterexamples-to-generalisation.
-    literals_dropped_ctg: int = 0
     #: Counterexamples-to-generalisation blocked at a preceding frame.
     ctgs_blocked: int = 0
-    #: Stored clauses retired because a newly added clause subsumes them.
-    clauses_subsumed: int = 0
-    #: Clauses promoted to the infinite frame (inductive without any
-    #: frame's help — they hold at every depth and are never re-pushed).
-    clauses_pushed_inf: int = 0
     #: Seeded candidate lemmas that survived the Init-disjointness and
     #: joint-consecution filter and entered ``F_inf`` before the main loop.
     seed_lemmas_admitted: int = 0
@@ -129,15 +116,6 @@ class PdrStats:
     #: system, e.g. naming a state outside the property's cone).
     seed_lemmas_rejected: int = 0
     solver_stats: SolverStats = field(default_factory=SolverStats)
-
-    @property
-    def literals_dropped(self) -> int:
-        """Total literals removed by generalisation, over all attributions."""
-        return (
-            self.literals_dropped_core
-            + self.literals_dropped_mic
-            + self.literals_dropped_ctg
-        )
 
 
 @dataclass
@@ -164,8 +142,6 @@ class PdrResult:
     property_name: str
     frames_explored: int = 0
     invariant: Optional[list[BV]] = None
-    #: Frame index that became inductive (informational).
-    invariant_frame: Optional[int] = None
     cex_chain: Optional[list[dict[str, int]]] = None
     stats: PdrStats = field(default_factory=PdrStats)
 
@@ -655,7 +631,6 @@ class _PdrRun:
             stored = self._frames[level]
             survivors = [d for d in stored if not set(d).issuperset(lits)]
             if len(survivors) != len(stored):
-                self.stats.clauses_subsumed += len(stored) - len(survivors)
                 self._frames[level] = survivors
 
     def _add_blocked(self, cube: Cube, frame: int) -> None:
@@ -681,7 +656,6 @@ class _PdrRun:
         clause = [T.bv_not(self._act_inf), *self._clause_curr(cube)]
         self._cons.add_clause(clause)
         self._bad.add_clause(clause)
-        self.stats.clauses_pushed_inf += 1
 
     def _admit_seed_lemmas(self) -> None:
         """Filter the seeded candidate cubes and promote survivors to F_inf.
@@ -744,9 +718,6 @@ class _PdrRun:
             if dropped == 0:
                 for cube in survivors:
                     self._add_inf(cube)
-                    # Seeded, not pushed: keep clauses_pushed_inf meaning
-                    # "promoted by propagation/blocking".
-                    self.stats.clauses_pushed_inf -= 1
                     self.stats.seed_lemmas_admitted += 1
                 return
             self.stats.seed_lemmas_rejected += dropped
@@ -766,18 +737,8 @@ class _PdrRun:
                     return True
         return False
 
-    def _count_dropped(self, bucket: str, count: int) -> None:
-        if count <= 0:
-            return
-        if bucket == "core":
-            self.stats.literals_dropped_core += count
-        elif bucket == "ctg":
-            self.stats.literals_dropped_ctg += count
-        else:
-            self.stats.literals_dropped_mic += count
-
     def _core_shrink(
-        self, lits: list[CubeLit], core: Optional[list[BV]], bucket: str = "core"
+        self, lits: list[CubeLit], core: Optional[list[BV]]
     ) -> list[CubeLit]:
         """Drop every literal whose primed assumption the core did not need.
 
@@ -786,8 +747,6 @@ class _PdrRun:
         the query.  Dropping literals can make the cube reach into
         ``Init``; re-add dropped literals until it is disjoint again (the
         original cube is Init-disjoint, so the repair terminates).
-        ``bucket`` attributes the removals to the stats counter of the
-        pass that produced the core (``core``/``mic``/``ctg``).
         """
         if core is None:
             return lits
@@ -803,7 +762,6 @@ class _PdrRun:
                 kept = list(lits)
                 break
             kept.append(dropped.pop())
-        self._count_dropped(bucket, len(lits) - len(kept))
         return kept
 
     def _generalize(
@@ -819,7 +777,7 @@ class _PdrRun:
         frame before the trial is retried (:meth:`_ctg_down`).  ``depth`` is
         the current CTG recursion depth.
         """
-        kept = self._core_shrink(list(cube), core, bucket="core")
+        kept = self._core_shrink(list(cube), core)
         if len(kept) > 1:
             kept = self._mic(kept, frame, depth)
         return tuple(sorted(kept))
@@ -863,9 +821,7 @@ class _PdrRun:
             trial = tuple(sorted(candidate))
             result = self._relative_induction(trial, frame, need_model=want_model)
             if result.satisfiable is False:
-                bucket = "ctg" if ctgs else "mic"
-                self._count_dropped(bucket, 1)
-                return self._core_shrink(candidate, result.core, bucket=bucket)
+                return self._core_shrink(candidate, result.core)
             if not want_model:
                 return None
             ctg_cube, _state = self._extract_cube(result.model)
@@ -961,7 +917,6 @@ class _PdrRun:
                     else:
                         self._add_blocked(cube, level + 1)
                         self.stats.cubes_blocked -= 1  # moved, not newly blocked
-                    self.stats.clauses_pushed += 1
             if not self._frames[level]:
                 return level
         return None
@@ -1029,7 +984,6 @@ class _PdrRun:
                         proven=True,
                         frames_explored=frontier,
                         invariant=[self._clause_symbols(cube) for cube in cubes],
-                        invariant_frame=inductive,
                     )
                 frontier += 1
         except _GiveUp:

@@ -150,19 +150,15 @@ class SolverContext:
         backend; call after a :meth:`check` for a settled picture.
         """
         stats = EncodingStats(opt_level=self.pipeline.opt_level)
-        stats.cnf_vars = self.num_vars
         stats.cnf_clauses_pre = len(self._blaster.cnf.clauses)
         stats.cnf_clauses_post = self._backend_clauses
         aig = self._blaster.aig
         if aig is not None:
             stats.aig_nodes = aig.num_nodes()
-            stats.aig_rewrite_hits = aig.stats().rewrite_hits
         if self._pre is not None:
             pre = self._pre.stats
-            stats.units_found = pre.units_found
             stats.vars_eliminated = pre.vars_eliminated
             stats.vars_restored = pre.vars_restored
-            stats.resolvents_added = pre.resolvents_added
         return stats
 
     @property

@@ -118,7 +118,7 @@ class EncodingStats:
     """Size and effort counters of the compilation pipeline.
 
     Surfaced by :meth:`repro.solve.context.SolverContext.encoding_stats`
-    and aggregated into ``BmcStats`` and the benchmark JSON output.
+    and aggregated into ``BmcStats``.
     ``cnf_clauses_pre`` counts clauses produced by the blaster;
     ``cnf_clauses_post`` counts what actually reached the SAT backend after
     preprocessing (equal when preprocessing is off).
@@ -126,14 +126,10 @@ class EncodingStats:
 
     opt_level: int = DEFAULT_OPT_LEVEL
     aig_nodes: int = 0
-    aig_rewrite_hits: int = 0
-    cnf_vars: int = 0
     cnf_clauses_pre: int = 0
     cnf_clauses_post: int = 0
-    units_found: int = 0
     vars_eliminated: int = 0
     vars_restored: int = 0
-    resolvents_added: int = 0
     coi_states_dropped: int = 0
     coi_state_bits_dropped: int = 0
 

@@ -55,7 +55,6 @@ class CegisStats:
     """Work counters for one CEGIS invocation."""
 
     iterations: int = 0
-    counterexamples: int = 0
     synthesis_queries: int = 0
     verification_queries: int = 0
     synthesis_solver_stats: SolverStats = field(default_factory=SolverStats)
@@ -91,7 +90,6 @@ class CegisEngine:
 
         synth_terms: list[T.BV] = list(encoder.wfp_constraints())
         for example in self._seed_examples(spec):
-            stats.counterexamples += 1
             synth_terms.extend(encoder.example_constraints(example))
         synth_ctx = SolverContext()
         synth_ctx.add_all(synth_terms)
@@ -113,7 +111,6 @@ class CegisEngine:
             )
             if counterexample is None:
                 return CegisOutcome(program=candidate, stats=stats)
-            stats.counterexamples += 1
             synth_ctx.add_all(encoder.example_constraints(counterexample))
         return CegisOutcome(program=None, stats=stats)
 

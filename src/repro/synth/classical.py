@@ -39,13 +39,11 @@ class ClassicalCegis:
     def synthesize_for(self, spec: SynthesisSpec) -> SynthesisRun:
         """Run a single CEGIS query with every available component."""
         run = SynthesisRun(spec_name=spec.name)
-        run.multisets_total = 1
         start = time.perf_counter()
         outcome = self.engine.synthesize(spec, list(self.library))
         run.elapsed_seconds = time.perf_counter() - start
         run.cegis_calls = 1
         run.multisets_tried = 1
-        run.exhausted = True
         if outcome.program is not None:
             run.programs.append(outcome.program)
         return run

@@ -9,12 +9,11 @@ CEGIS attempt the remaining multisets are ranked by
 
 where χ_j is 1 when component ``j`` has the same name as the original
 instruction ``g`` (penalising overlap between the data paths of the original
-instruction and its equivalent program) and α is the influencing factor.
-The highest-priority multiset is tried first; on success the choice weights
-of its components are increased, on failure their exclusion weights are
-increased.  Synthesis for an instruction stops once ``k`` programs with at
-least ``min_components`` components have been found or the multisets are
-exhausted.
+instruction and its equivalent program) and α is the influencing factor
+(:data:`ALPHA`).  The highest-priority multiset is tried first; on success
+the choice weights of its components are increased by :data:`INCREMENT`, on
+failure their exclusion weights are.  Synthesis for an instruction stops
+once ``k`` programs have been found or the multisets are exhausted.
 """
 
 from __future__ import annotations
@@ -28,6 +27,11 @@ from repro.synth.components import Component, ComponentLibrary
 from repro.synth.search import SynthesisRun, enumerate_multisets
 from repro.synth.spec import SynthesisSpec
 
+#: The influencing factor α of the name-overlap penalty.
+ALPHA = 1.0
+#: The step by which a success or a failure raises a component's weight.
+INCREMENT = 1.0
+
 
 @dataclass
 class PriorityDict:
@@ -35,22 +39,13 @@ class PriorityDict:
 
     choice: dict[str, float]
     exclusion: dict[str, float]
-    alpha: float = 1.0
-    increment: float = 1.0
 
     @classmethod
-    def initial(
-        cls,
-        library: ComponentLibrary | Sequence[Component],
-        alpha: float = 1.0,
-        increment: float = 1.0,
-    ) -> "PriorityDict":
+    def initial(cls, library: ComponentLibrary | Sequence[Component]) -> "PriorityDict":
         names = [component.name for component in library]
         return cls(
             choice={name: 1.0 for name in names},
             exclusion={name: 1.0 for name in names},
-            alpha=alpha,
-            increment=increment,
         )
 
     def priority(self, multiset: Sequence[Component], original_name: str) -> float:
@@ -59,19 +54,19 @@ class PriorityDict:
         denominator = 0.0
         for component in multiset:
             chi = 1.0 if component.base_instruction == original_name else 0.0
-            numerator += self.choice[component.name] - self.alpha * chi
+            numerator += self.choice[component.name] - ALPHA * chi
             denominator += self.exclusion[component.name]
         return numerator / denominator if denominator else float("-inf")
 
     def reward(self, multiset: Sequence[Component]) -> None:
         """Increase the choice weights after a successful synthesis (line 16)."""
         for component in multiset:
-            self.choice[component.name] += self.increment
+            self.choice[component.name] += INCREMENT
 
     def penalise(self, multiset: Sequence[Component]) -> None:
         """Increase the exclusion weights after a failed synthesis (line 13)."""
         for component in multiset:
-            self.exclusion[component.name] += self.increment
+            self.exclusion[component.name] += INCREMENT
 
 
 class HpfCegis:
@@ -84,32 +79,28 @@ class HpfCegis:
         library: ComponentLibrary,
         multiset_size: int = 3,
         target_programs: int = 3,
-        min_components: int = 1,
         cegis_config: CegisConfig | None = None,
-        alpha: float = 1.0,
-        increment: float = 1.0,
         max_multisets: Optional[int] = None,
     ):
         self.library = library
         self.multiset_size = multiset_size
         self.target_programs = target_programs
-        self.min_components = min_components
         self.engine = CegisEngine(cegis_config)
         self.max_multisets = max_multisets
-        self.priorities = PriorityDict.initial(
-            library, alpha=alpha, increment=increment
-        )
+        self.priorities = PriorityDict.initial(library)
 
     def synthesize_for(self, spec: SynthesisSpec) -> SynthesisRun:
         """Synthesize equivalent programs for one original instruction ``g``."""
         run = SynthesisRun(spec_name=spec.name)
         multisets = enumerate_multisets(self.library, self.multiset_size)
-        run.multisets_total = len(multisets)
         start = time.perf_counter()
-        found = 0
         budget = self.max_multisets if self.max_multisets is not None else len(multisets)
         remaining = list(multisets)
-        while remaining and run.multisets_tried < budget and found < self.target_programs:
+        while (
+            remaining
+            and run.multisets_tried < budget
+            and len(run.programs) < self.target_programs
+        ):
             # Line 9-10: sort by priority (descending) and take the best one.
             remaining.sort(
                 key=lambda multiset: self.priorities.priority(multiset, spec.name),
@@ -124,9 +115,6 @@ class HpfCegis:
             else:
                 self.priorities.reward(multiset)
                 run.programs.append(outcome.program)
-                if len(outcome.program.slots) >= self.min_components:
-                    found += 1
-        run.exhausted = not remaining
         run.elapsed_seconds = time.perf_counter() - start
         return run
 

@@ -28,9 +28,6 @@ class IterativeCegis:
         library: the component library.
         multiset_size: number of components per multiset (``n`` in the paper).
         target_programs: stop after this many equivalent programs (``k``).
-        min_components: only programs built from at least this many
-            components count toward ``target_programs`` (the paper requires
-            three).
         cegis_config: knobs forwarded to the core engine.
         shuffle_seed: RNG seed used to shuffle the multisets.
         max_multisets: optional hard cap on how many multisets are tried
@@ -44,7 +41,6 @@ class IterativeCegis:
         library: ComponentLibrary,
         multiset_size: int = 3,
         target_programs: int = 3,
-        min_components: int = 1,
         cegis_config: CegisConfig | None = None,
         shuffle_seed: int = 2024,
         max_multisets: Optional[int] = None,
@@ -52,7 +48,6 @@ class IterativeCegis:
         self.library = library
         self.multiset_size = multiset_size
         self.target_programs = target_programs
-        self.min_components = min_components
         self.engine = CegisEngine(cegis_config)
         self.shuffle_seed = shuffle_seed
         self.max_multisets = max_multisets
@@ -67,23 +62,17 @@ class IterativeCegis:
         """Synthesize equivalent programs for one original instruction."""
         run = SynthesisRun(spec_name=spec.name)
         multisets = self._candidate_multisets()
-        run.multisets_total = len(multisets)
         if self.max_multisets is not None:
             multisets = multisets[: self.max_multisets]
         start = time.perf_counter()
-        found = 0
         for multiset in multisets:
             run.multisets_tried += 1
             run.cegis_calls += 1
             outcome = self.engine.synthesize(spec, multiset)
             if outcome.program is not None:
                 run.programs.append(outcome.program)
-                if len(outcome.program.slots) >= self.min_components:
-                    found += 1
-            if found >= self.target_programs:
+            if len(run.programs) >= self.target_programs:
                 break
-        else:
-            run.exhausted = True
         run.elapsed_seconds = time.perf_counter() - start
         return run
 

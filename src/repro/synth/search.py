@@ -24,8 +24,6 @@ class SynthesisRun:
     elapsed_seconds: float = 0.0
     cegis_calls: int = 0
     multisets_tried: int = 0
-    multisets_total: int = 0
-    exhausted: bool = False
 
     @property
     def succeeded(self) -> bool:

@@ -106,13 +106,13 @@ class Unroller:
     def initial_condition(self) -> BV:
         """``Init`` over a free-initial unroller's frame 0 (true if no init).
 
-        Init terms are instantiated at frame 0 here, so a state an init term
-        reads stands for its frame-0 value; the initial-state unrolling
-        reads it as a rigid symbol instead.
+        Init terms are left unsubstituted, as in the initial-state
+        unrolling: a symbol an init term reads is rigid (see
+        :func:`repro.ts.simulate.rigid_symbols`), not a frame-0 value.
         """
         return T.bv_and_all(
             [
-                T.bv_eq(self.state_term(s.name, 0), self.at_frame(s.init, 0))
+                T.bv_eq(self.state_term(s.name, 0), s.init)
                 for s in self.ts.states
                 if s.init is not None
             ]

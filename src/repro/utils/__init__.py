@@ -7,34 +7,24 @@ table printer used by the experiment harnesses.
 
 from repro.utils.bitops import (
     mask,
-    truncate,
     sext,
     zext,
     to_signed,
     to_unsigned,
     bit,
-    bits_of,
     from_bits,
-    popcount,
     clog2,
-    rotate_left,
-    rotate_right,
 )
 from repro.utils.tables import TextTable
 
 __all__ = [
     "mask",
-    "truncate",
     "sext",
     "zext",
     "to_signed",
     "to_unsigned",
     "bit",
-    "bits_of",
     "from_bits",
-    "popcount",
     "clog2",
-    "rotate_left",
-    "rotate_right",
     "TextTable",
 ]

@@ -16,11 +16,6 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def truncate(value: int, width: int) -> int:
-    """Truncate ``value`` to its low ``width`` bits (unsigned result)."""
-    return value & mask(width)
-
-
 def to_unsigned(value: int, width: int) -> int:
     """Interpret ``value`` (possibly negative) as an unsigned ``width``-bit int."""
     return value & mask(width)
@@ -60,11 +55,6 @@ def bit(value: int, index: int) -> int:
     return (value >> index) & 1
 
 
-def bits_of(value: int, width: int) -> list[int]:
-    """Return the ``width`` bits of ``value`` as a list, LSB first."""
-    return [(value >> i) & 1 for i in range(width)]
-
-
 def from_bits(bits: list[int]) -> int:
     """Assemble an unsigned integer from a list of bits, LSB first."""
     value = 0
@@ -74,28 +64,8 @@ def from_bits(bits: list[int]) -> int:
     return value
 
 
-def popcount(value: int) -> int:
-    """Number of set bits in a non-negative integer."""
-    if value < 0:
-        raise ValueError("popcount requires a non-negative value")
-    return bin(value).count("1")
-
-
 def clog2(value: int) -> int:
     """Ceiling of log2 for positive integers; ``clog2(1) == 0``."""
     if value <= 0:
         raise ValueError(f"clog2 requires a positive value, got {value}")
     return (value - 1).bit_length()
-
-
-def rotate_left(value: int, amount: int, width: int) -> int:
-    """Rotate the low ``width`` bits of ``value`` left by ``amount``."""
-    amount %= width
-    value &= mask(width)
-    return ((value << amount) | (value >> (width - amount))) & mask(width)
-
-
-def rotate_right(value: int, amount: int, width: int) -> int:
-    """Rotate the low ``width`` bits of ``value`` right by ``amount``."""
-    amount %= width
-    return rotate_left(value, width - amount, width)

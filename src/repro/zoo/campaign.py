@@ -10,6 +10,7 @@ model), and aggregates a verdict-gated report:
 * every seeded, non-inconclusive instance must be ``detected`` with a
   concretised counterexample;
 * every control must be ``clean`` (or inconclusive under budget);
+* at most a tenth of the seeded instances may be ``inconclusive``;
 * ``disagreement`` anywhere fails the campaign.
 
 Counters are structural — detection rate, counterexample lengths, conflict
@@ -144,13 +145,12 @@ def summarize(
         row["inconclusive"] += r.status == STATUS_INCONCLUSIVE
     all_concretized = all(r.concretized for r in detected)
     detection_rate = (len(detected) / len(conclusive)) if conclusive else None
+    inconclusive = len(seeded) - len(conclusive)
     return {
         "instances": len(seeded),
         "controls": len(controls),
         "detected": len(detected),
-        "inconclusive": sum(
-            r.status == STATUS_INCONCLUSIVE for r in seeded
-        ),
+        "inconclusive": inconclusive,
         "disagreements": len(disagreements),
         "false_alarms": len(false_alarms),
         "detection_rate": detection_rate,
@@ -164,6 +164,7 @@ def summarize(
             and not false_alarms
             and all_concretized
             and (detection_rate is None or detection_rate == 1.0)
+            and inconclusive <= len(seeded) // 10
         ),
         "failures": [
             {"family": r.family, "kind": r.kind, "failure": r.failure}

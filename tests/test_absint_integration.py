@@ -29,18 +29,23 @@ MATRIX = [
 ]
 
 
+#: Four seeded zoo models: the first two run the whole matrix, the other
+#: two the on/off pair at opt 2.
+_ZOO = _zoo_targets(4, seed=1234)
+
+
 def _differential_targets():
     targets = [(name, build()) for name, build in sorted(_gallery().items())]
-    targets += _zoo_targets(2, seed=1234)
+    targets += _ZOO[:2]
     return targets
 
 
+def _target_id(value):
+    return value if isinstance(value, str) else ""
+
+
 class TestBmcDifferential:
-    @pytest.mark.parametrize(
-        "name,ts",
-        _differential_targets(),
-        ids=lambda v: v if isinstance(v, str) else "",
-    )
+    @pytest.mark.parametrize("name,ts", _differential_targets(), ids=_target_id)
     def test_verdicts_identical_across_matrix(self, name, ts):
         for prop in ts.properties:
             outcomes = []
@@ -56,6 +61,16 @@ class TestBmcDifferential:
                     f"{name}/{prop}: opt_level={config.opt_level} "
                     f"absint={config.absint} diverged: {outcome} != {baseline}"
                 )
+
+    @pytest.mark.parametrize("name,ts", _ZOO[2:], ids=_target_id)
+    def test_verdicts_identical_with_and_without_absint(self, name, ts):
+        for prop in ts.properties:
+            outcomes = set()
+            for absint in (False, True):
+                config = PipelineConfig(opt_level=2, absint=absint)
+                result = BmcSession(ts, prop, opt_level=config).extend_to(7)
+                outcomes.add((result.holds, result.counterexample_length))
+            assert len(outcomes) == 1, f"{name}/{prop}: {outcomes}"
 
     def test_fold_shrinks_saturating_counter_encoding(self):
         ts = _gallery()["saturating_counter"]()

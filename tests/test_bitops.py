@@ -7,17 +7,12 @@ from hypothesis import given, strategies as st
 
 from repro.utils.bitops import (
     bit,
-    bits_of,
     clog2,
     from_bits,
     mask,
-    popcount,
-    rotate_left,
-    rotate_right,
     sext,
     to_signed,
     to_unsigned,
-    truncate,
     zext,
 )
 
@@ -88,18 +83,7 @@ class TestBits:
 
     @given(st.integers(min_value=0, max_value=2**12 - 1))
     def test_bits_roundtrip(self, value):
-        assert from_bits(bits_of(value, 12)) == value
-
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-
-    def test_popcount_negative_rejected(self):
-        with pytest.raises(ValueError):
-            popcount(-1)
-
-    def test_truncate(self):
-        assert truncate(0x1FF, 8) == 0xFF
+        assert from_bits([(value >> i) & 1 for i in range(12)]) == value
 
 
 class TestClog2:
@@ -112,16 +96,3 @@ class TestClog2:
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
             clog2(0)
-
-
-class TestRotate:
-    def test_rotate_left(self):
-        assert rotate_left(0b0001, 1, 4) == 0b0010
-        assert rotate_left(0b1000, 1, 4) == 0b0001
-
-    def test_rotate_right(self):
-        assert rotate_right(0b0001, 1, 4) == 0b1000
-
-    @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=16))
-    def test_rotate_roundtrip(self, value, amount):
-        assert rotate_right(rotate_left(value, amount, 8), amount, 8) == value

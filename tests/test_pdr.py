@@ -9,15 +9,20 @@ The load-bearing properties:
   k-induction wherever the latter concludes (differential testing across a
   small design suite);
 * on the real (golden, bug-free) QED processor model a frame-bounded run
-  never fabricates a counterexample.
+  never fabricates a counterexample, and in tier-2 an unbounded run
+  converges to an invariant that passes the re-check;
+* PDR reads the initial states as BMC does.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
 from repro.bmc.engine import BmcEngine
 from repro.bmc.kinduction import KInductionEngine
+from repro.btor import parse_btor2
 from repro.core.flow import SqedFlow
 from repro.errors import PdrError, VerificationError
 from repro.isa.config import IsaConfig
@@ -37,7 +42,8 @@ def _counter(prefix: str, limit: int, buggy: bool = False):
     return saturating_counter(prefix, limit=limit, buggy=buggy)
 
 
-#: (factory, property) pairs covering the whole suite, good and buggy.
+#: (factory, property, expected proven) covering the whole suite, good and
+#: buggy, at 4 bits and three of the designs again at 8 bits.
 _SUITE = [
     (lambda p: _counter(p, 5), "bounded", True),
     (lambda p: _counter(p, 5, buggy=True), "bounded", False),
@@ -45,6 +51,9 @@ _SUITE = [
     (lambda p: _lockstep(p, buggy=True), "consistent", False),
     (lambda p: _piped(p), "consistent", True),
     (lambda p: _piped(p, buggy=True), "consistent", False),
+    (lambda p: _lockstep(p, xlen=8), "consistent", True),
+    (lambda p: _piped(p, xlen=8), "consistent", True),
+    (lambda p: _piped(p, xlen=8, buggy=True), "consistent", False),
 ]
 
 
@@ -154,8 +163,11 @@ class TestPdrDifferential:
     @pytest.mark.parametrize("index", range(len(_SUITE)))
     def test_agrees_with_bmc_and_kinduction(self, index):
         factory, prop, expected_good = _SUITE[index]
-        pdr_result = PdrEngine(factory(f"diff{index}a")).prove(prop)
+        ts = factory(f"diff{index}a")
+        pdr_result = PdrEngine(ts).prove(prop)
         assert pdr_result.proven is (True if expected_good else False)
+        if pdr_result.proven:
+            assert check_invariant(ts, prop, pdr_result.invariant, opt_level=0).valid
         bmc = BmcEngine(factory(f"diff{index}b")).check(prop, bound=10)
         if bmc.holds is False:
             assert pdr_result.proven is False
@@ -211,21 +223,18 @@ class TestConflictQualityStack:
     """CTG generalisation, F_inf pushing and subsumption semantics."""
 
     def test_drop_attribution_sums_to_total(self):
+        """Generalisation blocks counterexamples-to-generalisation.
+
+        The name is kept from when the test also summed per-pass
+        literal-drop counters; it now checks that the CTG pass runs.
+        """
         engine = PdrEngine(_piped("pdr_attrib"))
         result = engine.prove("consistent")
         assert result.proven is True
-        stats = result.stats
-        assert stats.literals_dropped == (
-            stats.literals_dropped_core
-            + stats.literals_dropped_mic
-            + stats.literals_dropped_ctg
-        )
-        # Generalisation must actually do something on this design.
-        assert stats.literals_dropped > 0
-        # So must CTG blocking (4 CTGs at 4 bits), except on the naive
-        # opt_level=0 encoder, whose search meets no CTG here.
+        # 4 CTGs at 4 bits, except on the naive opt_level=0 encoder, whose
+        # search meets no CTG here.
         if engine.pipeline.opt_level >= 1:
-            assert stats.ctgs_blocked > 0
+            assert result.stats.ctgs_blocked > 0
 
     def test_inf_promoted_invariant_still_certifies(self):
         # Designs whose clauses are frame-independently inductive exercise
@@ -308,23 +317,23 @@ class TestPdrOnProcessorModel:
         assert outcome.model.property_name in outcome.model.ts.properties
 
     @pytest.mark.slow
-    def test_full_convergence_proof_with_checked_invariant(self):
+    @pytest.mark.parametrize(
+        "ops,frames", [(("ADD",), 12), (("ADD", "SUB"), 16)], ids=["add", "add-sub"]
+    )
+    def test_full_convergence_proof_with_checked_invariant(self, ops, frames):
         # The graduation run: *unbounded* PDR on a golden (bug-free) QED
         # processor model must converge to an inductive invariant on the
         # arena SAT kernel, and that invariant must pass the independent
-        # opt_level=0 re-check.  The scaled-down golden configuration
-        # (single-op ISA, depth-1 QED fifo) is the largest one whose proof
-        # fits the tier-2 nightly budget: with the conflict-quality stack
-        # it converges with a ~350-clause invariant, at frame 8 in about a
-        # minute (plain MIC used to need ~900 clauses).  The full ADD+SUB op set
-        # on the same depth-1 fifo — which plain MIC walled at frame 4 —
-        # now converges too, but only inside the nightly bench-pdr-full
-        # budget: it is covered by the committed BENCH_pdr.json convergence
-        # row rather than a second slow test here.
+        # opt_level=0 re-check.  Both cases use the depth-1 QED fifo (the
+        # default depth-2 fifo squares the instruction-pair space).  The
+        # single-op model converges at frame 8 with a ~370-clause
+        # invariant; the ADD+SUB model converges at frame 8 with ~510
+        # clauses after ~12,900 consecution queries, in about 85 s with
+        # the re-check.
         isa = IsaConfig.small(xlen=4, num_regs=4)
-        config = ProcessorConfig(isa=isa, supported_ops=("ADD",))
+        config = ProcessorConfig(isa=isa, supported_ops=ops)
         flow = SqedFlow(config, fifo_depth=1)
-        outcome = flow.prove(None, engine="pdr", max_frames=12)
+        outcome = flow.prove(None, engine="pdr", max_frames=frames)
         assert outcome.proven is True
         pdr = outcome.pdr_result
         assert pdr is not None and pdr.invariant is not None
@@ -346,3 +355,25 @@ class TestPdrOnProcessorModel:
     def test_unknown_engine_rejected(self, golden_flow):
         with pytest.raises(VerificationError):
             golden_flow.prove(None, engine="zz3")
+
+
+class TestInitSemantics:
+    """PDR, k-induction and BMC read the same initial states."""
+
+    def test_init_terms_read_rigid_symbols_in_every_engine(self):
+        # `a` starts at `b` and `b` at `a`.  A symbol an init term reads is
+        # rigid (lint reports it as model.init-state-ref), so the two start
+        # values are independent and `a == b` fails at frame 0.
+        path = Path(__file__).parent / "data" / "lint" / "init_state_ref.btor2"
+        ts = parse_btor2(path.read_text(), name="init_state_ref")
+        equal = T.bv_eq(ts.state_symbol("a"), ts.state_symbol("b"))
+        ts.add_property("equal", equal)
+        assert BmcEngine(ts).check("equal", bound=3).holds is False
+        assert KInductionEngine(ts).prove("equal", max_k=3).proven is False
+        result = PdrEngine(ts).prove("equal")
+        assert result.proven is False
+        assert [len(result.cex_chain), result.frames_explored] == [1, 0]
+        state = result.cex_chain[0]
+        assert state["a"] != state["b"]
+        # No invariant that implies the property holds in every initial state.
+        assert not check_invariant(ts, "equal", [equal]).initiation

@@ -14,9 +14,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bmc.engine import BmcEngine
+from repro.bmc.engine import BmcEngine, BmcSession
 from repro.bmc.kinduction import KInductionEngine
+from repro.core.flow import SqedFlow
 from repro.errors import SolveError
+from repro.isa.config import IsaConfig
+from repro.proc.bugs import get_bug
+from repro.proc.config import ProcessorConfig
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate
 from repro.solve import PipelineConfig, SolverContext, default_opt_level
@@ -340,6 +344,38 @@ class TestConeOfInfluence:
             ).check("bounded", bound=8)
             sizes[opt] = result.stats.encoding.cnf_clauses_post
         assert sizes[2] < sizes[0], sizes
+
+
+class TestQedModelAcrossLevels:
+    """The SQED model of the 4-bit ADD/SUB core, golden and with a bug."""
+
+    def test_opt2_shrinks_the_encoding_and_keeps_every_verdict(self):
+        flow = SqedFlow(
+            ProcessorConfig(
+                isa=IsaConfig.small(xlen=4, num_regs=4), supported_ops=("ADD", "SUB")
+            )
+        )
+
+        def session(bug, opt):
+            model = flow.build_model(bug)
+            return BmcSession(model.ts, model.property_name, opt_level=opt)
+
+        # Encoded, not solved, to bound 10: opt 2 hands the SAT backend at
+        # least 20% fewer clauses than the naive encoder.
+        clauses = {
+            opt: session(None, opt).encode_to(10).cnf_clauses_post for opt in (0, 2)
+        }
+        assert clauses[2] <= 0.8 * clauses[0], clauses
+        # Solved to bound 7, the first bound with the forwarding bug's
+        # counterexample: every level gives the same verdict, frame and length.
+        for bug, expected in (
+            (None, (True, 7, None)),
+            (get_bug("multi_no_forward_ex_rs1"), (False, 7, 8)),
+        ):
+            for opt in OPT_LEVELS:
+                result = session(bug, opt).extend_to(7)
+                outcome = (result.holds, result.bound, result.counterexample_length)
+                assert outcome == expected, (bug, opt, outcome)
 
 
 class TestKInductionAcrossLevels:

@@ -417,6 +417,30 @@ class TestCampaign:
         ]
 
 
+    @pytest.mark.parametrize("inconclusive,passed", [(1, True), (2, False)])
+    def test_summary_bounds_inconclusive_instances(self, inconclusive, passed):
+        from repro.zoo.oracle import OracleReport
+
+        def report(status):
+            return OracleReport(
+                family="f",
+                recipe={},
+                flow_kind="sepe",
+                kind="seeded",
+                status=status,
+                cex_length=3,
+                concretized=status == STATUS_DETECTED,
+            )
+
+        seeded = [report(STATUS_INCONCLUSIVE) for _ in range(inconclusive)]
+        seeded += [report(STATUS_DETECTED) for _ in range(10 - inconclusive)]
+        summary = summarize(seeded, [])
+        assert summary["inconclusive"] == inconclusive
+        assert summary["detection_rate"] == 1.0
+        # At most a tenth of the campaign may run out of budget.
+        assert summary["passed"] is passed
+
+
 class TestCli:
     def test_list_families(self, capsys):
         assert zoo_main(["list"]) == 0
@@ -466,8 +490,7 @@ class TestFullCampaign:
         # clean, and nothing may disagree.  Sixty instances (~12 min)
         # fit the shared tier-2 pytest budget; the ≥200-instance
         # acceptance campaign is the dedicated nightly CI job running
-        # `bench_zoo.py --count 200`, whose report is committed as
-        # BENCH_zoo.json.
+        # `python -m repro.zoo run --count 200`, which uploads its report.
         config = CampaignConfig(
             count=60,
             seed=2025,
