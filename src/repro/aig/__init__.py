@@ -11,7 +11,7 @@ cones actually asserted or assumed are lowered to CNF
 gates cost nothing downstream.
 """
 
-from repro.aig.graph import AIG, AigStats
+from repro.aig.graph import AIG
 from repro.aig.lower import CnfLowering
 
-__all__ = ["AIG", "AigStats", "CnfLowering"]
+__all__ = ["AIG", "CnfLowering"]

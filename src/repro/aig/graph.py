@@ -22,7 +22,6 @@ which maximises strashing hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 K_CONST = 0
@@ -30,24 +29,6 @@ K_INPUT = 1
 K_AND = 2
 K_XOR = 3
 K_ITE = 4
-
-_KIND_NAMES = {K_CONST: "const", K_INPUT: "input", K_AND: "and", K_XOR: "xor", K_ITE: "ite"}
-
-
-@dataclass
-class AigStats:
-    """Structural counters of one graph (a snapshot, cheap to recompute)."""
-
-    num_inputs: int = 0
-    num_and: int = 0
-    num_xor: int = 0
-    num_ite: int = 0
-    rewrite_hits: int = 0
-    strash_hits: int = 0
-
-    @property
-    def num_gates(self) -> int:
-        return self.num_and + self.num_xor + self.num_ite
 
 
 class AIG:
@@ -61,9 +42,6 @@ class AIG:
         self._strash: dict[tuple, int] = {}
         self.TRUE = 1
         self.FALSE = -1
-        self._num_inputs = 0
-        self._rewrite_hits = 0
-        self._strash_hits = 0
 
     # ----------------------------------------------------------- introspection
 
@@ -77,23 +55,8 @@ class AIG:
     def args(self, lit: int) -> tuple[int, ...]:
         return self._args[abs(lit)]
 
-    def stats(self) -> AigStats:
-        stats = AigStats(
-            num_inputs=self._num_inputs,
-            rewrite_hits=self._rewrite_hits,
-            strash_hits=self._strash_hits,
-        )
-        for kind in self._kind[2:]:
-            if kind == K_AND:
-                stats.num_and += 1
-            elif kind == K_XOR:
-                stats.num_xor += 1
-            elif kind == K_ITE:
-                stats.num_ite += 1
-        return stats
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AIG(nodes={self.num_nodes()}, inputs={self._num_inputs})"
+        return f"AIG(nodes={self.num_nodes()})"
 
     # ------------------------------------------------------------ construction
 
@@ -101,7 +64,6 @@ class AIG:
         key = (kind, args)
         hit = self._strash.get(key)
         if hit is not None:
-            self._strash_hits += 1
             return hit
         self._kind.append(kind)
         self._args.append(args)
@@ -113,7 +75,6 @@ class AIG:
         """A fresh primary input node (never hashed)."""
         self._kind.append(K_INPUT)
         self._args.append(())
-        self._num_inputs += 1
         return len(self._kind) - 1
 
     def and_(self, a: int, b: int) -> int:
@@ -129,7 +90,6 @@ class AIG:
             return self.FALSE
         rewritten = self._and_two_level(a, b)
         if rewritten is not None:
-            self._rewrite_hits += 1
             return rewritten
         if (abs(a), a < 0) > (abs(b), b < 0):
             a, b = b, a

@@ -9,8 +9,6 @@ programs over a portion of RV32IM.  This package provides that substrate:
   SAT backend stays fast, and the semantics are width-generic.
 * :mod:`repro.isa.instructions` — the instruction catalog with concrete
   (integer) and symbolic (bit-vector term) semantics.
-* :mod:`repro.isa.encoding` — standard 32-bit RISC-V instruction word
-  encoding and decoding.
 * :mod:`repro.isa.executor` — an architectural-state instruction-set
   simulator used for trace replay and cross-checking.
 * :mod:`repro.isa.assembler` — a small text assembler for examples/tests.
@@ -26,7 +24,6 @@ from repro.isa.instructions import (
 )
 from repro.isa.executor import ArchState, execute_instruction, execute_program
 from repro.isa.assembler import assemble, assemble_line, format_instruction
-from repro.isa.encoding import encode_instruction, decode_instruction
 
 __all__ = [
     "IsaConfig",
@@ -41,6 +38,4 @@ __all__ = [
     "assemble",
     "assemble_line",
     "format_instruction",
-    "encode_instruction",
-    "decode_instruction",
 ]

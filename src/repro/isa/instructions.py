@@ -8,9 +8,7 @@ bundles:
   instruction-set simulator and for fast cross-checking,
 * symbolic semantics — the same function expressed over
   :class:`repro.smt.terms.BV` terms, used by the CEGIS synthesizer and the
-  symbolic processor models,
-* standard RV32 encoding fields (opcode / funct3 / funct7) used by the
-  encoder/decoder.
+  symbolic processor models.
 
 The "result" of an instruction is the value written to ``rd`` for ALU /
 multiply / LUI instructions.  For loads and stores the result is the
@@ -78,9 +76,6 @@ class InstructionDef:
     is_store: bool
     concrete: ConcreteFn
     symbolic: SymbolicFn
-    opcode: int
-    funct3: int = 0
-    funct7: int = 0
     description: str = ""
 
 
@@ -142,8 +137,6 @@ def _register(defn: InstructionDef) -> InstructionDef:
 
 def _r_type(
     name: str,
-    funct3: int,
-    funct7: int,
     concrete: ConcreteFn,
     symbolic: SymbolicFn,
     description: str,
@@ -160,9 +153,6 @@ def _r_type(
             is_store=False,
             concrete=concrete,
             symbolic=symbolic,
-            opcode=0b0110011,
-            funct3=funct3,
-            funct7=funct7,
             description=description,
         )
     )
@@ -170,12 +160,9 @@ def _r_type(
 
 def _i_type(
     name: str,
-    funct3: int,
     concrete: ConcreteFn,
     symbolic: SymbolicFn,
     description: str,
-    funct7: int = 0,
-    opcode: int = 0b0010011,
     is_load: bool = False,
 ) -> InstructionDef:
     return _register(
@@ -190,9 +177,6 @@ def _i_type(
             is_store=False,
             concrete=concrete,
             symbolic=symbolic,
-            opcode=opcode,
-            funct3=funct3,
-            funct7=funct7,
             description=description,
         )
     )
@@ -201,61 +185,61 @@ def _i_type(
 # --- R-type ALU -------------------------------------------------------------
 
 ADD = _r_type(
-    "ADD", 0b000, 0b0000000,
+    "ADD",
     lambda cfg, a, b, imm: (a + b) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_add(a, b),
     "Addition of two register operands",
 )
 SUB = _r_type(
-    "SUB", 0b000, 0b0100000,
+    "SUB",
     lambda cfg, a, b, imm: (a - b) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_sub(a, b),
     "Subtraction of two register operands",
 )
 SLL = _r_type(
-    "SLL", 0b001, 0b0000000,
+    "SLL",
     lambda cfg, a, b, imm: (a << _shamt(cfg, b)) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_shl(a, _shamt_sym(cfg, b)),
     "Shift left logical",
 )
 SLT = _r_type(
-    "SLT", 0b010, 0b0000000,
+    "SLT",
     lambda cfg, a, b, imm: 1 if to_signed(a, cfg.xlen) < to_signed(b, cfg.xlen) else 0,
     lambda cfg, a, b, imm: _bool_to_xlen(cfg, T.bv_slt(a, b)),
     "Set if less than (signed)",
 )
 SLTU = _r_type(
-    "SLTU", 0b011, 0b0000000,
+    "SLTU",
     lambda cfg, a, b, imm: 1 if a < b else 0,
     lambda cfg, a, b, imm: _bool_to_xlen(cfg, T.bv_ult(a, b)),
     "Set if less than (unsigned)",
 )
 XOR = _r_type(
-    "XOR", 0b100, 0b0000000,
+    "XOR",
     lambda cfg, a, b, imm: a ^ b,
     lambda cfg, a, b, imm: T.bv_xor(a, b),
     "Exclusive OR",
 )
 SRL = _r_type(
-    "SRL", 0b101, 0b0000000,
+    "SRL",
     lambda cfg, a, b, imm: a >> _shamt(cfg, b),
     lambda cfg, a, b, imm: T.bv_lshr(a, _shamt_sym(cfg, b)),
     "Shift right logical",
 )
 SRA = _r_type(
-    "SRA", 0b101, 0b0100000,
+    "SRA",
     lambda cfg, a, b, imm: (to_signed(a, cfg.xlen) >> _shamt(cfg, b)) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_ashr(a, _shamt_sym(cfg, b)),
     "Shift right arithmetic",
 )
 OR = _r_type(
-    "OR", 0b110, 0b0000000,
+    "OR",
     lambda cfg, a, b, imm: a | b,
     lambda cfg, a, b, imm: T.bv_or(a, b),
     "Bitwise OR",
 )
 AND = _r_type(
-    "AND", 0b111, 0b0000000,
+    "AND",
     lambda cfg, a, b, imm: a & b,
     lambda cfg, a, b, imm: T.bv_and(a, b),
     "Bitwise AND",
@@ -264,25 +248,25 @@ AND = _r_type(
 # --- RV32M multiplies -------------------------------------------------------
 
 MUL = _r_type(
-    "MUL", 0b000, 0b0000001,
+    "MUL",
     lambda cfg, a, b, imm: (a * b) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_mul(a, b),
     "Multiply (low half)",
 )
 MULH = _r_type(
-    "MULH", 0b001, 0b0000001,
+    "MULH",
     lambda cfg, a, b, imm: _mulh_signed(cfg, a, b),
     lambda cfg, a, b, imm: _mulh_sym(cfg, a, b, True, True),
     "Multiply high (signed x signed)",
 )
 MULHSU = _r_type(
-    "MULHSU", 0b010, 0b0000001,
+    "MULHSU",
     lambda cfg, a, b, imm: _mulh_su(cfg, a, b),
     lambda cfg, a, b, imm: _mulh_sym(cfg, a, b, True, False),
     "Multiply high (signed x unsigned)",
 )
 MULHU = _r_type(
-    "MULHU", 0b011, 0b0000001,
+    "MULHU",
     lambda cfg, a, b, imm: _mulh_unsigned(cfg, a, b),
     lambda cfg, a, b, imm: _mulh_sym(cfg, a, b, False, False),
     "Multiply high (unsigned x unsigned)",
@@ -291,59 +275,58 @@ MULHU = _r_type(
 # --- I-type ALU -------------------------------------------------------------
 
 ADDI = _i_type(
-    "ADDI", 0b000,
+    "ADDI",
     lambda cfg, a, b, imm: (a + _imm_sext(cfg, imm)) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_add(a, _imm_sext_sym(cfg, imm)),
     "Add immediate",
 )
 SLTI = _i_type(
-    "SLTI", 0b010,
+    "SLTI",
     lambda cfg, a, b, imm: 1 if to_signed(a, cfg.xlen) < to_signed(_imm_sext(cfg, imm), cfg.xlen) else 0,
     lambda cfg, a, b, imm: _bool_to_xlen(cfg, T.bv_slt(a, _imm_sext_sym(cfg, imm))),
     "Set if less than immediate (signed)",
 )
 SLTIU = _i_type(
-    "SLTIU", 0b011,
+    "SLTIU",
     lambda cfg, a, b, imm: 1 if a < _imm_sext(cfg, imm) else 0,
     lambda cfg, a, b, imm: _bool_to_xlen(cfg, T.bv_ult(a, _imm_sext_sym(cfg, imm))),
     "Set if less than immediate (unsigned compare)",
 )
 XORI = _i_type(
-    "XORI", 0b100,
+    "XORI",
     lambda cfg, a, b, imm: a ^ _imm_sext(cfg, imm),
     lambda cfg, a, b, imm: T.bv_xor(a, _imm_sext_sym(cfg, imm)),
     "Exclusive OR immediate",
 )
 ORI = _i_type(
-    "ORI", 0b110,
+    "ORI",
     lambda cfg, a, b, imm: a | _imm_sext(cfg, imm),
     lambda cfg, a, b, imm: T.bv_or(a, _imm_sext_sym(cfg, imm)),
     "Bitwise OR immediate",
 )
 ANDI = _i_type(
-    "ANDI", 0b111,
+    "ANDI",
     lambda cfg, a, b, imm: a & _imm_sext(cfg, imm),
     lambda cfg, a, b, imm: T.bv_and(a, _imm_sext_sym(cfg, imm)),
     "Bitwise AND immediate",
 )
 SLLI = _i_type(
-    "SLLI", 0b001,
+    "SLLI",
     lambda cfg, a, b, imm: (a << _shamt(cfg, imm)) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_shl(a, _shamt_sym(cfg, T.bv_zext(imm, cfg.xlen))),
     "Shift left logical immediate",
 )
 SRLI = _i_type(
-    "SRLI", 0b101,
+    "SRLI",
     lambda cfg, a, b, imm: a >> _shamt(cfg, imm),
     lambda cfg, a, b, imm: T.bv_lshr(a, _shamt_sym(cfg, T.bv_zext(imm, cfg.xlen))),
     "Shift right logical immediate",
 )
 SRAI = _i_type(
-    "SRAI", 0b101,
+    "SRAI",
     lambda cfg, a, b, imm: (to_signed(a, cfg.xlen) >> _shamt(cfg, imm)) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_ashr(a, _shamt_sym(cfg, T.bv_zext(imm, cfg.xlen))),
     "Shift right arithmetic immediate",
-    funct7=0b0100000,
 )
 
 # --- LUI --------------------------------------------------------------------
@@ -362,7 +345,6 @@ LUI = _register(
         symbolic=lambda cfg, a, b, imm: T.bv_shl(
             T.bv_zext(imm, cfg.xlen), T.bv_const(cfg.lui_shift, cfg.xlen)
         ),
-        opcode=0b0110111,
         description="Load upper immediate",
     )
 )
@@ -370,11 +352,10 @@ LUI = _register(
 # --- loads / stores ---------------------------------------------------------
 
 LW = _i_type(
-    "LW", 0b010,
+    "LW",
     lambda cfg, a, b, imm: (a + _imm_sext(cfg, imm)) & mask(cfg.xlen),
     lambda cfg, a, b, imm: T.bv_add(a, _imm_sext_sym(cfg, imm)),
     "Load word (result value is the effective address; memory handled by the executor)",
-    opcode=0b0000011,
     is_load=True,
 )
 
@@ -390,8 +371,6 @@ SW = _register(
         is_store=True,
         concrete=lambda cfg, a, b, imm: (a + _imm_sext(cfg, imm)) & mask(cfg.xlen),
         symbolic=lambda cfg, a, b, imm: T.bv_add(a, _imm_sext_sym(cfg, imm)),
-        opcode=0b0100011,
-        funct3=0b010,
         description="Store word (result value is the effective address; data is rs2)",
     )
 )

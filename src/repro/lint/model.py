@@ -13,9 +13,10 @@ Rules (dotted ids, severity in brackets):
   symbols.  This is the supported idiom for "same unknown initial value"
   (QED's shared ``*_init_reg*`` symbols), so it is informational only.
 * ``model.init-state-ref`` [error] — an init term referencing a declared
-  *state* symbol.  The unroller substitutes frame 0 in one pass, so such a
-  reference does not mean "that latch's initial value": it is the
-  representable form of a combinational dependency loop at reset.
+  *state* symbol.  Every engine reads a symbol an init term reads as
+  rigid — one free value for the whole run — so such a reference does not
+  mean "that latch's initial value": it is the representable form of a
+  combinational dependency loop at reset.
 * ``model.comb-cycle`` [error] — a cycle in the init-term state-reference
   graph (including a self-reference), i.e. no well-founded reset value
   exists at all.

@@ -4,8 +4,9 @@ Built on the failed-assumption-core capability of the SAT layer:
 
 * :class:`PdrEngine` / :class:`PdrResult` — incremental-induction proof
   engine over four persistent solver contexts (consecution, bad-state,
-  initiation, lifting), with core-driven inductive generalisation and
-  invariant extraction on convergence;
+  initiation, lifting), with core-driven inductive generalisation,
+  invariant extraction on convergence and, on refutation, BMC's certified
+  shortest trace at the depth PDR found;
 * :func:`check_invariant` / :class:`InvariantCheck` — independent
   re-verification of an emitted invariant (initiation, consecution,
   safety) on fresh contexts through the naive reference encoding;

@@ -5,17 +5,18 @@ approximations of the states reachable in at most ``i`` steps, with
 ``F_0 = Init`` — each represented as a set of blocked cubes (their negated
 clauses).  Bad states found at the frontier spawn *proof obligations* that
 are pushed backwards through the frames; an obligation that reaches frame 0
-(or whose state turns out to lie in ``Init``) is a real counterexample,
-while an obligation refuted by a *relative induction* query is blocked and
+(or whose cube reaches into ``Init``) is a real counterexample, while an
+obligation refuted by a *relative induction* query is blocked and
 generalised into a stronger clause.  When a propagation pass leaves some
 frame identical to its successor, that frame is an inductive invariant and
 the property is proven for **all** depths.
 
 Every query reads the current and next state as frames 0 and 1 of one
-free-initial :class:`~repro.ts.unroll.Unroller` over the property's cone,
-and a refutation's obligation chain is concretised link by link: the
-consecution context picks each link's inputs, and
-:func:`repro.ts.simulate.next_state` computes the successor on them.
+free-initial :class:`~repro.ts.unroll.Unroller` over the property's cone.
+A refutation only counts the transitions from the refuting obligation to
+the bad cube; :meth:`PdrEngine.prove` hands that depth to a
+:class:`~repro.bmc.engine.BmcSession`, so the counterexample it reports is
+BMC's shortest trace, simulated and re-checked on the original system.
 
 Everything runs on the incremental substrate:
 
@@ -63,14 +64,14 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.bmc.engine import prepare_property_system
+from repro.bmc.engine import BmcSession, prepare_property_system
+from repro.bmc.trace import Trace
 from repro.errors import PdrError
 from repro.sat.solver import SolverStats
 from repro.smt import terms as T
 from repro.smt.terms import BV
 from repro.solve.context import SolverContext
 from repro.solve.pipeline import PipelineConfig
-from repro.ts.simulate import next_state, rigid_symbols
 from repro.ts.system import TransitionSystem
 from repro.ts.unroll import Unroller
 
@@ -134,20 +135,21 @@ class PdrResult:
     safety (``Inv => P``).  Re-check it independently with
     :func:`repro.pdr.invariant.check_invariant`.
 
-    On failure ``cex_chain`` is a list of full state assignments (name ->
-    value) from an initial state to a property-violating state.
+    On failure ``trace`` is the shortest counterexample of the original
+    system, as :class:`~repro.bmc.engine.BmcSession` finds and certifies
+    it.  ``stats`` counts PDR's own work, not that BMC run's.
     """
 
     proven: Optional[bool]
     property_name: str
     frames_explored: int = 0
     invariant: Optional[list[BV]] = None
-    cex_chain: Optional[list[dict[str, int]]] = None
+    trace: Optional[Trace] = None
     stats: PdrStats = field(default_factory=PdrStats)
 
     @property
     def counterexample_length(self) -> Optional[int]:
-        return None if self.cex_chain is None else len(self.cex_chain)
+        return None if self.trace is None else self.trace.length
 
 
 class _GiveUp(Exception):
@@ -159,24 +161,17 @@ class _Obligation:
 
     ``cube`` may be *lifted* (partial): every state in it steps — under the
     inputs its lifting query fixed — into the successor obligation's cube.
-    ``state`` keeps the concrete solver model the cube was extracted from.
+    ``steps`` counts those transitions from this cube to the bad cube, so
+    a cube that meets ``Init`` proves a counterexample of ``steps``
+    transitions.
     """
 
-    __slots__ = ("cube", "frame", "state", "successor")
+    __slots__ = ("cube", "frame", "steps")
 
-    def __init__(
-        self,
-        cube: Cube,
-        frame: int,
-        state: dict[str, int],
-        successor: "Optional[_Obligation]" = None,
-    ):
+    def __init__(self, cube: Cube, frame: int, steps: int):
         self.cube = cube
         self.frame = frame
-        self.state = state
-        #: The obligation this cube is a predecessor of (towards the
-        #: property violation); ``None`` for the bad cube itself.
-        self.successor = successor
+        self.steps = steps
 
 
 class PdrEngine:
@@ -205,6 +200,10 @@ class PdrEngine:
     fixpoint (see ``_PdrRun._admit_seed_lemmas``) before admission, so a
     wrong seed costs a few queries but can never unsoundly strengthen the
     proof.
+
+    A refutation is re-derived by BMC to the depth PDR found: the result's
+    ``trace`` is that session's certified shortest counterexample, and a
+    refutation BMC cannot reproduce raises :class:`~repro.errors.PdrError`.
     """
 
     def __init__(
@@ -245,7 +244,18 @@ class PdrEngine:
             total_conflict_budget=total_conflict_budget,
             seed_lemmas=self.seed_lemmas,
         )
-        return run.prove()
+        result = run.prove()
+        if result.proven is False:
+            witness = BmcSession(
+                self.ts, property_name, opt_level=self.pipeline
+            ).extend_to(run.cex_steps)
+            if witness.holds is not False:
+                raise PdrError(
+                    f"PDR refuted {property_name!r} in {run.cex_steps} steps, "
+                    "but BMC finds no counterexample within that bound"
+                )
+            result.trace = witness.trace
+        return result
 
 
 class _PdrRun:
@@ -267,6 +277,8 @@ class _PdrRun:
         self.total_conflict_budget = total_conflict_budget
         self._conflicts_spent = 0
         self.stats = PdrStats()
+        #: Transitions from an initial state to the bad cube, once refuted.
+        self.cex_steps: Optional[int] = None
 
         # The property only needs its cone of influence (same reduction the
         # BMC/k-induction engines apply); invariant clauses stay valid for
@@ -345,7 +357,6 @@ class _PdrRun:
         self._next_bits: dict[tuple[str, int], BV] = {}
         self._input_bits: dict[tuple[str, int], BV] = {}
         self._input_vars = {s.name: frames.input_term(s.name, 0) for s in reduced.inputs}
-        self._rigid = rigid_symbols(reduced)
 
     # ------------------------------------------------------------ frame store
 
@@ -405,16 +416,14 @@ class _PdrRun:
         """``¬cube`` over the transition system's state symbols."""
         return cube_clause_term(self.ts, cube)
 
-    def _extract_cube(self, model: dict[str, int]) -> tuple[Cube, dict[str, int]]:
-        """Full-state cube (and state assignment) from a solver model."""
+    def _extract_cube(self, model: dict[str, int]) -> Cube:
+        """Full-state cube from a solver model."""
         lits: list[CubeLit] = []
-        state: dict[str, int] = {}
         for name, width in self._state_widths.items():
             value = model.get(self._curr_vars[name].name or "", 0)
-            state[name] = value
             for bit in range(width):
                 lits.append((name, bit, bool((value >> bit) & 1)))
-        return tuple(sorted(lits)), state
+        return tuple(sorted(lits))
 
     # ---------------------------------------------------------------- queries
 
@@ -449,19 +458,6 @@ class _PdrRun:
             need_model=False,
         )
         return bool(result.satisfiable)
-
-    def _init_state_in(self, cube: Cube) -> Optional[dict[str, int]]:
-        """A concrete initial state inside ``cube``, or ``None``."""
-        self.stats.init_queries += 1
-        result = self._check(
-            self._init,
-            [self._lit_curr(lit) for lit in cube],
-            need_model=True,
-        )
-        if not result.satisfiable:
-            return None
-        _cube, state = self._extract_cube(result.model)
-        return state
 
     def _extract_input_lits(self, model: dict[str, int]) -> list[BV]:
         """The model's input assignment as per-bit assumption terms."""
@@ -553,64 +549,6 @@ class _PdrRun:
         return self._check_under_clause(
             self._clause_curr(cube), assumptions, need_model=need_model
         )
-
-    # ------------------------------------------------------ counterexamples
-
-    def _state_lits(self, state: dict[str, int]) -> list[BV]:
-        """Every bit of a concrete state as current-frame assumption terms."""
-        lits: list[BV] = []
-        for name, width in self._state_widths.items():
-            value = state.get(name, 0)
-            for bit in range(width):
-                lits.append(
-                    self._lit_curr((name, bit, bool((value >> bit) & 1)))
-                )
-        return lits
-
-    def _concretize_step(
-        self, state: dict[str, int], succ_cube: Cube
-    ) -> Optional[dict[str, int]]:
-        """A concrete successor of ``state`` inside ``succ_cube`` (or ``None``)."""
-        assumptions = self._state_lits(state)
-        assumptions.extend(self._lit_next(lit) for lit in succ_cube)
-        result = self._check(self._cons, assumptions, need_model=True)
-        if not result.satisfiable:
-            return None
-        model = result.model
-        env = {name: model.get(name, 0) for name in self._rigid}
-        env.update(state)
-        for name, var in self._input_vars.items():
-            env[name] = model.get(var.name, 0)
-        return next_state(self.ts, env)
-
-    def _build_cex(
-        self, start_state: dict[str, int], ob: _Obligation
-    ) -> list[dict[str, int]]:
-        """Concretise the obligation chain into an executable state sequence.
-
-        ``start_state`` is an initial state inside ``ob.cube``.  Each link
-        re-queries the transition for a concrete successor in the next
-        obligation's (possibly lifted) cube, so the returned chain is a real
-        run of the system, not just a sequence of abstract cubes.
-        """
-        states = [dict(start_state)]
-        node = ob.successor
-        current = start_state
-        while node is not None:
-            successor = self._concretize_step(current, node.cube)
-            if successor is None:
-                # Only possible when the global constraints admit dead-end
-                # states (no constraint-satisfying input); the abstract
-                # chain is then unrealisable and the verdict would be
-                # unsound — fail loudly instead of guessing.
-                raise PdrError(
-                    "counterexample concretisation hit a constraint dead end; "
-                    "the design's constraints admit states without successors"
-                )
-            states.append(successor)
-            current = successor
-            node = node.successor
-        return states
 
     # ----------------------------------------------------------- strengthening
 
@@ -824,7 +762,7 @@ class _PdrRun:
                 return self._core_shrink(candidate, result.core)
             if not want_model:
                 return None
-            ctg_cube, _state = self._extract_cube(result.model)
+            ctg_cube = self._extract_cube(result.model)
             if self._intersects_init(ctg_cube):
                 return None
             ctg_result = self._relative_induction(ctg_cube, frame - 1, need_model=False)
@@ -853,17 +791,12 @@ class _PdrRun:
         while queue:
             frame, _, ob = heapq.heappop(queue)
             self.stats.obligations += 1
-            if frame == 0:
-                # The cube came from a query that assumed F_0 = Init, so
-                # its stored model state is a real initial state.
-                self._cex = self._build_cex(ob.state, ob)
-                return False
-            init_state = self._init_state_in(ob.cube)
-            if init_state is not None:
-                # A lifted cube may reach into Init even though the state
-                # it was extracted from does not: that is still a real
-                # counterexample, every cube state steps into the chain.
-                self._cex = self._build_cex(init_state, ob)
+            if frame == 0 or self._intersects_init(ob.cube):
+                # A frame-0 cube came from a query that assumed F_0 = Init,
+                # and a lifted cube may reach into Init from any frame:
+                # either way an initial state reaches the bad cube in
+                # ``ob.steps`` transitions.
+                self.cex_steps = ob.steps
                 return False
             if self._is_blocked(ob.cube, frame):
                 continue
@@ -876,17 +809,18 @@ class _PdrRun:
                     # still be reachable in more steps within the frontier.
                     seq += 1
                     heapq.heappush(queue, (frame + 1, seq, _Obligation(
-                        ob.cube, frame + 1, ob.state, ob.successor
+                        ob.cube, frame + 1, ob.steps
                     )))
             else:
-                pred_cube, pred_state = self._extract_cube(result.model)
                 pred_cube = self._lift_predecessor(
-                    pred_cube, self._extract_input_lits(result.model), ob.cube
+                    self._extract_cube(result.model),
+                    self._extract_input_lits(result.model),
+                    ob.cube,
                 )
                 seq += 1
                 heapq.heappush(
                     queue,
-                    (frame - 1, seq, _Obligation(pred_cube, frame - 1, pred_state, ob)),
+                    (frame - 1, seq, _Obligation(pred_cube, frame - 1, ob.steps + 1)),
                 )
                 seq += 1
                 heapq.heappush(queue, (frame, seq, ob))
@@ -936,17 +870,16 @@ class _PdrRun:
         )
 
     def prove(self) -> PdrResult:
-        self._cex: Optional[list[dict[str, int]]] = None
         frontier = 0
         try:
             # Depth 0: an initial state violating P needs no frames.
             self.stats.init_queries += 1
             base = self._check(
-                self._init, [self._not_prop_curr], need_model=True
+                self._init, [self._not_prop_curr], need_model=False
             )
             if base.satisfiable:
-                _cube, state = self._extract_cube(base.model)
-                return self._result(proven=False, frames_explored=0, cex_chain=[state])
+                self.cex_steps = 0
+                return self._result(proven=False, frames_explored=0)
 
             if self._seed_lemmas:
                 self._admit_seed_lemmas()
@@ -963,15 +896,10 @@ class _PdrRun:
                     )
                     if not bad.satisfiable:
                         break
-                    cube, state = self._extract_cube(bad.model)
-                    cube = self._lift_bad(cube)
-                    obligation = _Obligation(cube, frontier, state)
+                    cube = self._lift_bad(self._extract_cube(bad.model))
+                    obligation = _Obligation(cube, frontier, 0)
                     if not self._block_obligation(obligation, frontier):
-                        return self._result(
-                            proven=False,
-                            frames_explored=frontier,
-                            cex_chain=self._cex,
-                        )
+                        return self._result(proven=False, frames_explored=frontier)
                 inductive = self._propagate(frontier)
                 if inductive is not None:
                     cubes = [

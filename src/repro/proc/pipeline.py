@@ -17,10 +17,9 @@ and the DUV's pipeline.
 
 Instructions use a compact micro-encoding at this boundary (opcode index
 into the configured pool plus register/immediate fields) rather than the
-full 32-bit RISC-V word; :mod:`repro.isa.encoding` provides the standard
-encoding for tooling purposes, but decoding full instruction words
-symbolically would only blow up the BMC queries without changing what the
-QED properties observe.
+full 32-bit RISC-V word: decoding full instruction words symbolically would
+only blow up the BMC queries without changing what the QED properties
+observe.
 """
 
 from __future__ import annotations

@@ -9,26 +9,28 @@ For a seeded zoo instance the oracle demands:
   states in the trace end inconsistent and diverge from the replay.  This
   is what makes a "detection" a real bug and not an encoding artefact;
 * **PDR** and **k-induction**, when asked, must *not* prove the buggy
-  design safe; a PDR refutation's obligation chain must end in a state
-  that violates the consistency property and be at least as long as the
-  shortest BMC trace.
+  design safe; a PDR refutation carries BMC's shortest trace at PDR's
+  depth, and that trace must concretise like BMC's own.
 
 For a bug-free control the oracle demands that no engine reports a
 counterexample.  Budget-exhausted engines report ``inconclusive`` — an
 instance is only *inconclusive overall* if BMC itself ran out of budget;
 any cross-engine contradiction is a ``disagreement``, the one status that
-should never occur.
+should never occur.  That includes a verdict its engine's own certificate
+check rejects (:class:`~repro.errors.BmcError` or
+:class:`~repro.errors.PdrError`): it names the instance instead of
+aborting the campaign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.bmc.trace import Trace
 from repro.core.flow import SepeSqedFlow, SqedFlow, _BaseFlow
 from repro.core.results import VerificationOutcome
-from repro.errors import ZooError
+from repro.errors import BmcError, PdrError, ZooError
 from repro.isa.executor import ArchState, execute_program
 from repro.isa.instructions import Instruction
 from repro.lint.model import lint_transition_system
@@ -85,6 +87,12 @@ class OracleSettings:
                     f"unknown oracle engine {engine!r}; "
                     f"expected some of {self.ENGINES}"
                 )
+        # Checked here: inside a leg, the engine's PdrError would read as
+        # a disagreement on every instance.
+        if self.pdr_total_budget < 0:
+            raise ZooError(
+                f"pdr_total_budget must be >= 0, got {self.pdr_total_budget}"
+            )
 
 
 @dataclass
@@ -100,7 +108,7 @@ class OracleReport:
     pdr_verdict: str = "skipped"
     kinduction_verdict: str = "skipped"
     cex_length: Optional[int] = None
-    pdr_chain_length: Optional[int] = None
+    pdr_cex_length: Optional[int] = None
     concretized: Optional[bool] = None
     conflicts: int = 0
     failure: Optional[str] = None
@@ -247,22 +255,6 @@ def replay_check(model: QedVerificationModel, trace: Trace) -> Optional[str]:
     return None
 
 
-def _pdr_chain_check(model: QedVerificationModel, chain) -> Optional[str]:
-    """The final obligation-chain state must actually violate the property."""
-    last = chain[-1]
-    try:
-        ready = evaluate(model.qed_ready, last)
-        consistent = evaluate(model.consistent, last)
-    except Exception as exc:  # missing state name ⇒ malformed chain
-        return f"PDR chain evaluation failed: {exc}"
-    if not (ready == 1 and consistent == 0):
-        return (
-            f"PDR chain ends qed_ready={ready}, consistent={consistent} "
-            "(expected a property violation)"
-        )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Running one instance / control through the oracle
 # ---------------------------------------------------------------------------
@@ -271,6 +263,21 @@ def _pdr_chain_check(model: QedVerificationModel, chain) -> Optional[str]:
 def make_flow(instance: ZooInstance) -> _BaseFlow:
     cls = SepeSqedFlow if instance.flow_kind == FLOW_SEPE else SqedFlow
     return cls(instance.config, fifo_depth=instance.fifo_depth)
+
+
+def _run_leg(report: OracleReport, engine: str, call: Callable):
+    """Run one engine leg; ``None`` when its certificate check failed.
+
+    BMC re-checks every trace on the original system and PDR re-derives
+    every refutation by BMC.  An error from either check contradicts the
+    engine's own verdict, so it is this instance's disagreement.
+    """
+    try:
+        return call()
+    except (BmcError, PdrError) as exc:
+        report.status = STATUS_DISAGREEMENT
+        report.failure = f"{engine} leg: {exc}"
+        return None
 
 
 def _charge_run(report: OracleReport, outcome) -> None:
@@ -318,12 +325,14 @@ def run_instance(
             f.render() for f in lint_report.errors[:3]
         )
         return report
-    outcome = flow.run(
+    outcome = _run_leg(report, "BMC", lambda: flow.run(
         instance.bug,
         bound=instance.bound,
         conflict_budget=settings.bmc_conflict_budget,
         model=model,
-    )
+    ))
+    if outcome is None:
+        return report
     _charge_run(report, outcome)
     if outcome.detected is None:
         report.bmc_verdict = UNKNOWN
@@ -353,13 +362,15 @@ def run_instance(
     report.status = STATUS_DETECTED
 
     if "pdr" in settings.engines:
-        proof = flow.prove(
+        proof = _run_leg(report, "PDR", lambda: flow.prove(
             instance.bug,
             engine="pdr",
             max_frames=PDR_MAX_FRAMES,
             total_conflict_budget=settings.pdr_total_budget,
             model=model,
-        )
+        ))
+        if proof is None:
+            return report
         _charge_proof(report, proof)
         if proof.proven is True:
             report.pdr_verdict = SAFE
@@ -368,33 +379,25 @@ def run_instance(
             return report
         if proof.proven is False:
             report.pdr_verdict = CEX
-            chain = proof.pdr_result.cex_chain
-            report.pdr_chain_length = None if chain is None else len(chain)
-            failure = _pdr_chain_check(proof.model, chain) if chain else (
-                "PDR refuted without an obligation chain"
-            )
-            if failure is None and report.cex_length is not None and len(
-                chain
-            ) < report.cex_length:
-                failure = (
-                    f"PDR chain ({len(chain)}) shorter than the minimal BMC "
-                    f"counterexample ({report.cex_length})"
-                )
+            report.pdr_cex_length = proof.pdr_result.counterexample_length
+            failure = replay_check(proof.model, proof.pdr_result.trace)
             if failure is not None:
                 report.status = STATUS_DISAGREEMENT
-                report.failure = failure
+                report.failure = f"PDR counterexample: {failure}"
                 return report
         else:
             report.pdr_verdict = UNKNOWN
 
     if "kinduction" in settings.engines:
-        proof = flow.prove(
+        proof = _run_leg(report, "k-induction", lambda: flow.prove(
             instance.bug,
             engine="kinduction",
             max_k=KINDUCTION_MAX_K,
             conflict_budget=settings.bmc_conflict_budget,
             model=model,
-        )
+        ))
+        if proof is None:
+            return report
         _charge_proof(report, proof)
         if proof.proven is True:
             report.kinduction_verdict = SAFE
@@ -428,12 +431,14 @@ def run_control(
     flow = make_flow(instance)
     # Every engine leg runs on this one model.
     model = flow.build_model(None)
-    outcome = flow.run(
+    outcome = _run_leg(report, "BMC", lambda: flow.run(
         None,
         bound=min(instance.bound, CONTROL_BOUND),
         conflict_budget=settings.bmc_conflict_budget,
         model=model,
-    )
+    ))
+    if outcome is None:
+        return report
     _charge_run(report, outcome)
     if outcome.detected is True:
         report.bmc_verdict = CEX
@@ -445,13 +450,15 @@ def run_control(
         report.status = STATUS_INCONCLUSIVE
 
     if "pdr" in settings.engines:
-        proof = flow.prove(
+        proof = _run_leg(report, "PDR", lambda: flow.prove(
             None,
             engine="pdr",
             max_frames=PDR_MAX_FRAMES,
             total_conflict_budget=settings.pdr_total_budget,
             model=model,
-        )
+        ))
+        if proof is None:
+            return report
         _charge_proof(report, proof)
         if proof.proven is False:
             report.pdr_verdict = CEX
@@ -461,13 +468,15 @@ def run_control(
         report.pdr_verdict = SAFE if proof.proven else UNKNOWN
 
     if "kinduction" in settings.engines:
-        proof = flow.prove(
+        proof = _run_leg(report, "k-induction", lambda: flow.prove(
             None,
             engine="kinduction",
             max_k=KINDUCTION_MAX_K,
             conflict_budget=settings.bmc_conflict_budget,
             model=model,
-        )
+        ))
+        if proof is None:
+            return report
         _charge_proof(report, proof)
         if proof.proven is False:
             report.kinduction_verdict = CEX

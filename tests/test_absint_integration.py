@@ -182,7 +182,7 @@ class TestPdrSeeding:
             engine = PdrEngine(ts, opt_level=self._cfg(absint))
             result = engine.prove("bounded")
             assert result.proven is False, f"absint={absint}"
-            assert result.cex_chain
+            assert result.trace is not None and result.trace.length == 7
 
     def test_pipelined_design_verdicts_agree(self):
         # The design whose property is not inductive on its own: seeding

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.aig import AIG, CnfLowering
-from repro.aig.graph import K_AND, K_ITE, K_XOR
+from repro.aig.graph import K_AND, K_INPUT, K_ITE, K_XOR
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver
 
@@ -247,14 +247,10 @@ class TestLoweringNormalForm:
 class TestStats:
     def test_stats_counters(self):
         aig, (a, b, c) = _fresh_aig_with_inputs(3)
-        aig.and_(a, b)
-        aig.and_(a, b)  # strash hit
-        aig.xor_(a, c)
-        aig.ite(c, a, b)
-        stats = aig.stats()
-        assert stats.num_inputs == 3
-        assert stats.num_and == 1
-        assert stats.num_xor == 1
-        assert stats.num_ite == 1
-        assert stats.num_gates == 3
-        assert stats.strash_hits >= 1
+        gate = aig.and_(a, b)
+        assert aig.and_(a, b) == gate  # strash hit
+        x = aig.xor_(a, c)
+        m = aig.ite(c, a, b)
+        assert aig.num_nodes() == 6
+        assert [aig.kind(lit) for lit in (a, b, c)] == [K_INPUT] * 3
+        assert [aig.kind(lit) for lit in (gate, x, m)] == [K_AND, K_XOR, K_ITE]

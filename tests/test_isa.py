@@ -1,4 +1,4 @@
-"""Tests for the RV32IM subset: semantics, encoding, assembler, executor."""
+"""Tests for the RV32IM subset: semantics, assembler, executor."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import AssemblerError, IsaError
 from repro.isa.assembler import assemble, assemble_line, format_instruction
 from repro.isa.config import IsaConfig
-from repro.isa.encoding import decode_instruction, encode_instruction
 from repro.isa.executor import ArchState, execute_instruction, execute_program
 from repro.isa.instructions import (
     CANONICAL_ORDER,
@@ -116,41 +115,6 @@ class TestConcreteSemantics:
         value = 0x8000_0000
         assert result_value(cfg, Instruction("SRA", 1, 2, 3), value, 31) == mask(32)
         assert to_signed(result_value(cfg, Instruction("SRAI", 1, 2, imm=4), value, 0), 32) == -(1 << 27)
-
-
-class TestEncoding:
-    @pytest.mark.parametrize("name", CANONICAL_ORDER)
-    def test_roundtrip_every_instruction(self, name):
-        defn = get_instruction(name)
-        instr = Instruction(
-            name,
-            rd=1 if (defn.writes_rd or defn.is_load) else None,
-            rs1=2 if defn.uses_rs1 else None,
-            rs2=3 if defn.uses_rs2 else None,
-            imm=5 if defn.uses_imm else None,
-        )
-        decoded = decode_instruction(encode_instruction(instr))
-        assert decoded.name == name
-        if defn.uses_rs1:
-            assert decoded.rs1 == 2
-        if defn.uses_rs2:
-            assert decoded.rs2 == 3
-
-    def test_known_encoding_add(self):
-        # ADD x1, x2, x3 == 0x003100b3 in RV32I
-        assert encode_instruction(Instruction("ADD", 1, 2, 3)) == 0x003100B3
-
-    def test_known_encoding_xori(self):
-        # XORI x1, x2, -1 (0xfff) == 0xfff14093
-        assert encode_instruction(Instruction("XORI", 1, 2, imm=0xFFF)) == 0xFFF14093
-
-    def test_decode_unknown_word(self):
-        with pytest.raises(IsaError):
-            decode_instruction(0xFFFFFFFF)
-
-    def test_register_field_range_checked(self):
-        with pytest.raises(IsaError):
-            encode_instruction(Instruction("ADD", 32, 0, 0))
 
 
 class TestAssembler:

@@ -5,9 +5,10 @@ The load-bearing properties:
 * every proof comes with an inductive invariant that passes an
   *independent* re-check (initiation, consecution, safety) through the
   ``opt_level=0`` naive reference encoding;
-* every refutation agrees with BMC, and every proof agrees with
-  k-induction wherever the latter concludes (differential testing across a
-  small design suite);
+* every refutation carries BMC's certified shortest trace, and every
+  proof agrees with k-induction wherever the latter concludes
+  (differential testing across a small design suite);
+* a refutation BMC cannot reproduce raises ``PdrError``;
 * on the real (golden, bug-free) QED processor model a frame-bounded run
   never fabricates a counterexample, and in tier-2 an unbounded run
   converges to an invariant that passes the re-check;
@@ -129,9 +130,8 @@ class TestPdrRefutations:
     def test_buggy_counter_chain_is_executable(self):
         result = PdrEngine(_counter("pdr_bad", 5, buggy=True)).prove("bounded")
         assert result.proven is False
-        chain = result.cex_chain
-        assert chain is not None
-        values = [step["pdr_bad_count"] for step in chain]
+        assert result.trace is not None
+        values = [step.states["pdr_bad_count"] for step in result.trace.steps]
         # Concrete run: starts in the initial state, counts monotonically
         # by the enable input, ends past the limit.
         assert values[0] == 0
@@ -145,8 +145,9 @@ class TestPdrRefutations:
                                            T.bv_const(1, 4)))
         result = PdrEngine(ts).prove("nonzero")
         assert result.proven is False
-        assert result.cex_chain is not None and len(result.cex_chain) == 1
+        assert result.trace is not None and result.trace.length == 1
         assert result.counterexample_length == 1
+        assert result.trace.steps[0].states["pdr_init_count"] != 1
 
     def test_buggy_piped_matches_bmc_depth(self):
         result = PdrEngine(_piped("pdr_pbad", buggy=True)).prove("consistent")
@@ -155,8 +156,15 @@ class TestPdrRefutations:
             "consistent", bound=10
         )
         assert bmc.holds is False
-        # PDR's concretised chain can never undercut the shortest trace.
-        assert len(result.cex_chain) >= bmc.trace.length
+        # PDR's trace is BMC's shortest one, re-derived at PDR's depth.
+        assert result.counterexample_length == bmc.trace.length
+
+    def test_forged_refutation_raises(self, monkeypatch):
+        # Every cube "meets Init", so the first bad cube refutes a design
+        # that is safe; BMC cannot reproduce that refutation.
+        monkeypatch.setattr(_PdrRun, "_intersects_init", lambda self, cube: True)
+        with pytest.raises(PdrError, match="BMC finds no counterexample"):
+            PdrEngine(_counter("pdr_forged", 5)).prove("bounded")
 
 
 class TestPdrDifferential:
@@ -171,6 +179,7 @@ class TestPdrDifferential:
         bmc = BmcEngine(factory(f"diff{index}b")).check(prop, bound=10)
         if bmc.holds is False:
             assert pdr_result.proven is False
+            assert pdr_result.counterexample_length == bmc.trace.length
         kind = KInductionEngine(factory(f"diff{index}c")).prove(prop, max_k=6)
         if kind.proven is not None:
             assert pdr_result.proven is kind.proven
@@ -372,8 +381,8 @@ class TestInitSemantics:
         assert KInductionEngine(ts).prove("equal", max_k=3).proven is False
         result = PdrEngine(ts).prove("equal")
         assert result.proven is False
-        assert [len(result.cex_chain), result.frames_explored] == [1, 0]
-        state = result.cex_chain[0]
+        assert [result.trace.length, result.frames_explored] == [1, 0]
+        state = result.trace.steps[0].states
         assert state["a"] != state["b"]
         # No invariant that implies the property holds in every initial state.
         assert not check_invariant(ts, "equal", [equal]).initiation

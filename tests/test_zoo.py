@@ -11,6 +11,8 @@ The load-bearing properties:
 * the verdict is invariant across SAT kernels and optimisation levels;
 * bug-free controls never produce a false alarm;
 * budget-starved engines come back ``inconclusive``, never wrong;
+* a PDR refutation carries BMC's shortest trace and replays like BMC's,
+  and a certificate an engine's own check rejects is a ``disagreement``;
 * the committed regression recipes (shrunk reproducers of previously
   found instances) keep replaying.
 """
@@ -21,7 +23,10 @@ import json
 
 import pytest
 
-from repro.errors import ProcessorError, UnknownBugError, ZooError
+from repro.bmc.engine import BmcSession
+from repro.bmc.kinduction import KInductionEngine
+from repro.errors import BmcError, ProcessorError, UnknownBugError, ZooError
+from repro.pdr.engine import _PdrRun
 from repro.proc.bugs import Bug, BugKind, BugRecipe, bug_catalog, get_bug
 from repro.proc.bugs import _build_catalog
 from repro.zoo import (
@@ -44,6 +49,7 @@ from repro.zoo.cli import main as zoo_main
 from repro.zoo.oracle import (
     STATUS_CLEAN,
     STATUS_DETECTED,
+    STATUS_DISAGREEMENT,
     STATUS_INCONCLUSIVE,
     make_flow,
     replay_check,
@@ -261,11 +267,61 @@ class TestOracleSample:
         )
         assert report.status == STATUS_DETECTED, report.failure
         if report.pdr_verdict == "cex":
-            # The oracle has already checked the chain ends in a real
-            # violation and never undercuts the minimal BMC trace.
-            assert report.pdr_chain_length >= report.cex_length
+            # The oracle has already replayed PDR's trace on the executor;
+            # it is BMC's shortest counterexample.
+            assert report.pdr_cex_length == report.cex_length
         else:
             assert report.pdr_verdict == "inconclusive"
+
+    def test_pdr_refutation_replays_on_the_executor(self):
+        recipe = next(
+            r
+            for r in load_recipes("tests/data/regression_recipes.json")
+            if r.family == "wb_drop"
+        )
+        # The PDR leg spends about 2,800 units of effort on this recipe at
+        # the default level and 7,700 at opt_level 0, past the default
+        # budget of 4,000.
+        settings = OracleSettings(engines=("bmc", "pdr"), pdr_total_budget=20_000)
+        report = run_instance(instantiate(recipe), settings)
+        assert report.status == STATUS_DETECTED, report.failure
+        assert report.pdr_verdict == "cex"
+        assert report.pdr_cex_length == report.cex_length == 5
+
+    def test_bmc_certificate_failure_is_a_disagreement(self, monkeypatch):
+        def reject(self, trace, model):
+            raise BmcError("forged trace")
+
+        monkeypatch.setattr(BmcSession, "_certify", reject)
+        report = run_instance(
+            instantiate(sample_recipe("alu_op_swap", seed=1)), _BMC_ONLY
+        )
+        assert report.status == STATUS_DISAGREEMENT
+        assert report.failure == "BMC leg: forged trace"
+
+    def test_pdr_certificate_failure_is_a_disagreement(self, monkeypatch):
+        # Every cube "meets Init", so PDR refutes the bug-free control at
+        # its first bad cube, and BMC cannot reproduce that refutation.
+        monkeypatch.setattr(_PdrRun, "_intersects_init", lambda self, cube: True)
+        report = run_control(
+            instantiate(sample_recipe("alu_op_swap", seed=1)),
+            OracleSettings(engines=("bmc", "pdr")),
+        )
+        assert report.status == STATUS_DISAGREEMENT
+        assert report.bmc_verdict == "safe"
+        assert report.failure.startswith("PDR leg: PDR refuted")
+
+    def test_kinduction_certificate_failure_is_a_disagreement(self, monkeypatch):
+        def reject(self, *args, **kwargs):
+            raise BmcError("forged base case")
+
+        monkeypatch.setattr(KInductionEngine, "prove", reject)
+        report = run_instance(
+            instantiate(sample_recipe("alu_op_swap", seed=1)),
+            OracleSettings(engines=("bmc", "kinduction")),
+        )
+        assert report.status == STATUS_DISAGREEMENT
+        assert report.failure == "k-induction leg: forged base case"
 
     def test_trace_replays_on_the_model_bmc_checked(self):
         instance = instantiate(sample_recipe("alu_op_swap", seed=1))
@@ -398,6 +454,8 @@ class TestCampaign:
             generate_recipes(CampaignConfig(count=0))
         with pytest.raises(ZooError):
             CampaignConfig(families=("nope",)).family_names()
+        with pytest.raises(ZooError, match="pdr_total_budget"):
+            OracleSettings(pdr_total_budget=-1)
 
     def test_summary_flags_disagreements(self):
         from repro.zoo.oracle import OracleReport
