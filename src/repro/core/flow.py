@@ -117,7 +117,6 @@ class _BaseFlow:
         max_k: int = 4,
         max_frames: int = 20,
         conflict_budget: Optional[int] = None,
-        total_conflict_budget: Optional[int] = None,
         model: Optional[QedVerificationModel] = None,
     ) -> ProofOutcome:
         """Attempt an *unbounded* proof of the QED consistency property.
@@ -129,9 +128,6 @@ class _BaseFlow:
         ``"kinduction"``.  ``max_frames`` bounds PDR's frame exploration,
         ``max_k`` bounds the induction depth, and ``conflict_budget`` caps
         each SAT query; exhausting any of them yields ``proven=None``.
-        ``total_conflict_budget`` (PDR only) caps the whole run's
-        cumulative effort — the knob campaign drivers use to keep
-        obligation storms on buggy models from running away.
 
         The returned outcome carries the verification ``model`` the engine
         ran on: re-check a PDR invariant against ``outcome.model.ts`` (a
@@ -149,9 +145,7 @@ class _BaseFlow:
         bug_name = None if bug is None else bug.name
         if engine == "pdr":
             pdr = PdrEngine(model.ts, max_frames=max_frames).prove(
-                model.property_name,
-                conflict_budget=conflict_budget,
-                total_conflict_budget=total_conflict_budget,
+                model.property_name, conflict_budget=conflict_budget
             )
             return ProofOutcome(
                 method=self.method,

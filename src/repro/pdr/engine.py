@@ -186,10 +186,10 @@ class PdrEngine:
     abandoned.  ``conflict_budget`` caps each individual SAT query;
     ``total_conflict_budget`` caps the *cumulative* effort of the whole run
     (each query charges its conflicts plus one, so propagation-only query
-    storms count too) — the knob campaign drivers use to bound a run whose
-    individual queries are all cheap but whose obligation count is not (the
-    QED processor models produce exactly that shape).  Exhausting either
-    budget aborts the run with ``proven=None``.
+    storms count too) — it bounds a run whose individual queries are all
+    cheap but whose obligation count is not (the QED processor models
+    produce exactly that shape).  Exhausting either budget aborts the run
+    with ``proven=None``.
 
     ``seed_lemmas`` supplies candidate cubes whose negated clauses are
     *offered* to the infinite frame before the main loop.  ``None`` (the

@@ -1,5 +1,5 @@
-"""Generative bug zoo: seeded mutation families + three-way differential
-oracle (executor replay ∥ BMC ∥ PDR/k-induction) + campaign driver.
+"""Generative bug zoo: seeded mutation families + an oracle (BMC plus
+executor replay of every counterexample) + campaign driver and shrinker.
 
 Every bug instance is reproducible from a ``(family, params, seed)``
 :class:`~repro.proc.bugs.BugRecipe`; ``python -m repro.zoo`` is the CLI.
@@ -31,7 +31,6 @@ from repro.zoo.oracle import (
     replay_check,
     run_control,
     run_instance,
-    run_recipe,
 )
 from repro.zoo.shrink import ShrinkResult, shrink_recipe
 
@@ -55,7 +54,6 @@ __all__ = [
     "run_campaign",
     "run_control",
     "run_instance",
-    "run_recipe",
     "sample_recipe",
     "save_recipes",
     "shrink_recipe",

@@ -1,11 +1,12 @@
 """Campaign driver: sample, evaluate and score a population of zoo bugs.
 
 A campaign draws ``count`` seeded instances round-robin across the enabled
-mutation families, runs every one through the three-way oracle, runs one
-bug-free control per *distinct verification configuration* (controls are
-deduplicated on :meth:`ZooInstance.control_key` — many instances of one
-family share a processor config and would re-prove the identical golden
-model), and aggregates a verdict-gated report:
+mutation families, runs every one through the oracle (BMC plus executor
+replay of its counterexample), runs one bug-free control per *distinct
+verification configuration* (controls are deduplicated on
+:meth:`ZooInstance.control_key` — many instances of one family share a
+processor config and would re-prove the identical golden model), and
+aggregates a verdict-gated report:
 
 * every seeded, non-inconclusive instance must be ``detected`` with a
   concretised counterexample;
@@ -196,8 +197,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             "seed": config.seed,
             "families": list(config.family_names()),
             "jobs": config.jobs,
-            "engines": list(config.settings.engines),
-            "pdr_total_budget": config.settings.pdr_total_budget,
             "bmc_conflict_budget": config.settings.bmc_conflict_budget,
             "control_bound": CONTROL_BOUND,
             "sat_kernel": default_sat_kernel(),

@@ -37,26 +37,16 @@ from repro.zoo.shrink import shrink_recipe
 
 
 def _settings(args: argparse.Namespace) -> OracleSettings:
-    engines = tuple(args.engines.split(","))
-    return OracleSettings(
-        engines=engines,
-        bmc_conflict_budget=args.bmc_budget,
-        pdr_total_budget=args.pdr_budget,
-    )
+    return OracleSettings(bmc_conflict_budget=args.bmc_budget)
 
 
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+def _add_budget_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engines",
-        default="bmc,pdr",
-        help="comma-separated oracle legs: bmc[,pdr][,kinduction]",
-    )
-    parser.add_argument("--bmc-budget", type=int, default=200_000)
-    parser.add_argument(
-        "--pdr-budget",
+        "--bmc-budget",
         type=int,
-        default=4_000,
-        help="cumulative PDR effort budget; exhausted ⇒ inconclusive",
+        default=OracleSettings.bmc_conflict_budget,
+        help="conflict budget of each BMC run, summed over its frames; "
+        "exhausted ⇒ inconclusive",
     )
 
 
@@ -81,17 +71,17 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--no-controls", action="store_true")
     run.add_argument("--out", default="", help="write full JSON report here")
-    _add_engine_args(run)
+    _add_budget_arg(run)
 
     replay = sub.add_parser("replay", help="re-run recipes from a JSON file")
     replay.add_argument("--recipes", required=True)
-    _add_engine_args(replay)
+    _add_budget_arg(replay)
 
     shr = sub.add_parser("shrink", help="minimise one instance's recipe")
     shr.add_argument("--family", required=True)
     shr.add_argument("--seed", type=int, required=True)
     shr.add_argument("--out", default="", help="write shrunk recipe JSON here")
-    _add_engine_args(shr)
+    _add_budget_arg(shr)
     return parser
 
 

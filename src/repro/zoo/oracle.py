@@ -1,4 +1,4 @@
-"""Three-way differential oracle: executor replay ∥ BMC ∥ PDR/k-induction.
+"""Bug-zoo oracle: BMC plus executor replay.
 
 For a seeded zoo instance the oracle demands:
 
@@ -7,34 +7,29 @@ For a seeded zoo instance the oracle demands:
   extracted from the trace, replayed on the golden architectural executor
   (:mod:`repro.isa.executor`), ends QED-consistent — while the (buggy) DUV
   states in the trace end inconsistent and diverge from the replay.  This
-  is what makes a "detection" a real bug and not an encoding artefact;
-* **PDR** and **k-induction**, when asked, must *not* prove the buggy
-  design safe; a PDR refutation carries BMC's shortest trace at PDR's
-  depth, and that trace must concretise like BMC's own.
+  is what makes a "detection" a real bug and not an encoding artefact.
 
-For a bug-free control the oracle demands that no engine reports a
-counterexample.  Budget-exhausted engines report ``inconclusive`` — an
-instance is only *inconclusive overall* if BMC itself ran out of budget;
-any cross-engine contradiction is a ``disagreement``, the one status that
-should never occur.  That includes a verdict its engine's own certificate
-check rejects (:class:`~repro.errors.BmcError` or
-:class:`~repro.errors.PdrError`): it names the instance instead of
-aborting the campaign.
+For a bug-free control the oracle demands that BMC reports no
+counterexample up to :data:`CONTROL_BOUND`.  A BMC run that exhausts its
+conflict budget reports ``inconclusive``; any contradiction is a
+``disagreement``, the one status that should never occur.  That includes
+a trace BMC's own certificate check rejects (:class:`~repro.errors.BmcError`):
+it names the instance instead of aborting the campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.bmc.trace import Trace
 from repro.core.flow import SepeSqedFlow, SqedFlow, _BaseFlow
 from repro.core.results import VerificationOutcome
-from repro.errors import BmcError, PdrError, ZooError
+from repro.errors import BmcError, ZooError
 from repro.isa.executor import ArchState, execute_program
 from repro.isa.instructions import Instruction
 from repro.lint.model import lint_transition_system
-from repro.proc.bugs import BugRecipe
+from repro.proc.bugs import Bug
 from repro.qed.module import (
     QedVerificationModel,
     SEL_ORIGINAL,
@@ -43,7 +38,7 @@ from repro.qed.module import (
 from repro.qed.scheme import EntryFields
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate
-from repro.zoo.families import FLOW_SEPE, ZooInstance, instantiate
+from repro.zoo.families import FLOW_SEPE, ZooInstance
 
 #: Overall instance statuses.
 STATUS_DETECTED = "detected"
@@ -51,47 +46,39 @@ STATUS_CLEAN = "clean"
 STATUS_INCONCLUSIVE = "inconclusive"
 STATUS_DISAGREEMENT = "disagreement"
 
-#: Per-engine verdicts.
+#: BMC verdicts.
 CEX, SAFE, UNKNOWN = "cex", "safe", "inconclusive"
 
-#: Frame limit of the PDR leg and induction depth of the k-induction leg.
-PDR_MAX_FRAMES = 8
-KINDUCTION_MAX_K = 3
 #: Bound cap for control (bug-free) BMC runs.  Golden-model UNSAT cost
 #: explodes per frame (measured ~2.6s at bound 7 vs ~330s at bound 9 on
 #: the SEPE configuration); a false alarm — an encoding artefact — would
-#: surface at small bounds too, and the PDR/k-induction control legs
-#: cover depths beyond it.
+#: surface at small bounds too.  No leg covers controls past this bound.
 CONTROL_BOUND = 7
 
 
 @dataclass
 class OracleSettings:
-    """Engine selection and budgets for one oracle evaluation."""
+    """Budget for one oracle evaluation."""
 
-    #: The oracle legs an instance can run.
-    ENGINES = ("bmc", "pdr", "kinduction")
-
-    engines: tuple[str, ...] = ENGINES
+    #: The oracle's one leg.  Kept, with ``("bmc",)`` its only legal value,
+    #: because the benchmark's bug-hunt workload (``perfbench/worker.py``)
+    #: still passes ``engines=("bmc",)``; the next benchmark change drops
+    #: the keyword and this field.
+    engines: tuple[str, ...] = ("bmc",)
     #: Per-instance budget for the whole BMC run (cumulative over frames).
     bmc_conflict_budget: int = 200_000
-    #: Cumulative effort budget for the PDR leg (conflicts + queries); PDR
-    #: on buggy QED models is an obligation storm, so this is what keeps a
-    #: campaign from hanging (satellite: budget-exceeded ⇒ inconclusive).
-    pdr_total_budget: int = 4_000
 
     def __post_init__(self) -> None:
-        for engine in self.engines:
-            if engine not in self.ENGINES:
-                raise ZooError(
-                    f"unknown oracle engine {engine!r}; "
-                    f"expected some of {self.ENGINES}"
-                )
-        # Checked here: inside a leg, the engine's PdrError would read as
-        # a disagreement on every instance.
-        if self.pdr_total_budget < 0:
+        if tuple(self.engines) != ("bmc",):
             raise ZooError(
-                f"pdr_total_budget must be >= 0, got {self.pdr_total_budget}"
+                f"the oracle runs only the BMC leg; engines must be ('bmc',), "
+                f"got {self.engines!r}"
+            )
+        # Checked here: a negative budget would make every BMC run
+        # inconclusive without naming the setting.
+        if self.bmc_conflict_budget < 0:
+            raise ZooError(
+                f"bmc_conflict_budget must be >= 0, got {self.bmc_conflict_budget}"
             )
 
 
@@ -105,10 +92,7 @@ class OracleReport:
     kind: str  # "seeded" or "control"
     status: str
     bmc_verdict: str = UNKNOWN
-    pdr_verdict: str = "skipped"
-    kinduction_verdict: str = "skipped"
     cex_length: Optional[int] = None
-    pdr_cex_length: Optional[int] = None
     concretized: Optional[bool] = None
     conflicts: int = 0
     failure: Optional[str] = None
@@ -265,40 +249,39 @@ def make_flow(instance: ZooInstance) -> _BaseFlow:
     return cls(instance.config, fifo_depth=instance.fifo_depth)
 
 
-def _run_leg(report: OracleReport, engine: str, call: Callable):
-    """Run one engine leg; ``None`` when its certificate check failed.
+def _run_bmc(
+    report: OracleReport,
+    flow: _BaseFlow,
+    bug: Optional[Bug],
+    bound: int,
+    settings: OracleSettings,
+    model: QedVerificationModel,
+) -> Optional[VerificationOutcome]:
+    """Run BMC and charge its conflicts; ``None`` when its certificate failed.
 
-    BMC re-checks every trace on the original system and PDR re-derives
-    every refutation by BMC.  An error from either check contradicts the
-    engine's own verdict, so it is this instance's disagreement.
+    BMC re-checks every trace on the original system.  An error from that
+    check contradicts BMC's own verdict, so it is this instance's
+    disagreement.
     """
     try:
-        return call()
-    except (BmcError, PdrError) as exc:
+        outcome = flow.run(
+            bug,
+            bound=bound,
+            conflict_budget=settings.bmc_conflict_budget,
+            model=model,
+        )
+    except BmcError as exc:
         report.status = STATUS_DISAGREEMENT
-        report.failure = f"{engine} leg: {exc}"
+        report.failure = f"BMC leg: {exc}"
         return None
-
-
-def _charge_run(report: OracleReport, outcome) -> None:
-    if outcome.bmc_result is not None:
-        report.conflicts += outcome.bmc_result.stats.solver_stats.conflicts
-
-
-def _charge_proof(report: OracleReport, proof) -> None:
-    if proof.pdr_result is not None:
-        report.conflicts += proof.pdr_result.stats.solver_stats.conflicts
-    if proof.kinduction_result is not None:
-        kind = proof.kinduction_result
-        report.conflicts += kind.step_solver_stats.conflicts
-        if kind.base_result is not None:
-            report.conflicts += kind.base_result.stats.solver_stats.conflicts
+    report.conflicts += outcome.bmc_result.stats.solver_stats.conflicts
+    return outcome
 
 
 def run_instance(
     instance: ZooInstance, settings: Optional[OracleSettings] = None
 ) -> OracleReport:
-    """Evaluate one seeded instance against every requested engine."""
+    """Evaluate one seeded instance: BMC, then executor replay of its trace."""
     settings = settings or OracleSettings()
     report = OracleReport(
         family=instance.family,
@@ -309,14 +292,12 @@ def run_instance(
     )
     flow = make_flow(instance)
 
-    if "bmc" not in settings.engines:
-        raise ZooError("the oracle always needs the BMC leg ('bmc' engine)")
     # Static pre-check: a seeded mutation must still produce a well-formed
     # model.  Error-severity lint findings mean the mutation broke the
     # *encoding*, not the design's behaviour — that is an artefact of the
     # family, not a bug instance, and counts as a disagreement so campaigns
     # surface it instead of crediting a detection.
-    # Lint and every engine leg run on this one model.
+    # Lint and BMC run on this one model.
     model = flow.build_model(instance.bug)
     lint_report = lint_transition_system(model.ts)
     if lint_report.errors:
@@ -325,15 +306,11 @@ def run_instance(
             f.render() for f in lint_report.errors[:3]
         )
         return report
-    outcome = _run_leg(report, "BMC", lambda: flow.run(
-        instance.bug,
-        bound=instance.bound,
-        conflict_budget=settings.bmc_conflict_budget,
-        model=model,
-    ))
+    outcome = _run_bmc(
+        report, flow, instance.bug, instance.bound, settings, model
+    )
     if outcome is None:
         return report
-    _charge_run(report, outcome)
     if outcome.detected is None:
         report.bmc_verdict = UNKNOWN
         report.status = STATUS_INCONCLUSIVE
@@ -360,52 +337,6 @@ def run_instance(
         return report
     report.concretized = True
     report.status = STATUS_DETECTED
-
-    if "pdr" in settings.engines:
-        proof = _run_leg(report, "PDR", lambda: flow.prove(
-            instance.bug,
-            engine="pdr",
-            max_frames=PDR_MAX_FRAMES,
-            total_conflict_budget=settings.pdr_total_budget,
-            model=model,
-        ))
-        if proof is None:
-            return report
-        _charge_proof(report, proof)
-        if proof.proven is True:
-            report.pdr_verdict = SAFE
-            report.status = STATUS_DISAGREEMENT
-            report.failure = "PDR proved a seeded buggy design safe"
-            return report
-        if proof.proven is False:
-            report.pdr_verdict = CEX
-            report.pdr_cex_length = proof.pdr_result.counterexample_length
-            failure = replay_check(proof.model, proof.pdr_result.trace)
-            if failure is not None:
-                report.status = STATUS_DISAGREEMENT
-                report.failure = f"PDR counterexample: {failure}"
-                return report
-        else:
-            report.pdr_verdict = UNKNOWN
-
-    if "kinduction" in settings.engines:
-        proof = _run_leg(report, "k-induction", lambda: flow.prove(
-            instance.bug,
-            engine="kinduction",
-            max_k=KINDUCTION_MAX_K,
-            conflict_budget=settings.bmc_conflict_budget,
-            model=model,
-        ))
-        if proof is None:
-            return report
-        _charge_proof(report, proof)
-        if proof.proven is True:
-            report.kinduction_verdict = SAFE
-            report.status = STATUS_DISAGREEMENT
-            report.failure = "k-induction proved a seeded buggy design safe"
-            return report
-        report.kinduction_verdict = CEX if proof.proven is False else UNKNOWN
-
     return report
 
 
@@ -429,17 +360,16 @@ def run_control(
         status=STATUS_CLEAN,
     )
     flow = make_flow(instance)
-    # Every engine leg runs on this one model.
-    model = flow.build_model(None)
-    outcome = _run_leg(report, "BMC", lambda: flow.run(
+    outcome = _run_bmc(
+        report,
+        flow,
         None,
-        bound=min(instance.bound, CONTROL_BOUND),
-        conflict_budget=settings.bmc_conflict_budget,
-        model=model,
-    ))
+        min(instance.bound, CONTROL_BOUND),
+        settings,
+        flow.build_model(None),
+    )
     if outcome is None:
         return report
-    _charge_run(report, outcome)
     if outcome.detected is True:
         report.bmc_verdict = CEX
         report.status = STATUS_DISAGREEMENT
@@ -448,47 +378,4 @@ def run_control(
     report.bmc_verdict = SAFE if outcome.detected is False else UNKNOWN
     if report.bmc_verdict == UNKNOWN:
         report.status = STATUS_INCONCLUSIVE
-
-    if "pdr" in settings.engines:
-        proof = _run_leg(report, "PDR", lambda: flow.prove(
-            None,
-            engine="pdr",
-            max_frames=PDR_MAX_FRAMES,
-            total_conflict_budget=settings.pdr_total_budget,
-            model=model,
-        ))
-        if proof is None:
-            return report
-        _charge_proof(report, proof)
-        if proof.proven is False:
-            report.pdr_verdict = CEX
-            report.status = STATUS_DISAGREEMENT
-            report.failure = "false alarm: PDR refuted a bug-free control"
-            return report
-        report.pdr_verdict = SAFE if proof.proven else UNKNOWN
-
-    if "kinduction" in settings.engines:
-        proof = _run_leg(report, "k-induction", lambda: flow.prove(
-            None,
-            engine="kinduction",
-            max_k=KINDUCTION_MAX_K,
-            conflict_budget=settings.bmc_conflict_budget,
-            model=model,
-        ))
-        if proof is None:
-            return report
-        _charge_proof(report, proof)
-        if proof.proven is False:
-            report.kinduction_verdict = CEX
-            report.status = STATUS_DISAGREEMENT
-            report.failure = "false alarm: k-induction refuted a bug-free control"
-            return report
-        report.kinduction_verdict = SAFE if proof.proven else UNKNOWN
     return report
-
-
-def run_recipe(
-    recipe: BugRecipe, settings: Optional[OracleSettings] = None
-) -> OracleReport:
-    """Instantiate and evaluate one recipe (the replay entry point)."""
-    return run_instance(instantiate(recipe), settings)

@@ -6,9 +6,8 @@ random sampler happened to draw.  The shrinker walks the family's own
 ``shrink_candidates`` lattice — strictly-simpler parameter dicts, most
 aggressive first — and keeps a step only when the simplified instance
 still reproduces the original verdict signature (same status, still
-concretising, counterexample no longer than before).  Shrinking runs the
-BMC leg only: the signature it preserves is the counterexample, and
-re-running PDR per step would dominate the cost for no extra information.
+concretising, counterexample no longer than before).  Each step is one
+oracle run: BMC plus executor replay of its counterexample.
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ class ShrinkResult:
         return self.shrunk != self.original
 
 
-def _bmc_only(settings: Optional[OracleSettings]) -> OracleSettings:
-    base = settings or OracleSettings()
-    return OracleSettings(
-        engines=("bmc",), bmc_conflict_budget=base.bmc_conflict_budget
-    )
-
-
 def _signature(report: OracleReport) -> tuple:
     return (report.status, report.concretized)
 
@@ -63,7 +55,6 @@ def shrink_recipe(
     not produce a BMC counterexample at all there is nothing to preserve
     and the recipe is returned unchanged.
     """
-    settings = _bmc_only(settings)
     family = get_family(recipe.family)
 
     current = recipe

@@ -10,9 +10,10 @@ The load-bearing properties:
   consistent — so a detection is never an encoding artefact);
 * the verdict is invariant across SAT kernels and optimisation levels;
 * bug-free controls never produce a false alarm;
-* budget-starved engines come back ``inconclusive``, never wrong;
-* a PDR refutation carries BMC's shortest trace and replays like BMC's,
-  and a certificate an engine's own check rejects is a ``disagreement``;
+* a budget-starved BMC run comes back ``inconclusive``, never wrong, and
+  a trace BMC's own check rejects is a ``disagreement``;
+* a PDR refutation of a seeded bug carries BMC's shortest trace, which
+  replays on the executor like BMC's;
 * the committed regression recipes (shrunk reproducers of previously
   found instances) keep replaying.
 """
@@ -24,9 +25,7 @@ import json
 import pytest
 
 from repro.bmc.engine import BmcSession
-from repro.bmc.kinduction import KInductionEngine
 from repro.errors import BmcError, ProcessorError, UnknownBugError, ZooError
-from repro.pdr.engine import _PdrRun
 from repro.proc.bugs import Bug, BugKind, BugRecipe, bug_catalog, get_bug
 from repro.proc.bugs import _build_catalog
 from repro.zoo import (
@@ -55,8 +54,8 @@ from repro.zoo.oracle import (
     replay_check,
 )
 
-#: Fast BMC-only oracle settings for tier-1 tests.
-_BMC_ONLY = OracleSettings(engines=("bmc",))
+#: The oracle's default settings: BMC plus executor replay.
+_BMC_ONLY = OracleSettings()
 
 #: The tier-1 fixed-seed sample: at least one instance per family, a
 #: second seed where sampling is actually parameter-diverse.
@@ -260,33 +259,22 @@ class TestOracleSample:
         assert report.concretized is True
         assert report.cex_length == 7
 
-    def test_pdr_leg_agrees_and_chain_is_validated(self):
-        settings = OracleSettings(engines=("bmc", "pdr"), pdr_total_budget=4_000)
-        report = run_instance(
-            instantiate(sample_recipe("alu_op_swap", seed=1)), settings
-        )
-        assert report.status == STATUS_DETECTED, report.failure
-        if report.pdr_verdict == "cex":
-            # The oracle has already replayed PDR's trace on the executor;
-            # it is BMC's shortest counterexample.
-            assert report.pdr_cex_length == report.cex_length
-        else:
-            assert report.pdr_verdict == "inconclusive"
-
     def test_pdr_refutation_replays_on_the_executor(self):
         recipe = next(
             r
             for r in load_recipes("tests/data/regression_recipes.json")
             if r.family == "wb_drop"
         )
-        # The PDR leg spends about 2,800 units of effort on this recipe at
-        # the default level and 7,700 at opt_level 0, past the default
-        # budget of 4,000.
-        settings = OracleSettings(engines=("bmc", "pdr"), pdr_total_budget=20_000)
-        report = run_instance(instantiate(recipe), settings)
-        assert report.status == STATUS_DETECTED, report.failure
-        assert report.pdr_verdict == "cex"
-        assert report.pdr_cex_length == report.cex_length == 5
+        instance = instantiate(recipe)
+        # No total budget: PDR refutes this recipe at every encoder level.
+        proof = make_flow(instance).prove(instance.bug, engine="pdr", max_frames=8)
+        assert proof.proven is False
+        # The refutation carries BMC's shortest trace, which replays on the
+        # golden executor.
+        assert proof.pdr_result.counterexample_length == 5
+        report = run_instance(instance, _BMC_ONLY)
+        assert report.cex_length == 5
+        assert replay_check(proof.model, proof.pdr_result.trace) is None
 
     def test_bmc_certificate_failure_is_a_disagreement(self, monkeypatch):
         def reject(self, trace, model):
@@ -298,30 +286,6 @@ class TestOracleSample:
         )
         assert report.status == STATUS_DISAGREEMENT
         assert report.failure == "BMC leg: forged trace"
-
-    def test_pdr_certificate_failure_is_a_disagreement(self, monkeypatch):
-        # Every cube "meets Init", so PDR refutes the bug-free control at
-        # its first bad cube, and BMC cannot reproduce that refutation.
-        monkeypatch.setattr(_PdrRun, "_intersects_init", lambda self, cube: True)
-        report = run_control(
-            instantiate(sample_recipe("alu_op_swap", seed=1)),
-            OracleSettings(engines=("bmc", "pdr")),
-        )
-        assert report.status == STATUS_DISAGREEMENT
-        assert report.bmc_verdict == "safe"
-        assert report.failure.startswith("PDR leg: PDR refuted")
-
-    def test_kinduction_certificate_failure_is_a_disagreement(self, monkeypatch):
-        def reject(self, *args, **kwargs):
-            raise BmcError("forged base case")
-
-        monkeypatch.setattr(KInductionEngine, "prove", reject)
-        report = run_instance(
-            instantiate(sample_recipe("alu_op_swap", seed=1)),
-            OracleSettings(engines=("bmc", "kinduction")),
-        )
-        assert report.status == STATUS_DISAGREEMENT
-        assert report.failure == "k-induction leg: forged base case"
 
     def test_trace_replays_on_the_model_bmc_checked(self):
         instance = instantiate(sample_recipe("alu_op_swap", seed=1))
@@ -343,22 +307,12 @@ class TestOracleSample:
         assert report.bmc_verdict == "safe"
 
     def test_budget_starved_bmc_is_inconclusive_not_wrong(self):
-        settings = OracleSettings(engines=("bmc",), bmc_conflict_budget=1)
+        settings = OracleSettings(bmc_conflict_budget=1)
         report = run_instance(
             instantiate(sample_recipe("forward_drop", seed=1)), settings
         )
         assert report.status == STATUS_INCONCLUSIVE
         assert report.bmc_verdict == "inconclusive"
-
-    def test_budget_starved_pdr_is_inconclusive_not_wrong(self):
-        settings = OracleSettings(engines=("bmc", "pdr"), pdr_total_budget=3)
-        report = run_instance(
-            instantiate(sample_recipe("alu_op_swap", seed=1)), settings
-        )
-        # BMC still detects; the starved PDR leg must degrade to
-        # inconclusive rather than hang or contradict.
-        assert report.status == STATUS_DETECTED
-        assert report.pdr_verdict == "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +408,8 @@ class TestCampaign:
             generate_recipes(CampaignConfig(count=0))
         with pytest.raises(ZooError):
             CampaignConfig(families=("nope",)).family_names()
-        with pytest.raises(ZooError, match="pdr_total_budget"):
-            OracleSettings(pdr_total_budget=-1)
+        with pytest.raises(ZooError, match="bmc_conflict_budget"):
+            OracleSettings(bmc_conflict_budget=-1)
 
     def test_summary_flags_disagreements(self):
         from repro.zoo.oracle import OracleReport
@@ -517,21 +471,25 @@ class TestCli:
     def test_replay_gates_on_verdict(self, tmp_path, capsys):
         path = tmp_path / "recipes.json"
         save_recipes([sample_recipe("alu_op_swap", seed=1)], path)
-        code = zoo_main(
-            ["replay", "--recipes", str(path), "--engines", "bmc"]
-        )
+        code = zoo_main(["replay", "--recipes", str(path)])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["detection_rate"] == 1.0
 
-    def test_unknown_engine_rejected(self, capsys):
-        # A typo must not silently drop an oracle leg.
+    def test_unknown_engine_rejected(self):
+        # BMC is the oracle's one leg: a typo or a deleted leg is refused.
         with pytest.raises(ZooError, match="pfr"):
             OracleSettings(engines=("bmc", "pfr"))
+        with pytest.raises(ZooError, match="pdr"):
+            OracleSettings(engines=("bmc", "pdr"))
+
+    def test_negative_bmc_budget_rejected(self, capsys):
+        # A negative budget would run every instance to "inconclusive".
         code = zoo_main(
-            ["run", "--count", "1", "--engines", "bmc,pfr", "--no-controls"]
+            ["run", "--count", "2", "--seed", "2024", "--bmc-budget", "-1",
+             "--no-controls"]
         )
         assert code != 0
-        assert "pfr" in capsys.readouterr().err
+        assert "bmc_conflict_budget" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +500,17 @@ class TestCli:
 @pytest.mark.slow
 class TestFullCampaign:
     def test_sixty_instance_campaign(self):
-        # A fresh-seed campaign across every family with the full
-        # three-way oracle: every conclusive seeded instance must be
-        # detected with a concretised counterexample, controls must stay
-        # clean, and nothing may disagree.  Sixty instances (~12 min)
-        # fit the shared tier-2 pytest budget; the ≥200-instance
-        # acceptance campaign is the dedicated nightly CI job running
-        # `python -m repro.zoo run --count 200`, which uploads its report.
+        # A fresh-seed campaign across every family through the oracle
+        # (BMC plus executor replay): every conclusive seeded instance must
+        # be detected with a concretised counterexample, controls must stay
+        # clean, and nothing may disagree.  Sixty instances fit the shared
+        # tier-2 pytest budget; the ≥200-instance acceptance campaign is the
+        # dedicated nightly CI job running `python -m repro.zoo run --count
+        # 200`, which uploads its report.
         config = CampaignConfig(
             count=60,
             seed=2025,
-            settings=OracleSettings(
-                engines=("bmc", "pdr"),
-                pdr_total_budget=4_000,
-            ),
+            settings=OracleSettings(),
             jobs=2,
         )
         report = run_campaign(config)
