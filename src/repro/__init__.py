@@ -52,7 +52,6 @@ from repro.par import TaskPool
 from repro.core.flow import SqedFlow, SepeSqedFlow, pool_for_bug
 from repro.core.results import ProofOutcome, VerificationOutcome
 from repro.bmc.engine import BmcEngine, BmcSession
-from repro.bmc.kinduction import KInductionEngine, KInductionResult
 from repro.pdr import InvariantCheck, PdrEngine, PdrResult, check_invariant
 from repro.solve import EncodingStats, PipelineConfig, SolverContext, default_opt_level
 from repro.ts.system import TransitionSystem
@@ -107,8 +106,6 @@ __all__ = [
     "VerificationOutcome",
     "BmcEngine",
     "BmcSession",
-    "KInductionEngine",
-    "KInductionResult",
     "InvariantCheck",
     "PdrEngine",
     "PdrResult",

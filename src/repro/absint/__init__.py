@@ -3,11 +3,10 @@
 A lightweight static reachability analysis in the ternary-simulation
 tradition of hardware model checkers: per latch, a reduced product of
 known-bits, constancy and interval domains over-approximates every
-reachable value.  The facts power four layers — lint rules, pre-encoding
-folding in the BMC pipeline (``PipelineConfig.absint``), PDR frame-∞ seed
-lemmas (consecution-checked on admission) and k-induction step
-strengthening — and every fact is cross-checked against bounded random
-simulation.
+reachable value.  The facts power three layers — lint rules, pre-encoding
+folding in the BMC pipeline (``PipelineConfig.absint``) and PDR frame-∞
+seed lemmas (consecution-checked on admission) — and every fact is
+cross-checked against bounded random simulation.
 """
 
 from repro.absint.domains import AbstractValue
@@ -17,7 +16,6 @@ from repro.absint.facts import (
     fold_system,
     latch_facts,
     pdr_seed_cubes,
-    strengthening_terms,
     validate_by_simulation,
 )
 from repro.absint.fixpoint import Analysis, analyze
@@ -31,6 +29,5 @@ __all__ = [
     "fold_system",
     "latch_facts",
     "pdr_seed_cubes",
-    "strengthening_terms",
     "validate_by_simulation",
 ]

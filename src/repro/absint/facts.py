@@ -1,10 +1,7 @@
-"""Exporting fixpoint facts to the solvers: terms, cubes, folds, oracles.
+"""Exporting fixpoint facts to the solvers: cubes, folds, oracles.
 
-Four consumers, four shapes:
+Three consumers, three shapes:
 
-* :func:`strengthening_terms` — width-1 invariant terms over the state
-  symbols, conjoined to k-induction step frames (and usable anywhere a
-  sound reachable-state constraint helps);
 * :func:`pdr_seed_cubes` — single-literal blocked cubes (one per proven
   latch bit) offered to ``PdrEngine(seed_lemmas=...)``, which re-checks
   consecution before admitting any of them;
@@ -30,7 +27,6 @@ from repro.smt.evaluator import evaluate, substitute
 from repro.smt.terms import BV
 from repro.ts.simulate import initial_state, next_state, rigid_symbols
 from repro.ts.system import TransitionSystem
-from repro.utils.bitops import mask
 
 
 @dataclass(frozen=True)
@@ -53,32 +49,6 @@ def latch_facts(ts: TransitionSystem, analysis: Analysis) -> list[LatchFact]:
         if not value.is_top and not value.is_bottom:
             facts.append(LatchFact(name=s.name, width=s.width, value=value))
     return facts
-
-
-def strengthening_terms(ts: TransitionSystem, analysis: Analysis) -> list[BV]:
-    """Width-1 invariant terms over the state symbols.
-
-    Each term holds in every reachable state (it is implied by the
-    fixpoint), so conjoining it to a k-induction step frame or a BMC
-    query can only remove unreachable assignments — verdicts and
-    counterexamples are preserved.
-    """
-    terms: list[BV] = []
-    for fact in latch_facts(ts, analysis):
-        symbol = ts.state_symbol(fact.name)
-        v = fact.value
-        w = fact.width
-        if v.is_const:
-            terms.append(T.bv_eq(symbol, T.bv_const(v.const_value(), w)))
-            continue
-        if v.known:
-            masked = T.bv_and(symbol, T.bv_const(v.known, w))
-            terms.append(T.bv_eq(masked, T.bv_const(v.bits, w)))
-        if v.hi < mask(w):
-            terms.append(T.bv_ule(symbol, T.bv_const(v.hi, w)))
-        if v.lo > 0:
-            terms.append(T.bv_ule(T.bv_const(v.lo, w), symbol))
-    return terms
 
 
 def pdr_seed_cubes(

@@ -2,14 +2,12 @@
 
 :class:`BmcEngine` unrolls a transition system frame by frame and asks the
 bit-vector solver whether a safety property can be violated within the
-bound; when it can, it reconstructs a concrete counterexample trace.  A
-simple k-induction prover is included as an extension for unbounded proofs
-on small designs.
+bound; when it can, it reconstructs a concrete counterexample trace.
+Unbounded proofs are :mod:`repro.pdr`'s job.
 """
 
 from repro.bmc.trace import Trace, TraceStep
 from repro.bmc.engine import BmcEngine, BmcResult, BmcSession, BmcStats
-from repro.bmc.kinduction import KInductionEngine, KInductionResult
 
 __all__ = [
     "Trace",
@@ -18,6 +16,4 @@ __all__ = [
     "BmcResult",
     "BmcSession",
     "BmcStats",
-    "KInductionEngine",
-    "KInductionResult",
 ]

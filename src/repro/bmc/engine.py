@@ -11,8 +11,8 @@ The work happens in :class:`BmcSession`, which keeps one persistent
 constraints are asserted permanently, the property violation of the frame
 under test is passed as an assumption, and the session can be *extended* to
 larger bounds without redoing earlier frames.  ``BmcEngine`` is the classic
-one-call facade; ``KInductionEngine`` drives one session across its whole
-base-case schedule.
+one-call facade; ``PdrEngine`` extends one session to the depth of each
+refutation it finds, to certify it.
 
 A satisfiable frame becomes a trace by simulating the original system
 (:func:`build_trace`), and the session re-checks that trace before it
@@ -277,6 +277,10 @@ class BmcSession:
         """
         if bound < 0:
             raise BmcError(f"bound must be non-negative, got {bound}")
+        if conflict_budget is not None and conflict_budget < 0:
+            raise BmcError(
+                f"conflict_budget must be non-negative, got {conflict_budget}"
+            )
         stats = self.stats
         remaining_budget = conflict_budget
         stats_origin = self.context.stats.copy()

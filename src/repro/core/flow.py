@@ -6,7 +6,6 @@ import time
 from typing import Iterable, Mapping, Optional
 
 from repro.bmc.engine import BmcEngine
-from repro.bmc.kinduction import KInductionEngine
 from repro.core.results import ProofOutcome, VerificationOutcome
 from repro.errors import VerificationError
 from repro.pdr.engine import PdrEngine
@@ -108,66 +107,43 @@ class _BaseFlow:
         )
 
     #: Engines accepted by :meth:`prove`.
-    PROVE_ENGINES = ("pdr", "kinduction")
+    PROVE_ENGINES = ("pdr",)
 
     def prove(
         self,
         bug: Optional[Bug] = None,
         engine: str = "pdr",
-        max_k: int = 4,
         max_frames: int = 20,
-        conflict_budget: Optional[int] = None,
-        model: Optional[QedVerificationModel] = None,
     ) -> ProofOutcome:
         """Attempt an *unbounded* proof of the QED consistency property.
 
         Unlike :meth:`run`, which only searches for counterexamples up to a
         bound, a ``True`` outcome here means the property holds at **every**
-        depth.  ``engine`` selects the prover: ``"pdr"`` (IC3/PDR, emits an
-        inductive invariant via ``pdr_result.invariant``) or
-        ``"kinduction"``.  ``max_frames`` bounds PDR's frame exploration,
-        ``max_k`` bounds the induction depth, and ``conflict_budget`` caps
-        each SAT query; exhausting any of them yields ``proven=None``.
+        depth.  ``engine`` names the prover; IC3/PDR (``"pdr"``) is the
+        only one, and it emits an inductive invariant via
+        ``pdr_result.invariant``.  Exhausting ``max_frames`` yields
+        ``proven=None``.
 
         The returned outcome carries the verification ``model`` the engine
         ran on: re-check a PDR invariant against ``outcome.model.ts`` (a
         fresh ``build_model`` call mints new symbol names, so the check
-        must use this exact system).  As in :meth:`run`, ``model`` is a
-        model this flow already built for ``bug``.
+        must use this exact system).
         """
         if engine not in self.PROVE_ENGINES:
             raise VerificationError(
                 f"unknown proof engine {engine!r}; expected one of {self.PROVE_ENGINES}"
             )
         start = time.perf_counter()
-        if model is None:
-            model = self.build_model(bug)
-        bug_name = None if bug is None else bug.name
-        if engine == "pdr":
-            pdr = PdrEngine(model.ts, max_frames=max_frames).prove(
-                model.property_name, conflict_budget=conflict_budget
-            )
-            return ProofOutcome(
-                method=self.method,
-                bug_name=bug_name,
-                engine=engine,
-                proven=pdr.proven,
-                runtime_seconds=time.perf_counter() - start,
-                depth=pdr.frames_explored,
-                pdr_result=pdr,
-                model=model,
-            )
-        kind = KInductionEngine(model.ts).prove(
-            model.property_name, max_k=max_k, conflict_budget=conflict_budget
-        )
+        model = self.build_model(bug)
+        pdr = PdrEngine(model.ts, max_frames=max_frames).prove(model.property_name)
         return ProofOutcome(
             method=self.method,
-            bug_name=bug_name,
+            bug_name=None if bug is None else bug.name,
             engine=engine,
-            proven=kind.proven,
+            proven=pdr.proven,
             runtime_seconds=time.perf_counter() - start,
-            depth=kind.k,
-            kinduction_result=kind,
+            depth=pdr.frames_explored,
+            pdr_result=pdr,
             model=model,
         )
 

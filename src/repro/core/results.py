@@ -6,13 +6,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.bmc.engine import BmcResult
-from repro.bmc.kinduction import KInductionResult
 from repro.bmc.trace import Trace
 from repro.pdr.engine import PdrResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.qed.module import QedVerificationModel
-    from repro.smt.terms import BV
 
 
 @dataclass
@@ -58,11 +56,9 @@ class ProofOutcome:
     """One (method, bug) unbounded proof attempt.
 
     ``proven`` is ``True`` when the QED consistency property was proven for
-    **every** depth (k-induction converged or PDR found an inductive
-    invariant), ``False`` when a counterexample exists, and ``None`` when
-    the engine gave up (depth/frame limit or conflict budget).  ``depth``
-    is the induction depth ``k`` (k-induction) or the number of frames
-    explored (PDR).
+    **every** depth (PDR found an inductive invariant), ``False`` when a
+    counterexample exists, and ``None`` when the engine gave up (frame
+    limit).  ``depth`` is the number of frames PDR explored.
 
     ``model`` is the verification model the engine actually ran on.  It
     matters for invariant certification: every ``build_model`` call mints a
@@ -78,21 +74,5 @@ class ProofOutcome:
     proven: Optional[bool]
     runtime_seconds: float
     depth: int
-    kinduction_result: Optional[KInductionResult] = None
     pdr_result: Optional[PdrResult] = None
     model: "Optional[QedVerificationModel]" = None
-
-    @property
-    def invariant(self) -> "Optional[list[BV]]":
-        """The PDR-emitted inductive invariant clauses (``None`` otherwise)."""
-        return None if self.pdr_result is None else self.pdr_result.invariant
-
-    def summary_row(self) -> list[str]:
-        status = {True: "proven", False: "refuted", None: "inconclusive"}[self.proven]
-        return [
-            self.bug_name or "golden",
-            f"{self.method}/{self.engine}",
-            status,
-            f"{self.runtime_seconds:.2f}s",
-            str(self.depth),
-        ]

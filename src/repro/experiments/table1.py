@@ -5,9 +5,9 @@ detection time and a dash for SQED (which, by construction, cannot observe
 a bug that corrupts the original instruction and its duplicate identically).
 This harness reproduces exactly that: for each bug it runs SEPE-SQED
 (expecting a counterexample) and SQED (expecting the property to hold up to
-the bound) and prints the table.  A dash means SQED finished its bound (or
-proof) without a detection; a run that exhausted its conflict budget reads
-"inconclusive".
+the bound) and prints the table.  Both columns are bounded BMC runs, as in
+the paper.  A dash means SQED finished its bound without a detection; a
+run that exhausted its conflict budget reads "inconclusive".
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.flow import SepeSqedFlow, SqedFlow, pool_for_bug
-from repro.core.results import ProofOutcome, VerificationOutcome
+from repro.core.results import VerificationOutcome
 from repro.errors import UnknownBugError
 from repro.isa.config import IsaConfig
 from repro.proc.bugs import Bug, select_bugs, single_instruction_bugs
@@ -40,15 +40,12 @@ SEPE_BOUND = 10
 #: the harness fast.  A run that exhausts the budget did not finish its
 #: bound, so its cell reads "inconclusive", not the paper's "-".
 SQED_CONFLICT_BUDGET = 20_000
-#: Depth limits for the unbounded SQED engines.
-SQED_MAX_K = 4
-SQED_MAX_FRAMES = 10
 
 
 @dataclass
 class Table1Config:
-    """What a Table 1 run varies: the bugs, the datapath width, the SQED
-    bound and the SQED engine.
+    """What a Table 1 run varies: the bugs, the datapath width and the SQED
+    bound.
 
     The rest of the setup is the module constants above; the encoder level
     is the process default (``$REPRO_OPT_LEVEL``, see
@@ -58,12 +55,6 @@ class Table1Config:
     bug_names: Optional[list[str]] = None
     xlen: int = 8
     sqed_bound: int = 5
-    #: Engine for the SQED column: ``"bmc"`` (the paper's bounded check, the
-    #: default) or an unbounded prover (``"kinduction"`` / ``"pdr"``) that
-    #: upgrades the dash to a *proof* that SQED cannot detect the bug at any
-    #: depth.  The unbounded engines can be slow on full-size processor
-    #: configurations; they are opt-in.
-    engine: str = "bmc"
 
 
 @dataclass
@@ -71,9 +62,6 @@ class Table1Row:
     bug: Bug
     sepe: VerificationOutcome
     sqed: VerificationOutcome
-    #: Populated when the SQED column ran an unbounded engine
-    #: (``Table1Config.engine != "bmc"``).
-    sqed_proof: Optional[ProofOutcome] = None
 
 
 @dataclass
@@ -94,12 +82,6 @@ class Table1Result:
                 sqed_cell = f"FALSE DETECTION {row.sqed.runtime_seconds:.2f}s"
             elif row.sqed.detected is None:
                 sqed_cell = "inconclusive"
-            elif row.sqed_proof is not None and row.sqed_proof.proven:
-                # The unbounded engine upgraded the dash to a proof.
-                sqed_cell = (
-                    f"- (proven absent, {row.sqed_proof.engine} "
-                    f"depth {row.sqed_proof.depth})"
-                )
             else:
                 sqed_cell = "-"
             table.add_row(
@@ -113,7 +95,7 @@ class Table1Result:
 
     @property
     def none_detected_by_sqed(self) -> bool:
-        """Every SQED run finished its bound or proof without a detection."""
+        """Every SQED run finished its bound without a detection."""
         return all(row.sqed.detected is False for row in self.rows)
 
     def summary(self) -> str:
@@ -148,37 +130,10 @@ def run_table1(config: Table1Config | None = None) -> Table1Result:
         )
         sqed = SqedFlow(proc_config, fifo_depth=FIFO_DEPTH)
         sepe_outcome = sepe.run(bug, bound=SEPE_BOUND)
-        if config.engine == "bmc":
-            sqed_outcome = sqed.run(
-                bug,
-                bound=config.sqed_bound,
-                conflict_budget=SQED_CONFLICT_BUDGET,
-            )
-            return Table1Row(bug=bug, sepe=sepe_outcome, sqed=sqed_outcome)
-        # Unbounded SQED column: prove (rather than bound-check) that the
-        # self-consistency property survives the bug.
-        sqed_proof = sqed.prove(
-            bug,
-            engine=config.engine,
-            max_k=SQED_MAX_K,
-            max_frames=SQED_MAX_FRAMES,
-            conflict_budget=SQED_CONFLICT_BUDGET,
+        sqed_outcome = sqed.run(
+            bug, bound=config.sqed_bound, conflict_budget=SQED_CONFLICT_BUDGET
         )
-        detected: Optional[bool]
-        if sqed_proof.proven is None:
-            detected = None
-        else:
-            detected = not sqed_proof.proven
-        sqed_outcome = VerificationOutcome(
-            method="SQED",
-            bug_name=bug.name,
-            detected=detected,
-            runtime_seconds=sqed_proof.runtime_seconds,
-            bound=sqed_proof.depth,
-        )
-        return Table1Row(
-            bug=bug, sepe=sepe_outcome, sqed=sqed_outcome, sqed_proof=sqed_proof
-        )
+        return Table1Row(bug=bug, sepe=sepe_outcome, sqed=sqed_outcome)
 
     return Table1Result(rows=[run_row(bug) for bug in bugs])
 
@@ -189,19 +144,9 @@ def main() -> None:  # pragma: no cover - CLI entry point
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="run every Table 1 bug")
     parser.add_argument("--bugs", nargs="*", default=None)
-    parser.add_argument(
-        "--engine",
-        choices=("bmc", "kinduction", "pdr"),
-        default="bmc",
-        help=(
-            "SQED-column engine: bounded 'bmc' (paper-faithful, default) or "
-            "an unbounded prover ('kinduction'/'pdr') that turns the dash "
-            "into a proof of non-detection"
-        ),
-    )
     args = parser.parse_args()
 
-    config = Table1Config(bug_names=list(QUICK_BUGS), engine=args.engine)
+    config = Table1Config(bug_names=list(QUICK_BUGS))
     if args.full:
         config.bug_names = None
     if args.bugs:

@@ -224,22 +224,23 @@ class PdrEngine:
     def prove(
         self,
         property_name: str,
-        max_frames: Optional[int] = None,
         conflict_budget: Optional[int] = None,
         total_conflict_budget: Optional[int] = None,
     ) -> PdrResult:
         """Run IC3/PDR on ``property_name``."""
         if property_name not in self.ts.properties:
             raise PdrError(f"unknown property {property_name!r}")
-        if total_conflict_budget is not None and total_conflict_budget < 0:
-            raise PdrError(
-                f"total_conflict_budget must be >= 0, got {total_conflict_budget}"
-            )
+        for name, budget in (
+            ("conflict_budget", conflict_budget),
+            ("total_conflict_budget", total_conflict_budget),
+        ):
+            if budget is not None and budget < 0:
+                raise PdrError(f"{name} must be >= 0, got {budget}")
         run = _PdrRun(
             self.ts,
             property_name,
             pipeline=self.pipeline,
-            max_frames=max_frames if max_frames is not None else self.max_frames,
+            max_frames=self.max_frames,
             conflict_budget=conflict_budget,
             total_conflict_budget=total_conflict_budget,
             seed_lemmas=self.seed_lemmas,
@@ -280,9 +281,9 @@ class _PdrRun:
         #: Transitions from an initial state to the bad cube, once refuted.
         self.cex_steps: Optional[int] = None
 
-        # The property only needs its cone of influence (same reduction the
-        # BMC/k-induction engines apply); invariant clauses stay valid for
-        # the original system because kept states keep their next functions.
+        # The property only needs its cone of influence (the reduction BMC
+        # applies too); invariant clauses stay valid for the original system
+        # because kept states keep their next functions.
         reduced, _reduction = prepare_property_system(ts, property_name, pipeline)
         self.ts = reduced
 

@@ -1,4 +1,4 @@
-"""Persistent incremental solving shared by BMC, k-induction, CEGIS and QED.
+"""Persistent incremental solving shared by BMC, PDR, CEGIS and QED.
 
 The subsystem has two halves:
 
@@ -8,8 +8,8 @@ The subsystem has two halves:
   solver on the kernel ``$REPRO_SAT_BACKEND`` selects.
 
 Every solver loop in the stack (``BmcEngine``/``BmcSession``,
-``KInductionEngine``, ``PdrEngine``, ``CegisEngine``,
-``qed.verify_equivalence``) runs on ``SolverContext``, the only solver API.
+``PdrEngine``, ``CegisEngine``, ``qed.verify_equivalence``) runs on
+``SolverContext``, the only solver API.
 """
 
 from repro.solve.backend import CdclBackend

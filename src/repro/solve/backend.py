@@ -3,7 +3,7 @@
 :class:`CdclBackend` wraps the builtin CDCL solver from :mod:`repro.sat`.
 It is fully incremental: clauses, learned clauses, variable activities
 and saved phases all persist between ``solve`` calls, which is what the
-iterated solver loops (BMC, k-induction, CEGIS, QED) exploit.
+iterated solver loops (BMC, PDR, CEGIS, QED) exploit.
 
 ``$REPRO_SAT_BACKEND`` selects the kernel for the whole process:
 ``arena`` (the default) or ``reference``.

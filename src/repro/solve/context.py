@@ -364,7 +364,7 @@ class SolverContext:
         model covers every bit-blasted variable (the BMC trace builder needs
         that); the default covers the free variables of the live assertions
         and the assumptions.  Callers that only consume the verdict (e.g.
-        the k-induction step query) pass ``need_model=False`` to skip model
+        PDR's propagation queries) pass ``need_model=False`` to skip model
         extraction entirely.
 
         UNSAT answers carry ``core``: the failed-assumption core lifted

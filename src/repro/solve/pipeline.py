@@ -1,10 +1,9 @@
 """Configuration of the staged term → AIG → CNF → preprocess compilation.
 
-``SolverContext``, the BMC, k-induction and PDR engines and
-``check_invariant`` accept an ``opt_level`` that resolves to a
-:class:`PipelineConfig`; the layers above them (the flows, CEGIS,
-equivalence checking, the bug zoo and the experiment harnesses) take none
-and run at the process default:
+``SolverContext``, the BMC and PDR engines and ``check_invariant`` accept
+an ``opt_level`` that resolves to a :class:`PipelineConfig`; the layers
+above them (the flows, CEGIS, equivalence checking, the bug zoo and the
+experiment harnesses) take none and run at the process default:
 
 * ``opt_level=0`` — the naive reference path: direct Tseitin bit-blasting
   with only local gate caching, no cone-of-influence reduction, no CNF
@@ -23,10 +22,9 @@ path without touching call sites.
 
 Orthogonally, ``absint`` (default on; ``PipelineConfig(absint=False)``
 turns it off) enables the abstract-interpretation layer from
-:mod:`repro.absint`: pre-encoding constant-latch/bit folding in BMC,
-k-induction step strengthening and PDR frame-∞ lemma seeding.  It only
-takes effect at ``opt_level >= 1`` — level 0 stays the untouched reference
-encoder.
+:mod:`repro.absint`: pre-encoding constant-latch/bit folding in BMC and
+PDR frame-∞ lemma seeding.  It only takes effect at ``opt_level >= 1`` —
+level 0 stays the untouched reference encoder.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ class PipelineConfig:
 
     @property
     def use_absint(self) -> bool:
-        """Apply abstract-interpretation facts (fold/strengthen/seed).
+        """Apply abstract-interpretation facts (BMC fold, PDR seeds).
 
         Off at ``opt_level=0`` regardless of ``absint``: level 0 is the
         untouched reference encoder the differential legs pin against.

@@ -1,6 +1,6 @@
 """Cone-of-influence reduction of transition systems.
 
-Before unrolling, a BMC (or k-induction) run for one property only needs
+Before unrolling, a BMC (or PDR) run for one property only needs
 the state variables and inputs that can actually influence that property or
 any global constraint.  The closure is computed at the word level: seed
 with the free variables of the property and of every constraint, then add,

@@ -7,8 +7,8 @@ aggressively inside the smart constructors, which keeps the bit-blasted BMC
 queries small.
 
 With ``initial=False`` frame 0 is a free state instead (every state is a
-fresh variable there), which is what k-induction's step, PDR's transition
-relation and the invariant re-check reason over.
+fresh variable there), which is what PDR's transition relation and the
+invariant re-check reason over.
 """
 
 from __future__ import annotations

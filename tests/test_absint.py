@@ -4,8 +4,8 @@ Covers the domain algebra (normalisation, lattice laws), the transfer
 functions (fuzzed against the concrete evaluator), the fixpoint on the
 design gallery (every fact cross-checked by bounded random simulation),
 the engine-backed lint rules, and the ``python -m repro.absint`` CLI.
-The solver-integration layers (BMC fold, PDR seeding, k-induction
-strengthening) live in ``test_absint_integration.py``.
+The solver-integration layers (BMC fold, PDR seeding) live in
+``test_absint_integration.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.absint import (
     analyze,
     latch_facts,
     pdr_seed_cubes,
-    strengthening_terms,
     validate_by_simulation,
 )
 from repro.absint import domains as D
@@ -40,7 +39,6 @@ from repro.proc.config import ProcessorConfig
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate
 from repro.ts.coi import reduce_to_property_cone
-from repro.ts.simulate import initial_state, next_state
 from repro.ts.system import TransitionSystem
 from repro.utils.bitops import mask
 
@@ -250,23 +248,6 @@ class TestFixpointGallery:
         assert analysis.properties["bounded"].is_const
         assert analysis.properties["bounded"].const_value() == 1
         assert pdr_seed_cubes(ts, analysis) == [(("d_count", 3, True),)]
-
-    def test_strengthening_terms_hold_in_reachable_states(self):
-        ts = _gallery()["saturating_counter"]()
-        analysis = analyze(ts)
-        terms = strengthening_terms(ts, analysis)
-        assert terms
-        # Walk the concrete system from init for a few steps; every
-        # strengthening term must evaluate to 1 in every visited state.
-        rng = random.Random(5)
-        states = initial_state(ts, {}, {})
-        for _ in range(16):
-            env = dict(states)
-            for inp in ts.inputs:
-                env[inp.name] = rng.getrandbits(inp.width)
-            for term in terms:
-                assert evaluate(term, env) == 1
-            states = next_state(ts, env)
 
     def test_engine_no_weaker_than_syntactic_seq_const(self):
         # The fixpoint must find every latch the old syntactic greatest-

@@ -1,9 +1,9 @@
 """Solver-facing integration tests of the abstract-interpretation layer.
 
 The layer must be a pure accelerator: with ``absint`` on, BMC folds
-proven-constant latch bits out of the encoding, k-induction strengthens
-its step frames and PDR seeds frame-∞ lemmas — but every verdict, bound
-and counterexample frame must be identical to the ``absint=False`` run.
+proven-constant latch bits out of the encoding and PDR seeds frame-∞
+lemmas — but every verdict, bound and counterexample frame must be
+identical to the ``absint=False`` run.
 These tests pin that contract with explicit :class:`PipelineConfig`
 objects, so they hold no matter which leg of the CI matrix they run on.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.absint import analyze, pdr_seed_cubes
 from repro.bmc.engine import BmcSession
-from repro.bmc.kinduction import KInductionEngine
 from repro.lint.cli import _gallery, _zoo_targets
 from repro.pdr.engine import PdrEngine
 from repro.pdr.invariant import check_invariant
@@ -199,30 +198,3 @@ class TestPdrSeeding:
                 )
                 verdicts.add(result.proven)
             assert verdicts == {expected}, name
-
-
-class TestKInductionStrengthening:
-    @pytest.mark.parametrize(
-        "name", ["saturating_counter", "lockstep_accumulators"]
-    )
-    def test_on_off_agree_on_clean_designs(self, name):
-        ts = _gallery()[name]()
-        prop = next(iter(ts.properties))
-        outcomes = {}
-        for absint in (False, True):
-            config = PipelineConfig(opt_level=2, absint=absint)
-            result = KInductionEngine(ts, opt_level=config).prove(prop, max_k=6)
-            outcomes[absint] = (result.proven, result.k)
-        assert outcomes[False] == outcomes[True]
-        assert outcomes[True][0] is True
-
-    def test_on_off_agree_on_buggy_design(self):
-        ts = _gallery()["saturating_counter_buggy"]()
-        for absint in (False, True):
-            config = PipelineConfig(opt_level=2, absint=absint)
-            result = KInductionEngine(ts, opt_level=config).prove(
-                "bounded", max_k=8
-            )
-            assert result.proven is False, f"absint={absint}"
-            assert result.base_result is not None
-            assert result.base_result.holds is False

@@ -14,7 +14,7 @@ from typing import Optional
 
 import pytest
 
-from repro.core.results import ProofOutcome, VerificationOutcome
+from repro.core.results import VerificationOutcome
 from repro.errors import UnknownBugError
 from repro.experiments import figure4, table1
 from repro.experiments.figure3 import Figure3Config, run_figure3
@@ -77,32 +77,23 @@ def test_table1_tells_an_exhausted_budget_from_a_finished_bound():
     sepe = VerificationOutcome(
         method="SEPE-SQED", bug_name=None, detected=True, runtime_seconds=0.5, bound=10
     )
-    proof = ProofOutcome(
-        method="SQED", bug_name=None, engine="pdr", proven=True, runtime_seconds=2.0, depth=4
-    )
     bugs = single_instruction_bugs()
     rows = [
         Table1Row(bugs[0], sepe, _sqed_outcome(True)),
         Table1Row(bugs[1], sepe, _sqed_outcome(False)),
         Table1Row(bugs[2], sepe, _sqed_outcome(None)),
-        Table1Row(bugs[3], sepe, _sqed_outcome(False), sqed_proof=proof),
     ]
     result = Table1Result(rows)
     cells = [line.split(" | ")[-1].strip() for line in result.render().splitlines()[2:]]
-    assert cells == [
-        "FALSE DETECTION 1.50s",
-        "-",
-        "inconclusive",
-        "- (proven absent, pdr depth 4)",
-    ]
+    assert cells == ["FALSE DETECTION 1.50s", "-", "inconclusive"]
     assert result.summary() == (
         "SEPE-SQED detected all: True; "
-        "SQED detected 1, finished without detection 2, inconclusive 1"
+        "SQED detected 1, finished without detection 1, inconclusive 1"
     )
     assert not result.none_detected_by_sqed
     # An exhausted budget alone also keeps "SQED detected none" from holding.
     assert not Table1Result(rows[1:]).none_detected_by_sqed
-    assert Table1Result([rows[1], rows[3]]).none_detected_by_sqed
+    assert Table1Result([rows[1]]).none_detected_by_sqed
 
 
 @pytest.mark.parametrize("module", ["table1", "figure3", "figure4"])

@@ -6,8 +6,8 @@ The load-bearing properties:
   *independent* re-check (initiation, consecution, safety) through the
   ``opt_level=0`` naive reference encoding;
 * every refutation carries BMC's certified shortest trace, and every
-  proof agrees with k-induction wherever the latter concludes
-  (differential testing across a small design suite);
+  verdict agrees with BMC wherever a bounded run refutes (differential
+  testing across a small design suite);
 * a refutation BMC cannot reproduce raises ``PdrError``;
 * on the real (golden, bug-free) QED processor model a frame-bounded run
   never fabricates a counterexample, and in tier-2 an unbounded run
@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.bmc.engine import BmcEngine
-from repro.bmc.kinduction import KInductionEngine
 from repro.btor import parse_btor2
 from repro.core.flow import SqedFlow
 from repro.errors import PdrError, VerificationError
@@ -76,9 +75,10 @@ class TestPdrProofs:
 
     def test_piped_proof_needs_and_finds_strengthening(self):
         ts = _piped("pdr_piped")
-        # Not 1-inductive: plain induction at depth 1 cannot close it.
-        kind = KInductionEngine(ts).prove("consistent", max_k=1)
-        assert kind.proven is None
+        # Not 1-inductive: the property alone holds initially, but a step
+        # from some state that satisfies it breaks it.
+        alone = check_invariant(ts, "consistent", [ts.properties["consistent"]])
+        assert (alone.initiation, alone.consecution, alone.safety) == (True, False, True)
         result = PdrEngine(ts).prove("consistent")
         assert result.proven is True
         # The invariant must actually strengthen the property (clauses over
@@ -169,7 +169,7 @@ class TestPdrRefutations:
 
 class TestPdrDifferential:
     @pytest.mark.parametrize("index", range(len(_SUITE)))
-    def test_agrees_with_bmc_and_kinduction(self, index):
+    def test_agrees_with_bmc(self, index):
         factory, prop, expected_good = _SUITE[index]
         ts = factory(f"diff{index}a")
         pdr_result = PdrEngine(ts).prove(prop)
@@ -180,9 +180,6 @@ class TestPdrDifferential:
         if bmc.holds is False:
             assert pdr_result.proven is False
             assert pdr_result.counterexample_length == bmc.trace.length
-        kind = KInductionEngine(factory(f"diff{index}c")).prove(prop, max_k=6)
-        if kind.proven is not None:
-            assert pdr_result.proven is kind.proven
 
 
 class TestPdrLimits:
@@ -217,6 +214,13 @@ class TestPdrLimits:
         with pytest.raises(PdrError):
             PdrEngine(_piped("pdr_total_neg")).prove(
                 "consistent", total_conflict_budget=-1
+            )
+
+    def test_negative_conflict_budget_rejected(self):
+        # A malformed budget is an error, not an inconclusive run.
+        with pytest.raises(PdrError, match="conflict_budget must be >= 0"):
+            PdrEngine(_counter("pdr_neg", 5, buggy=True)).prove(
+                "bounded", conflict_budget=-1
             )
 
     def test_unknown_property_rejected(self):
@@ -355,19 +359,14 @@ class TestPdrOnProcessorModel:
         assert check.initiation and check.consecution and check.safety
         assert check.valid
 
-    def test_kinduction_engine_selectable(self, golden_flow):
-        outcome = golden_flow.prove(None, engine="kinduction", max_k=1)
-        assert outcome.proven is not False
-        assert outcome.engine == "kinduction"
-        assert outcome.kinduction_result is not None
-
     def test_unknown_engine_rejected(self, golden_flow):
+        # PDR is the only unbounded prover.
         with pytest.raises(VerificationError):
-            golden_flow.prove(None, engine="zz3")
+            golden_flow.prove(None, engine="kinduction")
 
 
 class TestInitSemantics:
-    """PDR, k-induction and BMC read the same initial states."""
+    """PDR and BMC read the same initial states."""
 
     def test_init_terms_read_rigid_symbols_in_every_engine(self):
         # `a` starts at `b` and `b` at `a`.  A symbol an init term reads is
@@ -378,7 +377,6 @@ class TestInitSemantics:
         equal = T.bv_eq(ts.state_symbol("a"), ts.state_symbol("b"))
         ts.add_property("equal", equal)
         assert BmcEngine(ts).check("equal", bound=3).holds is False
-        assert KInductionEngine(ts).prove("equal", max_k=3).proven is False
         result = PdrEngine(ts).prove("equal")
         assert result.proven is False
         assert [result.trace.length, result.frames_explored] == [1, 0]

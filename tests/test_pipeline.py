@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bmc.engine import BmcEngine, BmcSession
-from repro.bmc.kinduction import KInductionEngine
 from repro.core.flow import SqedFlow
 from repro.errors import SolveError
 from repro.isa.config import IsaConfig
@@ -376,23 +375,6 @@ class TestQedModelAcrossLevels:
                 result = session(bug, opt).extend_to(7)
                 outcome = (result.holds, result.bound, result.counterexample_length)
                 assert outcome == expected, (bug, opt, outcome)
-
-
-class TestKInductionAcrossLevels:
-    def test_proof_and_refutation_match(self):
-        for opt in OPT_LEVELS:
-            ts = TransitionSystem(name=f"kind_pipe{opt}")
-            flag = ts.add_state(f"kind_pipe{opt}_flag", 1, init=0)
-            ts.set_next(flag, flag)
-            junk = ts.add_state(f"kind_pipe{opt}_junk", 8, init=0)
-            ts.set_next(junk, T.bv_add(junk, T.bv_const(3, 8)))
-            ts.add_property("never_set", T.bv_eq(flag, T.bv_false()))
-            proof = KInductionEngine(ts, opt_level=opt).prove("never_set", max_k=2)
-            assert proof.proven is True, opt
-            refute = KInductionEngine(
-                _counter_with_junk(f"kind_bug{opt}", 4, buggy=True), opt_level=opt
-            ).prove("bounded", max_k=8)
-            assert refute.proven is False, opt
 
 
 class TestCegisAcrossLevels:

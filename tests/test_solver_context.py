@@ -2,8 +2,8 @@
 
 The load-bearing property is *incremental-vs-oneshot equivalence*: a reused
 ``SolverContext`` must return exactly the verdicts (and valid models) that
-fresh per-query solving returns, across the BMC, k-induction and CEGIS
-workloads that now share it.
+fresh per-query solving returns, across the BMC and CEGIS workloads that
+share it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.sat.arena import ArenaSolver
 from repro.sat.solver import SatSolver
 from repro.solve import SolverContext
 from repro.bmc.engine import BmcEngine, BmcSession
-from repro.bmc.kinduction import KInductionEngine
 from repro.synth.cegis import CegisEngine
 from repro.synth.spec import spec_from_instruction
 from repro.qed.equivalents import verify_equivalence
@@ -579,42 +578,6 @@ class TestBmcIncremental:
         assert result.holds is False
         assert result.stats.solver_stats.decisions > 0
         assert result.stats.solver_stats.propagations > 0
-
-
-class TestKInductionIncremental:
-    def test_proof_matches_seed_behaviour(self):
-        ts = TransitionSystem(name="kind_stable")
-        flag = ts.add_state("kind_flag", 1, init=0)
-        ts.set_next(flag, flag)
-        ts.add_property("never_set", T.bv_eq(flag, T.bv_const(0, 1)))
-        result = KInductionEngine(ts).prove("never_set", max_k=2)
-        assert result.proven is True
-
-    def test_refutation_via_base_case(self):
-        ts = _counter_system("kind_bug", 4, buggy=True)
-        result = KInductionEngine(ts).prove("bounded", max_k=8)
-        assert result.proven is False
-        assert result.base_result is not None and result.base_result.holds is False
-
-    def test_non_inductive_property_stays_unknown(self):
-        # Saturates at 6 but claims <= 5: every short base case passes, yet
-        # the step can always start from count == 5 and reach 6, so no small
-        # k closes the induction.
-        ts = TransitionSystem(name="kind_unknown_counter")
-        count = ts.add_state("kind_unknown_count", 4, init=0)
-        enable = ts.add_input("kind_unknown_enable", 1)
-        at_limit = T.bv_ule(T.bv_const(6, 4), count)
-        ts.set_next(
-            count,
-            T.bv_ite(
-                T.bv_and(T.bv_eq(enable, T.bv_true()), T.bv_not(at_limit)),
-                T.bv_add(count, T.bv_const(1, 4)),
-                count,
-            ),
-        )
-        ts.add_property("bounded", T.bv_ule(count, T.bv_const(5, 4)))
-        result = KInductionEngine(ts).prove("bounded", max_k=2)
-        assert result.proven is None
 
 
 class TestCegisIncremental:

@@ -1,4 +1,4 @@
-"""Tests for transition systems, the unroller, BMC, k-induction and BTOR2."""
+"""Tests for transition systems, the unroller, BMC and BTOR2."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.bmc import engine as bmc_engine
 from repro.bmc.engine import BmcEngine, BmcSession, build_trace
-from repro.bmc.kinduction import KInductionEngine
 from repro.btor import parse_btor2, write_btor2
 from repro.core.flow import SqedFlow
 from repro.errors import BmcError, Btor2Error, TransitionSystemError
@@ -134,6 +133,16 @@ class TestBmc:
     def test_unknown_property_rejected(self):
         with pytest.raises(BmcError):
             BmcEngine(_counter_system("bmc_unknown", 5)).check("nope", bound=2)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(BmcError, match="bound must be non-negative"):
+            BmcEngine(_counter_system("bmc_neg_bound", 5)).check("bounded", bound=-1)
+
+    def test_negative_conflict_budget_rejected(self):
+        # A malformed budget is an error, not an inconclusive run.
+        engine = BmcEngine(_counter_system("bmc_neg_budget", 5, buggy=True))
+        with pytest.raises(BmcError, match="conflict_budget must be non-negative"):
+            engine.check("bounded", bound=8, conflict_budget=-1)
 
     def test_trace_rendering(self):
         result = BmcEngine(_counter_system("bmc_render", 3, buggy=True)).check("bounded", bound=8)
@@ -273,64 +282,6 @@ class TestBuildTrace:
             model = _model_over_frames(session, 4, seed)
             trace = _assert_trace_matches_reference(ts, session, model, 4)
             assert trace.steps[0].states == {"a": model["b"], "b": model["a"]}
-
-
-class TestKInduction:
-    def test_proves_simple_invariant(self):
-        ts = TransitionSystem(name="kind_simple")
-        bit = ts.add_state("kind_bit", 1, init=0)
-        ts.set_next(bit, bit)
-        ts.add_property("never_set", T.bv_eq(bit, T.bv_false()))
-        result = KInductionEngine(ts).prove("never_set", max_k=2)
-        assert result.proven is True
-
-    def test_finds_counterexample_in_base_case(self):
-        ts = _counter_system("kind_bad", 2, buggy=True)
-        result = KInductionEngine(ts).prove("bounded", max_k=4)
-        assert result.proven is False
-
-    def test_max_k_below_one_rejected(self):
-        ts = _counter_system("kind_max_k", 2, buggy=True)
-        for max_k in (0, -3):
-            with pytest.raises(BmcError, match="max_k"):
-                KInductionEngine(ts).prove("bounded", max_k=max_k)
-
-    def test_max_k_exhaustion_keeps_base_result(self):
-        # A property that holds but is not 1-inductive (x copies y with one
-        # cycle of delay, so induction needs to look two steps back): the
-        # inconclusive result must still report how far the base case got
-        # (this used to be dropped on the exhausted-return path).
-        ts = TransitionSystem(name="kind_exhaust")
-        x = ts.add_state("kind_ex_x", 1, init=0)
-        y = ts.add_state("kind_ex_y", 1, init=0)
-        ts.set_next(x, y)
-        ts.set_next(y, y)
-        ts.add_property("x_never_set", T.bv_eq(x, T.bv_false()))
-        # Pin the abstract-interpretation strengthening off: both latches
-        # are sequentially constant, so with it on the property *is*
-        # 1-inductive and the exhaustion path under test never runs.
-        plain = PipelineConfig(opt_level=2, absint=False)
-        result = KInductionEngine(ts, opt_level=plain).prove(
-            "x_never_set", max_k=1
-        )
-        assert result.proven is None
-        assert result.base_result is not None
-        assert result.base_result.holds is True
-        # With one more step of lookback the same engine closes the proof.
-        assert (
-            KInductionEngine(ts, opt_level=plain)
-            .prove("x_never_set", max_k=2)
-            .proven
-            is True
-        )
-        # And with the strengthening on, one step of lookback suffices.
-        strengthened = PipelineConfig(opt_level=2, absint=True)
-        assert (
-            KInductionEngine(ts, opt_level=strengthened)
-            .prove("x_never_set", max_k=1)
-            .proven
-            is True
-        )
 
 
 class TestBtor2:
