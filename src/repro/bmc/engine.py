@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import BmcError
-from repro.sat.solver import SolverStats
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate
 from repro.solve.context import SolverContext
@@ -41,21 +40,15 @@ from repro.bmc.trace import Trace, TraceStep
 
 @dataclass
 class BmcStats:
-    """Work counters for one BMC run."""
+    """Work counters of one BMC session, summed over its ``extend_to`` calls.
+
+    ``frames_checked`` counts the frames decided (a frame left pending by
+    an exhausted budget is not counted); ``conflicts`` counts the SAT
+    conflicts those calls spent on the session's context.
+    """
 
     frames_checked: int = 0
-    solver_stats: SolverStats = field(default_factory=SolverStats)
-    #: Compilation-pipeline counters (AIG size, CNF before/after
-    #: preprocessing, cone-of-influence reduction) of the session's context.
-    encoding: EncodingStats = field(default_factory=EncodingStats)
-
-    def copy(self) -> "BmcStats":
-        """A detached snapshot (nested stats copied)."""
-        return dataclasses.replace(
-            self,
-            solver_stats=self.solver_stats.copy(),
-            encoding=self.encoding.copy(),
-        )
+    conflicts: int = 0
 
 
 @dataclass
@@ -182,7 +175,7 @@ class BmcSession:
     A session may be extended repeatedly: ``extend_to(8)`` followed by
     ``extend_to(12)`` checks frames 9..12 only, reusing every clause and
     every learned clause from the earlier frames.  ``stats`` accumulates
-    over the session's lifetime.
+    over the session's lifetime; each result carries a detached copy.
     """
 
     def __init__(
@@ -211,9 +204,6 @@ class BmcSession:
             reduced_ts = self.fold.ts
         self.unroller = Unroller(reduced_ts)
         self.context = SolverContext(opt_level=self.pipeline)
-        # Solver work is accumulated per extend_to call, so a query made
-        # directly on ``self.context`` is never attributed to this session.
-        self._session_solver_stats = SolverStats()
         self.stats = BmcStats()
         self._constraints_loaded = 0  # frames whose constraints are asserted
         self._next_frame = 0  # first frame not yet decided safe
@@ -254,15 +244,7 @@ class BmcSession:
                 # to the solving path.
                 continue
             self.context.encode(assumptions=[violation])
-        return self._encoding_snapshot()
-
-    def _encoding_snapshot(self) -> "EncodingStats":
-        """Context encoding stats with this session's COI numbers patched in."""
-        stats = self.context.encoding_stats()
-        if self.reduction is not None:
-            stats.coi_states_dropped = len(self.reduction.dropped_states)
-            stats.coi_state_bits_dropped = self.reduction.dropped_state_bits
-        return stats
+        return self.context.encoding_stats()
 
     # --------------------------------------------------------------- checking
 
@@ -273,7 +255,9 @@ class BmcSession:
 
         ``conflict_budget`` caps the *total* conflicts of this call across
         all frames (matching the historical one-solver-per-check semantics),
-        not each frame individually.
+        not each frame individually.  The call's conflicts are read off the
+        context's kernel counters, so a query made directly on
+        ``self.context`` is never charged to this session.
         """
         if bound < 0:
             raise BmcError(f"bound must be non-negative, got {bound}")
@@ -282,21 +266,19 @@ class BmcSession:
                 f"conflict_budget must be non-negative, got {conflict_budget}"
             )
         stats = self.stats
-        remaining_budget = conflict_budget
-        stats_origin = self.context.stats.copy()
+        kernel = self.context.stats  # the live counters of the context's kernel
+        origin = kernel.conflicts
 
         def finish(holds: Optional[bool], bound_out: int, trace=None) -> BmcResult:
-            self._session_solver_stats.merge(self.context.stats.since(stats_origin))
-            stats.solver_stats = self._session_solver_stats
-            stats.encoding = self._encoding_snapshot()
-            # Hand each result a detached snapshot: the session keeps
+            stats.conflicts += kernel.conflicts - origin
+            # Hand each result a detached copy: the session keeps
             # accumulating into its own stats on later extend_to calls.
             return BmcResult(
                 holds=holds,
                 bound=bound_out,
                 property_name=self.property_name,
                 trace=trace,
-                stats=stats.copy(),
+                stats=dataclasses.replace(stats),
             )
 
         for frame in range(self._next_frame, bound + 1):
@@ -308,18 +290,19 @@ class BmcSession:
                 stats.frames_checked += 1
                 self._next_frame = frame + 1
                 continue
-            if remaining_budget is not None and remaining_budget <= 0:
-                # Budget exhausted before this frame was attempted: report
-                # inconclusive without counting the frame, so a re-extend
-                # with a fresh budget does not double-count it.
-                return finish(None, frame)
+            remaining_budget = None
+            if conflict_budget is not None:
+                remaining_budget = conflict_budget - (kernel.conflicts - origin)
+                if remaining_budget <= 0:
+                    # Budget exhausted before this frame was attempted:
+                    # report inconclusive without counting the frame, so a
+                    # re-extend with a fresh budget does not double-count it.
+                    return finish(None, frame)
             result = self.context.check(
                 assumptions=[violation],
                 conflict_budget=remaining_budget,
                 full_model=True,
             )
-            if remaining_budget is not None:
-                remaining_budget -= result.stats.conflicts
             if result.satisfiable is None:
                 # Undecided: the frame stays pending (and uncounted), so a
                 # re-extend with a fresh budget retries it without skewing

@@ -38,18 +38,6 @@ class VerificationOutcome:
     def trace(self) -> Optional[Trace]:
         return None if self.bmc_result is None else self.bmc_result.trace
 
-    def summary_row(self) -> list[str]:
-        """Row used by the experiment harnesses' tables."""
-        status = {True: "detected", False: "not detected", None: "inconclusive"}[self.detected]
-        length = "-" if self.counterexample_length is None else str(self.counterexample_length)
-        return [
-            self.bug_name or "golden",
-            self.method,
-            status,
-            f"{self.runtime_seconds:.2f}s",
-            length,
-        ]
-
 
 @dataclass
 class ProofOutcome:

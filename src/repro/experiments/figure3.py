@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import ReproError
 from repro.isa.config import IsaConfig
 from repro.synth.cegis import CegisConfig
 from repro.synth.components import build_default_library
@@ -122,21 +123,25 @@ def run_figure3(config: Figure3Config | None = None) -> Figure3Result:
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry point
+def main(argv: Optional[list[str]] = None) -> None:
+    """CLI entry point; an unknown case or a bad budget exits 2."""
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="run all 26 cases")
     parser.add_argument("--cases", nargs="*", default=None, help="explicit case list")
     parser.add_argument("--max-multisets", type=int, default=60)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     config = Figure3Config(max_multisets=args.max_multisets)
     if args.full:
         config.cases = list(ALL_CASES)
     if args.cases:
         config.cases = [c.upper() for c in args.cases]
-    result = run_figure3(config)
+    try:
+        result = run_figure3(config)
+    except ReproError as exc:
+        parser.error(str(exc))
     print(result.render())
 
 

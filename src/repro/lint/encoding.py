@@ -32,11 +32,12 @@ Rules:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.aig.graph import AIG, K_AND, K_ITE, K_XOR
 from repro.lint.findings import SEV_ERROR, SEV_WARNING, LintReport
 from repro.sat.cnf import CNF
+from repro.solve.pipeline import EncodingStats
 
 
 def lint_cnf(cnf: CNF) -> LintReport:
@@ -142,23 +143,12 @@ def lint_aig(aig: AIG, roots: Iterable[int] = ()) -> LintReport:
     return report
 
 
-def lint_encoding_stats(stats) -> LintReport:
-    """Rules over pre/post-preprocessing deltas of an ``EncodingStats``.
-
-    Accepts the dataclass or any object/dict with the same field names.
-    """
+def lint_encoding_stats(stats: EncodingStats) -> LintReport:
+    """Rules over the pre/post-preprocessing deltas of one context's encoding."""
     report = LintReport()
-
-    def get(name: str) -> Optional[int]:
-        if isinstance(stats, dict):
-            value = stats.get(name)
-        else:
-            value = getattr(stats, name, None)
-        return value
-
-    pre = get("cnf_clauses_pre")
-    post = get("cnf_clauses_post")
-    if pre is not None and post is not None and post > pre:
+    pre = stats.cnf_clauses_pre
+    post = stats.cnf_clauses_post
+    if post > pre:
         report.add(
             "encoding.preprocess-regression",
             SEV_WARNING,
@@ -167,13 +157,9 @@ def lint_encoding_stats(stats) -> LintReport:
             "a rewrite is counterproductive on this workload; check "
             "resolvent bounds",
         )
-    eliminated = get("vars_eliminated")
-    restored = get("vars_restored")
-    if (
-        eliminated is not None
-        and restored is not None
-        and restored > eliminated
-    ):
+    eliminated = stats.vars_eliminated
+    restored = stats.vars_restored
+    if restored > eliminated:
         report.add(
             "encoding.restore-imbalance",
             SEV_ERROR,

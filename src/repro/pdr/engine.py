@@ -67,7 +67,6 @@ from typing import Iterable, Optional
 from repro.bmc.engine import BmcSession, prepare_property_system
 from repro.bmc.trace import Trace
 from repro.errors import PdrError
-from repro.sat.solver import SolverStats
 from repro.smt import terms as T
 from repro.smt.terms import BV
 from repro.solve.context import SolverContext
@@ -116,7 +115,6 @@ class PdrStats:
     #: Seeded candidates dropped by the filter (or malformed for this
     #: system, e.g. naming a state outside the property's cone).
     seed_lemmas_rejected: int = 0
-    solver_stats: SolverStats = field(default_factory=SolverStats)
 
 
 @dataclass
@@ -137,7 +135,9 @@ class PdrResult:
 
     On failure ``trace`` is the shortest counterexample of the original
     system, as :class:`~repro.bmc.engine.BmcSession` finds and certifies
-    it.  ``stats`` counts PDR's own work, not that BMC run's.
+    it.  ``stats`` counts PDR's own queries, obligations and lemmas, not
+    that BMC run's; the SAT work of each query is on the kernel counters of
+    the context that made it.
     """
 
     proven: Optional[bool]
@@ -435,6 +435,7 @@ class _PdrRun:
             if remaining <= 0:
                 raise _GiveUp()
             budget = remaining if budget is None else min(budget, remaining)
+        before = ctx.stats.conflicts
         result = ctx.check(
             assumptions=assumptions,
             conflict_budget=budget,
@@ -445,7 +446,7 @@ class _PdrRun:
         # buggy models are dominated by propagation-only queries (measured
         # ~0.2 conflicts/query), so a pure conflict count would never bound
         # them.  The +1 makes the total budget also a query budget.
-        self._conflicts_spent += 1 + result.stats.conflicts
+        self._conflicts_spent += 1 + ctx.stats.conflicts - before
         if result.satisfiable is None:
             raise _GiveUp()
         return result
@@ -856,17 +857,10 @@ class _PdrRun:
                 return level
         return None
 
-    def _collect_stats(self) -> PdrStats:
-        merged = SolverStats()
-        for ctx in (self._cons, self._bad, self._init, self._safe):
-            merged.merge(ctx.stats.copy())
-        self.stats.solver_stats = merged
-        return self.stats
-
     def _result(self, **kwargs) -> PdrResult:
         return PdrResult(
             property_name=self.property_name,
-            stats=self._collect_stats(),
+            stats=self.stats,
             **kwargs,
         )
 

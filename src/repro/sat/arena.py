@@ -507,7 +507,6 @@ class ArenaSolver:
                     q, in_learned, levels, removable, not_removable
                 ):
                     minimized.append(q)
-            self.stats.minimized_literals += len(learned) - len(minimized)
             learned = minimized
 
         lbd = len({level[q >> 1] for q in learned if level[q >> 1] > 0})
@@ -742,8 +741,7 @@ class ArenaSolver:
         Same contract as :meth:`SatSolver.solve`: per-call conflict budgets
         (``satisfiable=None`` when exhausted), failed-assumption cores on
         UNSAT, root-UNSAT latching, reusable assumption-UNSAT, and
-        ``need_model=False`` for verdict-only callers.  The returned
-        ``stats`` is a detached snapshot.
+        ``need_model=False`` for verdict-only callers.
         """
         assumptions = [int(a) for a in assumptions]
         for a in assumptions:
@@ -752,12 +750,12 @@ class ArenaSolver:
             self._ensure_var(abs(a))
         stats = self.stats
         if not self._ok:
-            return SatResult(False, stats=stats.copy(), core=[])
+            return SatResult(False, core=[])
         self._backtrack(0)
         self._best_trail = 0  # target phases track the deepest trail per call
         if self._propagate() >= 0:
             self._ok = False
-            return SatResult(False, stats=stats.copy(), core=[])
+            return SatResult(False, core=[])
         if self._sanitize:
             check_arena_invariants(self)
 
@@ -865,7 +863,7 @@ class ArenaSolver:
                     # Conflict with no open decision level: root UNSAT.
                     self._ok = False
                     stats.propagations += props
-                    return SatResult(False, stats=stats.copy(), core=[])
+                    return SatResult(False, core=[])
                 if len(trail) > self._best_trail:
                     # Deepest trail of this call so far: snapshot the trail
                     # polarities as the target restored on restart.  (The
@@ -886,17 +884,15 @@ class ArenaSolver:
                 else:
                     ref = self._alloc(learned, learned=True, lbd=lbd)
                     stats.learned_clauses += 1
-                    stats.lbd_sum += lbd
                     self._enqueue(learned[0], ref)
                 self._var_inc /= _VAR_DECAY
                 self._cla_inc /= _CLA_DECAY
                 if conflict_budget is not None and conflicts_spent >= conflict_budget:
                     self._backtrack(0)
                     stats.propagations += props
-                    return SatResult(None, stats=stats.copy())
+                    return SatResult(None)
                 if conflicts_seen >= conflicts_until_restart:
                     restart_count += 1
-                    stats.restarts += 1
                     conflicts_seen = 0
                     conflicts_until_restart = self._restart_interval * _luby(
                         restart_count + 1
@@ -946,7 +942,7 @@ class ArenaSolver:
                     if self._sanitize:
                         check_arena_invariants(self)
                     stats.propagations += props
-                    return SatResult(False, stats=stats.copy(), core=core)
+                    return SatResult(False, core=core)
                 next_enc = enc
                 break
             if next_enc < 0:
@@ -963,12 +959,10 @@ class ArenaSolver:
                             for v in range(1, self._num_vars + 1)
                         }
                     stats.propagations += props
-                    result = SatResult(True, model=model, stats=stats.copy())
+                    result = SatResult(True, model=model)
                     self._backtrack(0)
                     return result
                 stats.decisions += 1
                 next_enc = var + var if self._phase[var] else var + var + 1
             trail_lim.append(len(trail))
-            if len(trail_lim) > stats.max_decision_level:
-                stats.max_decision_level = len(trail_lim)
             self._enqueue(next_enc, -1)

@@ -19,13 +19,12 @@ latches the instance unsatisfiable for good.
 kernel, :class:`~repro.sat.arena.ArenaSolver`, which adds LBD-tiered
 retention, recursive minimisation and target phases on a flat clause
 arena.  This module also holds what both kernels share:
-:class:`SolverStats`, :class:`SatResult`, the Luby sequence and the search
-constants.
+:class:`SolverStats` (the one record of a kernel's work),
+:class:`SatResult`, the Luby sequence and the search constants.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -59,53 +58,17 @@ _INITIAL_LEARNED_LIMIT = 2000
 
 @dataclass
 class SolverStats:
-    """Counters describing the work done by one CDCL kernel instance."""
+    """Cumulative counters of the work done by one CDCL kernel instance.
+
+    This is the one record of solver work: results carry no copy of it.  A
+    caller that wants the work of one call reads the counters before and
+    after it.
+    """
 
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
-    restarts: int = 0
     learned_clauses: int = 0
-    max_decision_level: int = 0
-    #: Sum of LBD scores over stored learned clauses (avg = lbd_sum /
-    #: learned_clauses); low averages mean high-quality conflict clauses.
-    #: Counted by the arena kernel only.
-    lbd_sum: int = 0
-    #: Literals removed from learned clauses by recursive minimisation.
-    #: Counted by the arena kernel only.
-    minimized_literals: int = 0
-
-    def copy(self) -> "SolverStats":
-        """A detached snapshot of the counters."""
-        return dataclasses.replace(self)
-
-    def since(self, earlier: "SolverStats") -> "SolverStats":
-        """Counters accumulated since the ``earlier`` snapshot was taken.
-
-        ``max_decision_level`` is a high-water mark rather than a counter, so
-        the current value is kept as-is.
-        """
-        return SolverStats(
-            decisions=self.decisions - earlier.decisions,
-            propagations=self.propagations - earlier.propagations,
-            conflicts=self.conflicts - earlier.conflicts,
-            restarts=self.restarts - earlier.restarts,
-            learned_clauses=self.learned_clauses - earlier.learned_clauses,
-            max_decision_level=self.max_decision_level,
-            lbd_sum=self.lbd_sum - earlier.lbd_sum,
-            minimized_literals=self.minimized_literals - earlier.minimized_literals,
-        )
-
-    def merge(self, other: "SolverStats") -> None:
-        """Accumulate ``other`` into this record (in place)."""
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.conflicts += other.conflicts
-        self.restarts += other.restarts
-        self.learned_clauses += other.learned_clauses
-        self.max_decision_level = max(self.max_decision_level, other.max_decision_level)
-        self.lbd_sum += other.lbd_sum
-        self.minimized_literals += other.minimized_literals
 
 
 @dataclass
@@ -117,9 +80,8 @@ class SatResult:
     every variable index to a boolean (it is empty after
     ``need_model=False``).  A variable that occurs in no clause has an
     arbitrary value: the arena never decides one and reports ``False``
-    unless an assumption set it.  ``stats`` is a *detached snapshot* of the
-    solver's cumulative counters at the time the result was built: later
-    calls on the same solver instance do not mutate a stored result.
+    unless an assumption set it.  The work the query took is on the
+    solver's cumulative :class:`SolverStats`, not on the result.
 
     For UNSAT answers ``core`` holds the *failed-assumption core*: a subset
     of the passed assumption literals whose conjunction already makes the
@@ -131,7 +93,6 @@ class SatResult:
 
     satisfiable: Optional[bool]
     model: dict[int, bool] = field(default_factory=dict)
-    stats: SolverStats = field(default_factory=SolverStats)
     core: Optional[list[int]] = None
 
     def __bool__(self) -> bool:
@@ -567,12 +528,12 @@ class SatSolver:
                 raise SatError("literal 0 is not allowed as an assumption")
             self._ensure_var(abs(a))
         if not self._ok:
-            return SatResult(False, stats=self.stats.copy(), core=[])
+            return SatResult(False, core=[])
         self._backtrack(0)
         conflict = self._propagate()
         if conflict is not None:
             self._ok = False
-            return SatResult(False, stats=self.stats.copy(), core=[])
+            return SatResult(False, core=[])
         if self._sanitize:
             check_reference_invariants(self)
 
@@ -591,7 +552,7 @@ class SatSolver:
                     # A conflict with no open decision level contradicts the
                     # clause set alone: latch the instance root-UNSAT.
                     self._ok = False
-                    return SatResult(False, stats=self.stats.copy(), core=[])
+                    return SatResult(False, core=[])
                 learned, backjump = self._analyze(conflict)
                 if self._sanitize:
                     check_reference_learned(self, learned)
@@ -608,11 +569,10 @@ class SatSolver:
                 self._cla_inc /= _CLA_DECAY
                 if conflict_budget is not None and conflicts_spent >= conflict_budget:
                     self._backtrack(0)
-                    return SatResult(None, stats=self.stats.copy())
+                    return SatResult(None)
                 if conflicts_seen >= conflicts_until_restart:
                     # restart, keeping assumptions on re-descent
                     restart_count += 1
-                    self.stats.restarts += 1
                     conflicts_seen = 0
                     conflicts_until_restart = self._restart_interval * _luby(
                         restart_count + 1
@@ -639,7 +599,7 @@ class SatSolver:
                     self._backtrack(0)
                     if self._sanitize:
                         check_reference_invariants(self)
-                    return SatResult(False, stats=self.stats.copy(), core=core)
+                    return SatResult(False, core=core)
                 if val == _UNASSIGNED:
                     next_lit = a
                     break
@@ -656,13 +616,10 @@ class SatSolver:
                             v: self._assign[v] == _TRUE
                             for v in range(1, self._num_vars + 1)
                         }
-                    result = SatResult(True, model=model, stats=self.stats.copy())
+                    result = SatResult(True, model=model)
                     self._backtrack(0)
                     return result
                 self.stats.decisions += 1
                 next_lit = var if self._phase[var] else -var
             self._trail_lim.append(len(self._trail))
-            self.stats.max_decision_level = max(
-                self.stats.max_decision_level, len(self._trail_lim)
-            )
             self._enqueue(next_lit, None)

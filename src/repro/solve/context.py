@@ -43,15 +43,12 @@ from repro.utils.bitops import from_bits
 class BVResult:
     """Outcome of a bit-vector satisfiability check.
 
-    ``stats`` carries the CDCL counters (decisions, conflicts, propagations,
-    ...) spent on *this* query only, so callers can aggregate per phase.
+    The work the query took is on the context's cumulative
+    :attr:`SolverContext.stats`: read it before and after the check.
     """
 
     satisfiable: Optional[bool]
     model: dict[str, int] = field(default_factory=dict)
-    num_clauses: int = 0
-    num_vars: int = 0
-    stats: SolverStats = field(default_factory=SolverStats)
     #: False when the check skipped model extraction (``need_model=False``).
     #: Kept separate from ``model`` being empty: a formula without free
     #: variables legitimately has an empty model.
@@ -132,7 +129,7 @@ class SolverContext:
 
     @property
     def stats(self) -> SolverStats:
-        """Cumulative backend counters over the context's lifetime (live view)."""
+        """The kernel's cumulative counters over the context's lifetime (live)."""
         return self._backend.stats
 
     @property
@@ -149,7 +146,7 @@ class SolverContext:
         ``cnf_clauses_post`` only counts clauses already synced to the
         backend; call after a :meth:`check` for a settled picture.
         """
-        stats = EncodingStats(opt_level=self.pipeline.opt_level)
+        stats = EncodingStats()
         stats.cnf_clauses_pre = len(self._blaster.cnf.clauses)
         stats.cnf_clauses_post = self._backend_clauses
         aig = self._blaster.aig
@@ -371,6 +368,9 @@ class SolverContext:
         back to the passed assumption terms (see :class:`BVResult`).  The
         core is *relative to the open scopes* — scope activation literals
         are assumed internally and never appear in the term core.
+
+        The result carries no work counters: the query's decisions and
+        conflicts are the change in :attr:`stats` across the call.
         """
         if self._root_failed:
             return BVResult(False, core=[])
@@ -390,33 +390,17 @@ class SolverContext:
             if restored:
                 self._feed_restored(restored)
             if self._pre.unsat:
-                return BVResult(
-                    False,
-                    num_clauses=self.num_clauses,
-                    num_vars=self.num_vars,
-                    core=[],
-                )
-        before = self._backend.stats.copy()
+                return BVResult(False, core=[])
         result = self._backend.solve(
             assumptions=assumption_lits,
             conflict_budget=conflict_budget,
             need_model=need_model,
         )
-        spent = self._backend.stats.since(before)
         if result.satisfiable is None:
-            return BVResult(
-                None,
-                num_clauses=self.num_clauses,
-                num_vars=self.num_vars,
-                stats=spent,
-            )
+            return BVResult(None)
         if not result.satisfiable:
             return BVResult(
-                False,
-                num_clauses=self.num_clauses,
-                num_vars=self.num_vars,
-                stats=spent,
-                core=self._lift_core(result.core, lits, assumption_terms),
+                False, core=self._lift_core(result.core, lits, assumption_terms)
             )
         model: dict[str, int] = {}
         if need_model:
@@ -426,14 +410,7 @@ class SolverContext:
                 # so every CNF literal reads consistently.
                 backend_model = self._pre.extend_model(backend_model)
             model = self._extract_model(backend_model, assumption_terms, full_model)
-        return BVResult(
-            True,
-            model=model,
-            num_clauses=self.num_clauses,
-            num_vars=self.num_vars,
-            stats=spent,
-            has_model=need_model,
-        )
+        return BVResult(True, model=model, has_model=need_model)
 
     @staticmethod
     def _lift_core(

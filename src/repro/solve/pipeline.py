@@ -29,7 +29,6 @@ level 0 stays the untouched reference encoder.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -113,23 +112,20 @@ class PipelineConfig:
 
 @dataclass
 class EncodingStats:
-    """Size and effort counters of the compilation pipeline.
+    """Size and effort counters of one context's compilation pipeline.
 
-    Surfaced by :meth:`repro.solve.context.SolverContext.encoding_stats`
-    and aggregated into ``BmcStats``.
-    ``cnf_clauses_pre`` counts clauses produced by the blaster;
-    ``cnf_clauses_post`` counts what actually reached the SAT backend after
-    preprocessing (equal when preprocessing is off).
+    A snapshot taken by
+    :meth:`repro.solve.context.SolverContext.encoding_stats` (and
+    ``BmcSession.encode_to``).  ``cnf_clauses_pre`` counts clauses
+    produced by the blaster; ``cnf_clauses_post`` counts what actually
+    reached the SAT backend after preprocessing (equal when preprocessing
+    is off).  The level that produced them is the context's
+    ``pipeline.opt_level``; what BMC's cone of influence dropped is on
+    ``BmcSession.reduction``.
     """
 
-    opt_level: int = DEFAULT_OPT_LEVEL
     aig_nodes: int = 0
     cnf_clauses_pre: int = 0
     cnf_clauses_post: int = 0
     vars_eliminated: int = 0
     vars_restored: int = 0
-    coi_states_dropped: int = 0
-    coi_state_bits_dropped: int = 0
-
-    def copy(self) -> "EncodingStats":
-        return dataclasses.replace(self)

@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.sat.solver import SolverStats
 from repro.smt import terms as T
 from repro.solve.context import SolverContext
 from repro.synth.components import Component
@@ -57,8 +56,6 @@ class CegisStats:
     iterations: int = 0
     synthesis_queries: int = 0
     verification_queries: int = 0
-    synthesis_solver_stats: SolverStats = field(default_factory=SolverStats)
-    verification_solver_stats: SolverStats = field(default_factory=SolverStats)
 
 
 @dataclass
@@ -101,13 +98,12 @@ class CegisEngine:
             stats.iterations += 1
             stats.synthesis_queries += 1
             result = synth_ctx.check()
-            stats.synthesis_solver_stats.merge(result.stats)
             if not result.satisfiable:
                 break
             candidate = encoder.decode(result)
             stats.verification_queries += 1
             counterexample = self._check_candidate(
-                verify_ctx, verify_inputs, spec_term, candidate, stats
+                verify_ctx, verify_inputs, spec_term, candidate
             )
             if counterexample is None:
                 return CegisOutcome(program=candidate, stats=stats)
@@ -120,7 +116,6 @@ class CegisEngine:
         input_terms: Sequence[T.BV],
         spec_term: T.BV,
         program: SynthesizedProgram,
-        stats: CegisStats,
     ) -> Optional[list[int]]:
         """Verify one candidate in a retractable scope of ``ctx``."""
         ctx.push()
@@ -129,7 +124,6 @@ class CegisEngine:
             result = ctx.check()
         finally:
             ctx.pop()
-        stats.verification_solver_stats.merge(result.stats)
         if not result.satisfiable:
             return None
         return [result.value_of(term) for term in input_terms]
@@ -140,13 +134,7 @@ class CegisEngine:
         """Return inputs where ``program`` disagrees with ``spec`` (or ``None``)."""
         input_terms = spec.fresh_input_terms(prefix="verify")
         spec_term = spec.output_term(input_terms)
-        return self._check_candidate(
-            SolverContext(),
-            input_terms,
-            spec_term,
-            program,
-            CegisStats(),
-        )
+        return self._check_candidate(SolverContext(), input_terms, spec_term, program)
 
     # ---------------------------------------------------------------- helpers
 

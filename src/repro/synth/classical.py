@@ -42,7 +42,6 @@ class ClassicalCegis:
         start = time.perf_counter()
         outcome = self.engine.synthesize(spec, list(self.library))
         run.elapsed_seconds = time.perf_counter() - start
-        run.cegis_calls = 1
         run.multisets_tried = 1
         if outcome.program is not None:
             run.programs.append(outcome.program)

@@ -24,7 +24,11 @@ from typing import Iterable, Optional, Sequence
 
 from repro.synth.cegis import CegisConfig, CegisEngine
 from repro.synth.components import Component, ComponentLibrary
-from repro.synth.search import SynthesisRun, enumerate_multisets
+from repro.synth.search import (
+    SynthesisRun,
+    check_multiset_budget,
+    enumerate_multisets,
+)
 from repro.synth.spec import SynthesisSpec
 
 #: The influencing factor α of the name-overlap penalty.
@@ -82,6 +86,7 @@ class HpfCegis:
         cegis_config: CegisConfig | None = None,
         max_multisets: Optional[int] = None,
     ):
+        check_multiset_budget(multiset_size, max_multisets)
         self.library = library
         self.multiset_size = multiset_size
         self.target_programs = target_programs
@@ -108,7 +113,6 @@ class HpfCegis:
             )
             multiset = remaining.pop(0)
             run.multisets_tried += 1
-            run.cegis_calls += 1
             outcome = self.engine.synthesize(spec, multiset)
             if outcome.program is None:
                 self.priorities.penalise(multiset)

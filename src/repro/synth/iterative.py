@@ -17,7 +17,11 @@ from typing import Iterable, Optional
 
 from repro.synth.cegis import CegisConfig, CegisEngine
 from repro.synth.components import ComponentLibrary
-from repro.synth.search import SynthesisRun, enumerate_multisets
+from repro.synth.search import (
+    SynthesisRun,
+    check_multiset_budget,
+    enumerate_multisets,
+)
 from repro.synth.spec import SynthesisSpec
 
 
@@ -45,6 +49,7 @@ class IterativeCegis:
         shuffle_seed: int = 2024,
         max_multisets: Optional[int] = None,
     ):
+        check_multiset_budget(multiset_size, max_multisets)
         self.library = library
         self.multiset_size = multiset_size
         self.target_programs = target_programs
@@ -67,7 +72,6 @@ class IterativeCegis:
         start = time.perf_counter()
         for multiset in multisets:
             run.multisets_tried += 1
-            run.cegis_calls += 1
             outcome = self.engine.synthesize(spec, multiset)
             if outcome.program is not None:
                 run.programs.append(outcome.program)

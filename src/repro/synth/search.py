@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
+from repro.errors import SynthesisError
 from repro.synth.components import Component, ComponentLibrary
 from repro.synth.program import SynthesizedProgram
 
@@ -22,7 +23,8 @@ class SynthesisRun:
     spec_name: str
     programs: list[SynthesizedProgram] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    cegis_calls: int = 0
+    #: Multisets handed to CEGIS, one call each (classical's whole library
+    #: counts as one).
     multisets_tried: int = 0
 
     @property
@@ -34,6 +36,20 @@ class SynthesisRun:
         if not self.programs:
             raise ValueError(f"no programs synthesized for {self.spec_name}")
         return min(self.programs, key=lambda p: p.num_instructions)
+
+
+def check_multiset_budget(multiset_size: int, max_multisets: Optional[int]) -> None:
+    """Reject a multiset size below 1 or a negative cap on the multisets tried.
+
+    ``max_multisets=None`` means no cap.  Checked by every multiset search
+    so that Figure 3 never compares the algorithms on unequal budgets.
+    """
+    if multiset_size < 1:
+        raise SynthesisError(f"multiset_size must be at least 1, got {multiset_size}")
+    if max_multisets is not None and max_multisets < 0:
+        raise SynthesisError(
+            f"max_multisets must be non-negative or None, got {max_multisets}"
+        )
 
 
 def enumerate_multisets(

@@ -274,7 +274,7 @@ def _run_bmc(
         report.status = STATUS_DISAGREEMENT
         report.failure = f"BMC leg: {exc}"
         return None
-    report.conflicts += outcome.bmc_result.stats.solver_stats.conflicts
+    report.conflicts += outcome.bmc_result.stats.conflicts
     return outcome
 
 

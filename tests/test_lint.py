@@ -8,6 +8,7 @@ corpus README for the split).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from repro.lint import (
 from repro.lint.cli import main as lint_main
 from repro.sat.cnf import CNF
 from repro.smt import terms as T
+from repro.solve.pipeline import EncodingStats
 from repro.ts.system import TransitionSystem
 
 FIXTURES = Path(__file__).parent / "data" / "lint"
@@ -312,13 +314,14 @@ class TestEncodingLint:
         assert finding.severity == SEV_WARNING
 
     def test_encoding_stats_rules(self):
-        clean = {"cnf_clauses_pre": 10, "cnf_clauses_post": 8,
-                 "vars_eliminated": 3, "vars_restored": 3}
+        clean = EncodingStats(
+            cnf_clauses_pre=10, cnf_clauses_post=8, vars_eliminated=3, vars_restored=3
+        )
         assert not lint_encoding_stats(clean).findings
-        grown = dict(clean, cnf_clauses_post=14)
+        grown = dataclasses.replace(clean, cnf_clauses_post=14)
         [finding] = lint_encoding_stats(grown).findings
         assert finding.rule == "encoding.preprocess-regression"
-        corrupt = dict(clean, vars_restored=5)
+        corrupt = dataclasses.replace(clean, vars_restored=5)
         [finding] = lint_encoding_stats(corrupt).findings
         assert finding.rule == "encoding.restore-imbalance"
         assert finding.severity == SEV_ERROR
@@ -473,6 +476,16 @@ class TestSelfLint:
         result = self._run("benchmarks")
         assert result.returncode == 0, result.stdout + result.stderr
 
+    def test_src_tree_is_clean(self):
+        result = self._run("src")
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_default_roots_are_clean(self):
+        # A bare run lints benchmarks, src, perfbench, tools and examples,
+        # the same roots CI's self-lint step checks.
+        result = self._run()
+        assert result.returncode == 0, result.stdout + result.stderr
+
     def test_wallclock_gate_is_flagged(self, tmp_path):
         bad = tmp_path / "bench_bad.py"
         bad.write_text(
@@ -503,10 +516,6 @@ class TestSelfLint:
 
     def test_missing_path_is_usage_error(self):
         assert self._run("definitely/missing/dir").returncode == 2
-
-    def test_src_tree_is_clean(self):
-        result = self._run("src")
-        assert result.returncode == 0, result.stdout + result.stderr
 
     def test_env_read_is_flagged(self, tmp_path):
         bad = tmp_path / "module.py"

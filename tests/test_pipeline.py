@@ -321,13 +321,14 @@ class TestConeOfInfluence:
             assert result.holds is True, opt
 
     def test_encoding_stats_surface_reduction(self):
-        result = BmcEngine(
-            _counter_with_junk("coi_st", 4, buggy=True), opt_level=2
-        ).check("bounded", bound=6)
-        encoding = result.stats.encoding
-        assert encoding.opt_level == 2
-        assert encoding.coi_states_dropped == 4
-        assert encoding.coi_state_bits_dropped == 32
+        session = BmcSession(
+            _counter_with_junk("coi_st", 4, buggy=True), "bounded", opt_level=2
+        )
+        assert session.extend_to(6).holds is False
+        # The cone the session encodes is on its reduction; the encoding's
+        # sizes are on its context.
+        assert session.reduction.dropped_state_bits == 32
+        encoding = session.context.encoding_stats()
         assert encoding.aig_nodes > 0
         assert encoding.cnf_clauses_post > 0
         # Note: post may slightly exceed pre on tiny workloads — restoring an
@@ -338,10 +339,13 @@ class TestConeOfInfluence:
     def test_opt2_encodes_fewer_clauses_than_opt0(self):
         sizes = {}
         for opt in (0, 2):
-            result = BmcEngine(
-                _counter_with_junk(f"coi_sz{opt}", 4, buggy=False), opt_level=opt
-            ).check("bounded", bound=8)
-            sizes[opt] = result.stats.encoding.cnf_clauses_post
+            session = BmcSession(
+                _counter_with_junk(f"coi_sz{opt}", 4, buggy=False),
+                "bounded",
+                opt_level=opt,
+            )
+            assert session.extend_to(8).holds is True
+            sizes[opt] = session.context.encoding_stats().cnf_clauses_post
         assert sizes[2] < sizes[0], sizes
 
 

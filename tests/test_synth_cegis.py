@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SynthesisError
+from repro.experiments import figure3
 from repro.isa.config import IsaConfig
 from repro.synth.cegis import CegisConfig, CegisEngine
 from repro.synth.classical import ClassicalCegis
@@ -179,4 +181,37 @@ class TestAlgorithms:
         classical = ClassicalCegis(tiny, CegisConfig(max_iterations=10))
         run = classical.synthesize_for(spec_from_instruction("XOR", isa))
         assert run.succeeded
-        assert run.cegis_calls == 1
+        assert run.multisets_tried == 1
+
+
+class TestBudgetValidation:
+    """A malformed multiset budget is rejected, never silently skewed."""
+
+    @pytest.mark.parametrize("algorithm", [HpfCegis, IterativeCegis])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_multisets": -1}, {"multiset_size": 0}, {"multiset_size": -1}],
+        ids=["negative-cap", "empty-multisets", "negative-size"],
+    )
+    def test_bad_budget_raises(self, small_library, algorithm, kwargs):
+        with pytest.raises(SynthesisError):
+            algorithm(small_library, **kwargs)
+
+    @pytest.mark.parametrize("algorithm", [HpfCegis, IterativeCegis])
+    def test_zero_cap_tries_nothing(self, isa, small_library, algorithm):
+        run = algorithm(small_library, max_multisets=0).synthesize_for(
+            spec_from_instruction("ADD", isa)
+        )
+        assert run.multisets_tried == 0
+        assert not run.programs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--max-multisets", "-1"], ["--cases", "FOO"]],
+        ids=["negative-cap", "unknown-case"],
+    )
+    def test_figure3_cli_rejects_bad_input(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            figure3.main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -2,19 +2,19 @@
 """Repo self-lint: mechanical rules the test suite cannot express.
 
 Two rules, each walking the AST of every ``.py`` file under the given
-directories (default: ``benchmarks/`` and ``src/``):
+roots (default: :data:`DEFAULT_ROOTS`, the repo's five code directories):
 
-**Wall-clock gating** (``benchmarks/`` only).  The dev and CI containers
-frequently run on a single, heavily shared CPU, so any benchmark that
-passes or fails based on elapsed time is flaky by construction.  The repo
-rule is: benchmarks gate on *verdict equality* (and solver-internal
-counters such as conflicts); wall-clock numbers are reported for
-information only.  Flagged: each comparison whose operands mention a
-timing quantity — an identifier, attribute, or string key matching
-``seconds``, ``elapsed``, ``wall``, ``runtime``, ``duration``,
-``speedup`` or ``perf_counter``.  The rule is scoped to benchmark roots:
-``src/`` code may legitimately compare runtimes for *reporting* (e.g. the
-figure harnesses' rendered tables).
+**Wall-clock gating** (every root outside ``src/``).  The dev and CI
+containers frequently run on a single, heavily shared CPU, so any
+benchmark, tool or example that passes or fails based on elapsed time is
+flaky by construction.  The repo rule is: they gate on *verdict equality*
+(and solver-internal counters such as conflicts); wall-clock numbers are
+reported for information only.  Flagged: each comparison whose operands
+mention a timing quantity — an identifier, attribute, or string key
+matching ``seconds``, ``elapsed``, ``wall``, ``runtime``, ``duration``,
+``speedup`` or ``perf_counter``.  A root with ``src`` among its path
+parts is exempt: library code may legitimately compare runtimes for
+*reporting* (e.g. the figure harnesses' rendered tables).
 
 Exemptions:
 
@@ -39,8 +39,8 @@ Exit status: 0 when clean, 1 with a ``file:line`` listing otherwise.
 
 Usage::
 
-    python tools/selflint.py            # lints benchmarks/ and src/
-    python tools/selflint.py benchmarks src tools
+    python tools/selflint.py            # lints the five DEFAULT_ROOTS
+    python tools/selflint.py src tools
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ TIMING = re.compile(
     r"(seconds|elapsed|wall|runtime|duration|speedup|perf_counter)",
     re.IGNORECASE,
 )
+
+#: What a bare run lints, relative to the working directory (the repo root).
+DEFAULT_ROOTS = ("benchmarks", "src", "perfbench", "tools", "examples")
 
 ALLOW_COMMENT = "selflint: allow-wallclock"
 ALLOW_ENV_COMMENT = "selflint: allow-env"
@@ -175,12 +178,12 @@ def _check_file(path: Path, wallclock: bool) -> list[tuple[int, str]]:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    roots = [Path(a) for a in args] or [Path("benchmarks"), Path("src")]
+    roots = [Path(a) for a in args or DEFAULT_ROOTS]
 
     files: list[tuple[Path, bool]] = []
     for root in roots:
-        # The wall-clock rule only applies to benchmark code; everything
-        # else is still subject to the environment-read rule.
+        # The wall-clock rule skips library code under src/; the
+        # environment-read rule applies everywhere.
         wallclock = "src" not in root.parts
         if root.is_file():
             files.append((root, wallclock))
