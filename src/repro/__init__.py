@@ -4,7 +4,7 @@ A from-scratch Python reproduction of the DAC 2024 paper, including every
 substrate the method depends on: a CDCL SAT solver, a bit-vector SMT layer,
 transition systems with a BTOR2 bridge, a bounded model checker, an RV32IM
 subset with concrete and symbolic semantics, component-based program
-synthesis (classical / iterative / HPF CEGIS), symbolic pipelined processor
+synthesis (iterative and HPF CEGIS), symbolic pipelined processor
 models with injectable mutations, and the EDDI-V / EDSEP-V QED modules.
 
 Quickstart::
@@ -45,8 +45,7 @@ from repro.synth.spec import spec_from_instruction
 from repro.synth.cegis import CegisConfig, CegisEngine
 from repro.synth.hpf import HpfCegis
 from repro.synth.iterative import IterativeCegis
-from repro.synth.classical import ClassicalCegis
-from repro.qed.equivalents import default_equivalent_programs, verify_equivalence
+from repro.qed.equivalents import default_equivalent_programs
 from repro.qed.mapping import RegisterPartition, MemoryPartition
 from repro.par import TaskPool
 from repro.core.flow import SqedFlow, SepeSqedFlow, pool_for_bug
@@ -93,9 +92,7 @@ __all__ = [
     "CegisEngine",
     "HpfCegis",
     "IterativeCegis",
-    "ClassicalCegis",
     "default_equivalent_programs",
-    "verify_equivalence",
     "RegisterPartition",
     "MemoryPartition",
     "TaskPool",

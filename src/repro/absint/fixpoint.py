@@ -80,25 +80,9 @@ _CACHE: "weakref.WeakKeyDictionary[TransitionSystem, tuple[tuple, Analysis]]"
 _CACHE = weakref.WeakKeyDictionary()
 
 
-def _fingerprint(ts: TransitionSystem) -> tuple:
-    states = tuple(
-        (
-            s.name,
-            s.width,
-            s.init.tid if s.init is not None else -1,
-            s.next.tid if s.next is not None else -1,
-        )
-        for s in ts.states
-    )
-    inputs = tuple((i.name, i.width) for i in ts.inputs)
-    props = tuple((name, term.tid) for name, term in ts.properties.items())
-    constraints = tuple(c.tid for c in ts.constraints)
-    return (states, inputs, props, constraints)
-
-
 def analyze(ts: TransitionSystem) -> Analysis:
     """The (cached) abstract reachability analysis of ``ts``."""
-    fingerprint = _fingerprint(ts)
+    fingerprint = ts.fingerprint()
     cached = _CACHE.get(ts)
     if cached is not None and cached[0] == fingerprint:
         return cached[1]

@@ -14,7 +14,7 @@ flag rises and the universal consistency property must hold.
 from repro.qed.mapping import RegisterPartition, MemoryPartition
 from repro.qed.scheme import TransformScheme, EddivScheme, EdsepvScheme
 from repro.qed.module import QedVerificationModel, build_verification_model
-from repro.qed.equivalents import default_equivalent_programs, verify_equivalence
+from repro.qed.equivalents import default_equivalent_programs
 
 __all__ = [
     "RegisterPartition",
@@ -25,5 +25,4 @@ __all__ = [
     "QedVerificationModel",
     "build_verification_model",
     "default_equivalent_programs",
-    "verify_equivalence",
 ]

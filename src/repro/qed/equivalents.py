@@ -1,4 +1,4 @@
-"""Known-good equivalent programs and equivalence checking.
+"""Known-good equivalent programs.
 
 SEPE-SQED needs one semantically equivalent program per original
 instruction.  They normally come out of HPF-CEGIS (:mod:`repro.synth.hpf`);
@@ -8,7 +8,8 @@ every bug would dominate the runtime without adding information, so this
 module also provides :func:`default_equivalent_programs`: a curated set of
 equivalent programs built directly from the component library.  Every
 program — synthesized or curated — can be checked against its specification
-with :func:`verify_equivalence`, and the test suite does exactly that.
+with :meth:`repro.synth.cegis.CegisEngine.find_counterexample`, and the test
+suite does exactly that.
 """
 
 from __future__ import annotations
@@ -17,21 +18,18 @@ from typing import Iterable, Optional
 
 from repro.errors import QedError
 from repro.isa.config import IsaConfig
-from repro.smt import terms as T
-from repro.solve.context import SolverContext
-from repro.synth.components import ComponentLibrary, build_default_library
+from repro.isa.instructions import get_instruction
+from repro.synth.components import (
+    Component,
+    ComponentClass,
+    ComponentLibrary,
+    ExpansionStep,
+    OperandSource,
+    build_default_library,
+)
 from repro.synth.program import ProgramSlot, SynthesizedProgram
 from repro.synth.spec import spec_from_instruction
 from repro.utils.bitops import mask
-
-
-def verify_equivalence(program: SynthesizedProgram) -> bool:
-    """Prove (by exhaustive bit-vector reasoning) that a program matches its spec."""
-    spec = program.spec
-    inputs = spec.fresh_input_terms(prefix="eqcheck")
-    ctx = SolverContext()
-    ctx.add(T.bv_ne(spec.output_term(inputs), program.output_term(inputs)))
-    return not ctx.check().satisfiable
 
 
 def _slot(library: ComponentLibrary, name: str, sources, attrs=()) -> ProgramSlot:
@@ -42,32 +40,23 @@ def _slot(library: ComponentLibrary, name: str, sources, attrs=()) -> ProgramSlo
     )
 
 
-def _extra_nic(cfg: IsaConfig, mnemonic: str) -> "ProgramSlot.__class__":
+def _extra_nic(cfg: IsaConfig, mnemonic: str) -> Component:
     """A register-register component outside the default 29-component library.
 
     The curated MUL recipe needs a plain MUL building block; the synthesis
     library intentionally only carries multiply-by-constant (MUL.C), so we
     construct the component ad hoc here.
     """
-    from repro.isa.instructions import get_instruction
-    from repro.synth.components import Component, ComponentClass, ExpansionStep, OperandSource
-
-    defn = get_instruction(mnemonic)
-
-    def semantics(config, inputs, attrs):
-        return defn.symbolic(config, inputs[0], inputs[1], T.bv_const(0, config.imm_width))
-
     return Component(
         name=f"{mnemonic}.X",
         component_class=ComponentClass.NIC,
         input_widths=(cfg.xlen, cfg.xlen),
         attribute_widths=(),
-        semantics=semantics,
         expansion=(
             ExpansionStep(mnemonic, rs1=OperandSource("input", 0), rs2=OperandSource("input", 1)),
         ),
         base_instruction=mnemonic,
-        description=f"{defn.description} (curated-recipe building block)",
+        description=f"{get_instruction(mnemonic).description} (curated-recipe building block)",
     )
 
 

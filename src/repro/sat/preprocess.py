@@ -58,12 +58,8 @@ class PreprocessStats:
 
     clauses_in: int = 0
     clauses_emitted: int = 0
-    units_found: int = 0
-    satisfied_dropped: int = 0
-    literals_stripped: int = 0
     vars_eliminated: int = 0
     vars_restored: int = 0
-    resolvents_added: int = 0
 
 
 class Preprocessor:
@@ -256,10 +252,8 @@ class Preprocessor:
             if value is None:
                 stripped.append(lit)
             elif value == (lit > 0):
-                self.stats.satisfied_dropped += 1
                 clauses[index] = None
                 return 0
-        self.stats.literals_stripped += len(clause) - len(stripped)
         if len(stripped) > 1:
             clauses[index] = tuple(stripped)
             return 0
@@ -270,7 +264,6 @@ class Preprocessor:
         lit = stripped[0]
         self._value[abs(lit)] = lit > 0
         self._fixed.update((lit, -lit))
-        self.stats.units_found += 1
         return lit
 
     @staticmethod
@@ -370,7 +363,6 @@ class Preprocessor:
                     if ids is not None:
                         ids.add(len(clauses))
                 clauses.append(resolvent)
-            self.stats.resolvents_added += len(resolvents)
             self._eliminated[var] = pos_clauses + neg_clauses
             self.stats.vars_eliminated += 1
         return [clause for clause in clauses if clause is not None]

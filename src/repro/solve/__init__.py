@@ -8,8 +8,8 @@ The subsystem has two halves:
   solver on the kernel ``$REPRO_SAT_BACKEND`` selects.
 
 Every solver loop in the stack (``BmcEngine``/``BmcSession``,
-``PdrEngine``, ``CegisEngine``, ``qed.verify_equivalence``) runs on
-``SolverContext``, the only solver API.
+``PdrEngine``, ``CegisEngine``) runs on ``SolverContext``, the only solver
+API.
 """
 
 from repro.solve.backend import CdclBackend

@@ -132,14 +132,6 @@ class SolverContext:
         """The kernel's cumulative counters over the context's lifetime (live)."""
         return self._backend.stats
 
-    @property
-    def num_clauses(self) -> int:
-        return len(self._blaster.cnf.clauses)
-
-    @property
-    def num_vars(self) -> int:
-        return self._blaster.cnf.num_vars
-
     def encoding_stats(self) -> EncodingStats:
         """A snapshot of the compilation-pipeline size/effort counters.
 

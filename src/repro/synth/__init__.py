@@ -13,9 +13,9 @@ This package implements the synthesis half of SEPE-SQED:
   (ψ_wfp, ψ_conn, φ_lib) over our bit-vector terms.
 * :mod:`repro.synth.cegis` — the two-phase CEGIS loop (finite synthesis +
   verification).
-* :mod:`repro.synth.classical` / :mod:`repro.synth.iterative` /
-  :mod:`repro.synth.hpf` — the three algorithms compared in Figure 3;
-  HPF-CEGIS (Algorithm 1) is the paper's contribution.
+* :mod:`repro.synth.iterative` / :mod:`repro.synth.hpf` — the two
+  algorithms compared in Figure 3: the iterative baseline and HPF-CEGIS
+  (Algorithm 1), the paper's contribution.
 """
 
 from repro.synth.components import (
@@ -27,7 +27,6 @@ from repro.synth.components import (
 from repro.synth.spec import SynthesisSpec, spec_from_instruction, synthesis_case_names
 from repro.synth.program import SynthesizedProgram, ProgramSlot
 from repro.synth.cegis import CegisConfig, CegisEngine, CegisOutcome
-from repro.synth.classical import ClassicalCegis
 from repro.synth.iterative import IterativeCegis
 from repro.synth.hpf import HpfCegis, PriorityDict
 
@@ -44,7 +43,6 @@ __all__ = [
     "CegisConfig",
     "CegisEngine",
     "CegisOutcome",
-    "ClassicalCegis",
     "IterativeCegis",
     "HpfCegis",
     "PriorityDict",

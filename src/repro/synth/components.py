@@ -2,9 +2,11 @@
 
 A component is a small, loop-free building block with typed inputs, optional
 *internal attributes* (constants the synthesizer is free to choose, e.g. the
-immediate of a derived ADDI) and a single output.  Components carry both a
-symbolic semantics (bit-vector terms, used inside the CEGIS queries) and an
-expansion to concrete instructions (used by the EDSEP-V transformation).
+immediate of a derived ADDI) and a single output.  A component is defined by
+its expansion into real instructions alone: the EDSEP-V transformation
+dispatches that sequence into the DUV, and the CEGIS queries reason about
+the same sequence run through the ISA's symbolic semantics, so the program
+CEGIS proves equivalent is, by construction, the program the DUV runs.
 
 The three classes follow Section 4.1 of the paper:
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import SynthesisError
 from repro.isa.config import IsaConfig
@@ -79,11 +81,9 @@ class Component:
         input_widths: widths of the formal inputs (register inputs use
             ``xlen``; dynamic-immediate inputs use the immediate width).
         attribute_widths: widths of the internal attributes.
-        semantics: builds the output term from input terms and attribute
-            terms.
         expansion: instruction sequence this component expands to in the
             EDSEP-V transformation; the output of the last step is the
-            component's output.
+            component's output, and the sequence is also its semantics.
         base_instruction: mnemonic whose data path this component primarily
             exercises (used for the name-overlap penalty χ).
         immediate_inputs: indices of inputs that are immediate operands; the
@@ -95,7 +95,6 @@ class Component:
     component_class: ComponentClass
     input_widths: tuple[int, ...]
     attribute_widths: tuple[int, ...]
-    semantics: Callable[[IsaConfig, Sequence[BV], Sequence[BV]], BV]
     expansion: tuple[ExpansionStep, ...]
     base_instruction: str
     description: str = ""
@@ -112,7 +111,13 @@ class Component:
     def output_term(
         self, cfg: IsaConfig, inputs: Sequence[BV], attrs: Sequence[BV]
     ) -> BV:
-        """Symbolic output of the component for the given operand terms."""
+        """Symbolic output of the component for the given operand terms.
+
+        Runs :attr:`expansion` step by step through each instruction's
+        symbolic semantics.  An absent register operand reads zero and an
+        absent immediate is zero; a ``const`` immediate is truncated to
+        ``imm_width``, as the EDSEP-V transformation and the executor do.
+        """
         if len(inputs) != self.arity:
             raise SynthesisError(
                 f"component {self.name}: expected {self.arity} inputs, got {len(inputs)}"
@@ -122,7 +127,35 @@ class Component:
                 f"component {self.name}: expected {self.num_attributes} attributes, "
                 f"got {len(attrs)}"
             )
-        return self.semantics(cfg, inputs, attrs)
+        zero_reg = T.bv_const(0, cfg.xlen)
+        zero_imm = T.bv_const(0, cfg.imm_width)
+        temps: list[BV] = []
+
+        def operand(source: OperandSource | None, absent: BV) -> BV:
+            if source is None:
+                return absent
+            if source.kind == "input":
+                return inputs[source.index]
+            if source.kind == "temp":
+                return temps[source.index]
+            if source.kind == "attr":
+                return attrs[source.index]
+            if source.kind == "const":
+                return T.bv_const(source.index, cfg.imm_width)
+            if source.kind == "zero":
+                return zero_reg
+            raise SynthesisError(f"unknown operand source {source.kind!r}")
+
+        for step in self.expansion:
+            temps.append(
+                get_instruction(step.mnemonic).symbolic(
+                    cfg,
+                    operand(step.rs1, zero_reg),
+                    operand(step.rs2, zero_reg),
+                    operand(step.imm, zero_imm),
+                )
+            )
+        return temps[-1]
 
     def __str__(self) -> str:
         return f"{self.name}({self.component_class.value})"
@@ -171,29 +204,6 @@ class ComponentLibrary:
 # ----------------------------------------------------------------------------
 
 
-def _instr_semantics(name: str) -> Callable[[IsaConfig, Sequence[BV], Sequence[BV]], BV]:
-    """Semantics of a register-register instruction as a component."""
-    defn = get_instruction(name)
-
-    def semantics(cfg: IsaConfig, inputs: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        dummy_imm = T.bv_const(0, cfg.imm_width)
-        return defn.symbolic(cfg, inputs[0], inputs[1], dummy_imm)
-
-    return semantics
-
-
-def _imm_instr_semantics(name: str) -> Callable[[IsaConfig, Sequence[BV], Sequence[BV]], BV]:
-    """Semantics of an immediate instruction whose immediate is an attribute."""
-    defn = get_instruction(name)
-
-    def semantics(cfg: IsaConfig, inputs: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        reg = inputs[0] if defn.uses_rs1 else T.bv_const(0, cfg.xlen)
-        dummy = T.bv_const(0, cfg.xlen)
-        return defn.symbolic(cfg, reg, dummy, attrs[0])
-
-    return semantics
-
-
 def build_default_library(cfg: IsaConfig) -> ComponentLibrary:
     """The 29-component library used in the paper's evaluation.
 
@@ -213,7 +223,6 @@ def build_default_library(cfg: IsaConfig) -> ComponentLibrary:
                 component_class=ComponentClass.NIC,
                 input_widths=(xlen, xlen),
                 attribute_widths=(),
-                semantics=_instr_semantics(name),
                 expansion=(
                     ExpansionStep(
                         name,
@@ -240,7 +249,6 @@ def build_default_library(cfg: IsaConfig) -> ComponentLibrary:
                 component_class=ComponentClass.DIC,
                 input_widths=input_widths,
                 attribute_widths=(imm_w,),
-                semantics=_imm_instr_semantics(name),
                 expansion=(
                     ExpansionStep(
                         name, rs1=expansion_rs1, imm=OperandSource("attr", 0)
@@ -263,56 +271,10 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
     imm_w = cfg.imm_width
     shift_msb = xlen - 1
 
-    def addi_dyn(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        return T.bv_add(ins[0], T.bv_sext(ins[1], c.xlen))
-
-    def xori_dyn(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        return T.bv_xor(ins[0], T.bv_sext(ins[1], c.xlen))
-
-    def ori_dyn(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        return T.bv_or(ins[0], T.bv_sext(ins[1], c.xlen))
-
-    def andi_dyn(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        return T.bv_and(ins[0], T.bv_sext(ins[1], c.xlen))
-
-    def mul_const(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        return T.bv_mul(ins[0], T.bv_sext(attrs[0], c.xlen))
-
-    def mulh_fix(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        a, b = ins
-        w = c.xlen
-        shamt = T.bv_const(w - 1, w)
-        mulhu = get_instruction("MULHU").symbolic(c, a, b, T.bv_const(0, c.imm_width))
-        a_neg_mask = T.bv_ashr(a, shamt)
-        b_neg_mask = T.bv_ashr(b, shamt)
-        corr_a = T.bv_and(a_neg_mask, b)
-        corr_b = T.bv_and(b_neg_mask, a)
-        return T.bv_sub(T.bv_sub(mulhu, corr_a), corr_b)
-
-    def mulhsu_fix(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        a, b = ins
-        w = c.xlen
-        shamt = T.bv_const(w - 1, w)
-        mulhu = get_instruction("MULHU").symbolic(c, a, b, T.bv_const(0, c.imm_width))
-        a_neg_mask = T.bv_ashr(a, shamt)
-        corr_a = T.bv_and(a_neg_mask, b)
-        return T.bv_sub(mulhu, corr_a)
-
-    def slt_via_sltu(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        a, b = ins
-        w = c.xlen
-        sign = T.bv_const(1 << (w - 1), w)
-        return T.bv_zext(T.bv_ult(T.bv_xor(a, sign), T.bv_xor(b, sign)), w)
-
-    def const_builder(c: IsaConfig, ins: Sequence[BV], attrs: Sequence[BV]) -> BV:
-        upper = T.bv_shl(
-            T.bv_zext(attrs[0], c.xlen), T.bv_const(c.lui_shift, c.xlen)
-        )
-        return T.bv_add(upper, T.bv_sext(attrs[1], c.xlen))
-
     # SLT.C flips the sign bit of both operands and compares unsigned.  The
-    # expansion materialises the sign-bit constant differently depending on
-    # whether it fits in an immediate (narrow configs) or needs LUI (RV32).
+    # sign-bit constant is an XORI immediate when it fits one; otherwise it
+    # is built as 1 << (xlen - 1) from immediates that fit (LUI's immediate
+    # cannot hold it at RV32's 12-bit immediate and shift).
     if imm_w == xlen:
         slt_expansion = (
             ExpansionStep("XORI", rs1=OperandSource("input", 0), imm=OperandSource("const", 1 << (xlen - 1))),
@@ -320,12 +282,12 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             ExpansionStep("SLTU", rs1=OperandSource("temp", 0), rs2=OperandSource("temp", 1)),
         )
     else:
-        lui_value = 1 << (xlen - 1 - cfg.lui_shift)
         slt_expansion = (
-            ExpansionStep("LUI", imm=OperandSource("const", lui_value)),
-            ExpansionStep("XOR", rs1=OperandSource("input", 0), rs2=OperandSource("temp", 0)),
-            ExpansionStep("XOR", rs1=OperandSource("input", 1), rs2=OperandSource("temp", 0)),
-            ExpansionStep("SLTU", rs1=OperandSource("temp", 1), rs2=OperandSource("temp", 2)),
+            ExpansionStep("ADDI", rs1=OperandSource("zero"), imm=OperandSource("const", 1)),
+            ExpansionStep("SLLI", rs1=OperandSource("temp", 0), imm=OperandSource("const", shift_msb)),
+            ExpansionStep("XOR", rs1=OperandSource("input", 0), rs2=OperandSource("temp", 1)),
+            ExpansionStep("XOR", rs1=OperandSource("input", 1), rs2=OperandSource("temp", 1)),
+            ExpansionStep("SLTU", rs1=OperandSource("temp", 2), rs2=OperandSource("temp", 3)),
         )
 
     return [
@@ -334,7 +296,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(xlen, imm_w),
             attribute_widths=(),
-            semantics=addi_dyn,
             expansion=(
                 ExpansionStep(
                     "ADDI", rs1=OperandSource("input", 0), imm=OperandSource("input", 1)
@@ -349,7 +310,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(xlen, imm_w),
             attribute_widths=(),
-            semantics=xori_dyn,
             expansion=(
                 ExpansionStep(
                     "XORI", rs1=OperandSource("input", 0), imm=OperandSource("input", 1)
@@ -364,7 +324,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(xlen, imm_w),
             attribute_widths=(),
-            semantics=ori_dyn,
             expansion=(
                 ExpansionStep(
                     "ORI", rs1=OperandSource("input", 0), imm=OperandSource("input", 1)
@@ -379,7 +338,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(xlen, imm_w),
             attribute_widths=(),
-            semantics=andi_dyn,
             expansion=(
                 ExpansionStep(
                     "ANDI", rs1=OperandSource("input", 0), imm=OperandSource("input", 1)
@@ -394,7 +352,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(xlen,),
             attribute_widths=(imm_w,),
-            semantics=mul_const,
             expansion=(
                 ExpansionStep("ADDI", rs1=OperandSource("zero"), imm=OperandSource("attr", 0)),
                 ExpansionStep("MUL", rs1=OperandSource("input", 0), rs2=OperandSource("temp", 0)),
@@ -407,7 +364,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(xlen, xlen),
             attribute_widths=(),
-            semantics=mulh_fix,
             expansion=(
                 ExpansionStep("MULHU", rs1=OperandSource("input", 0), rs2=OperandSource("input", 1)),
                 ExpansionStep("SRAI", rs1=OperandSource("input", 0), imm=OperandSource("const", shift_msb)),
@@ -425,7 +381,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(xlen, xlen),
             attribute_widths=(),
-            semantics=mulhsu_fix,
             expansion=(
                 ExpansionStep("MULHU", rs1=OperandSource("input", 0), rs2=OperandSource("input", 1)),
                 ExpansionStep("SRAI", rs1=OperandSource("input", 0), imm=OperandSource("const", shift_msb)),
@@ -440,7 +395,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(xlen, xlen),
             attribute_widths=(),
-            semantics=slt_via_sltu,
             expansion=slt_expansion,
             base_instruction="SLTU",
             description="Signed compare built from an unsigned compare with sign-bit flips",
@@ -450,7 +404,6 @@ def _build_cic_components(cfg: IsaConfig) -> list[Component]:
             component_class=ComponentClass.CIC,
             input_widths=(),
             attribute_widths=(imm_w, imm_w),
-            semantics=const_builder,
             expansion=(
                 ExpansionStep("LUI", imm=OperandSource("attr", 0)),
                 ExpansionStep("ADDI", rs1=OperandSource("temp", 0), imm=OperandSource("attr", 1)),

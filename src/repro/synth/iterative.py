@@ -1,10 +1,11 @@
 """Iterative CEGIS over multisets (Buchwald et al., 2018).
 
-The iterative algorithm replaces the single monolithic CEGIS query of the
-classical formulation with many small queries: it enumerates multisets of a
-fixed (small) size drawn from the library with replacement and runs CEGIS on
-each multiset independently, stopping once enough equivalent programs have
-been found.  The paper uses this as its main baseline; to make the
+The iterative algorithm replaces the single monolithic CEGIS query over the
+whole library (the classical formulation of Gulwani et al., 2011, which the
+paper reports never finishing on 29 components) with many small queries: it
+enumerates multisets of a fixed (small) size drawn from the library with
+replacement and runs CEGIS on each multiset independently, stopping once
+enough equivalent programs have been found.  The paper uses this as its main baseline; to make the
 comparison fair it shuffles the multisets first (Section 6.1), which we
 reproduce here with a seeded RNG.
 """

@@ -1,8 +1,8 @@
 """Shared result types and multiset enumeration for the CEGIS algorithms.
 
-The three algorithms compared in Figure 3 (classical, iterative, HPF) differ
-only in *which* component subsets they hand to the core CEGIS engine and in
-*what order*; the bookkeeping they report is identical and lives here.
+The two algorithms compared in Figure 3 (iterative, HPF) differ only in
+*which* component subsets they hand to the core CEGIS engine and in *what
+order*; the bookkeeping they report is identical and lives here.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ class SynthesisRun:
     spec_name: str
     programs: list[SynthesizedProgram] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: Multisets handed to CEGIS, one call each (classical's whole library
-    #: counts as one).
+    #: Multisets handed to CEGIS, one call each.
     multisets_tried: int = 0
 
     @property

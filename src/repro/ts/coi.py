@@ -69,25 +69,9 @@ _CONE_CACHE: "weakref.WeakKeyDictionary[TransitionSystem, dict[str, tuple[tuple,
 _CONE_CACHE = weakref.WeakKeyDictionary()
 
 
-def _cone_fingerprint(ts: TransitionSystem) -> tuple:
-    states = tuple(
-        (
-            s.name,
-            s.width,
-            s.init.tid if s.init is not None else -1,
-            s.next.tid if s.next is not None else -1,
-        )
-        for s in ts.states
-    )
-    inputs = tuple((i.name, i.width) for i in ts.inputs)
-    props = tuple((name, term.tid) for name, term in ts.properties.items())
-    constraints = tuple(c.tid for c in ts.constraints)
-    return (states, inputs, props, constraints)
-
-
 def cached_property_cone(ts: TransitionSystem, property_name: str) -> CoiReduction:
     """Memoised :func:`reduce_to_property_cone` for unchanged systems."""
-    fingerprint = _cone_fingerprint(ts)
+    fingerprint = ts.fingerprint()
     per_prop = _CONE_CACHE.setdefault(ts, {})
     cached = per_prop.get(property_name)
     if cached is not None and cached[0] == fingerprint:

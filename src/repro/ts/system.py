@@ -127,6 +127,26 @@ class TransitionSystem:
             raise TransitionSystemError(f"unknown input {name!r}")
         return self._inputs[name]
 
+    def fingerprint(self) -> tuple:
+        """A key of the system's structure, built from term ids.
+
+        Systems are mutable builders: a cache keyed on one stores this key
+        with each entry and recomputes the entry once it no longer matches.
+        """
+        states = tuple(
+            (
+                s.name,
+                s.width,
+                s.init.tid if s.init is not None else -1,
+                s.next.tid if s.next is not None else -1,
+            )
+            for s in self._states.values()
+        )
+        inputs = tuple((i.name, i.width) for i in self._inputs.values())
+        props = tuple((name, term.tid) for name, term in self.properties.items())
+        constraints = tuple(c.tid for c in self.constraints)
+        return (states, inputs, props, constraints)
+
     def num_state_bits(self) -> int:
         """Total number of state bits (a rough size metric)."""
         return sum(state.width for state in self._states.values())

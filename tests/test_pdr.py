@@ -288,13 +288,14 @@ class TestQueryLocalClauses:
         assert len(all_true) == 16
         # The warm-up query blasts the transition relation and every bit.
         run._relative_induction(all_false, 1, need_model=False)
-        before = run._cons.num_vars
+        cnf = run._cons.blaster.cnf
+        before = cnf.num_vars
         run._relative_induction(all_true, 1, need_model=False)
-        assert run._cons.num_vars == before + 1
+        assert cnf.num_vars == before + 1
         assert run._cons.scope_depth == 0
-        before = run._cons.num_vars
+        before = cnf.num_vars
         run._add_blocked(all_true, 1)
-        assert run._cons.num_vars == before
+        assert cnf.num_vars == before
 
     def test_given_up_query_leaves_no_scope_open(self):
         run, all_false, all_true = self._run("pdr_leak_budget", total_conflict_budget=0)

@@ -14,11 +14,12 @@ from repro.errors import QedError
 from repro.isa.config import IsaConfig
 from repro.proc.bugs import get_bug
 from repro.proc.config import ProcessorConfig
-from repro.qed.equivalents import default_equivalent_programs, verify_equivalence
+from repro.qed.equivalents import default_equivalent_programs
 from repro.qed.mapping import MemoryPartition, RegisterPartition
 from repro.qed.module import build_verification_model
 from repro.qed.scheme import EddivScheme, EdsepvScheme, EntryFields
 from repro.smt import terms as T
+from repro.synth.cegis import CegisEngine
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,21 @@ class TestRegisterPartition:
         assert memory.compare_pairs() == [(0, 2), (1, 3)]
 
 
+#: Curated programs proved equivalent; MUL and MULH are only spot-checked.
+_PROVED_OPS = [
+    "ADD", "SUB", "XOR", "OR", "AND", "SLT", "SLTU", "SRA", "XORI", "ORI",
+    "ANDI", "ADDI", "SLLI", "SRLI", "SRAI", "SLTI", "SLTIU", "LUI", "LW", "SW",
+    "SLL", "SRL",
+]
+#: The 8-bit configuration keeps the bare op as its id.  RV32's 12-bit
+#: immediate and a 2-bit one at xlen 4 cannot hold the sign bit.
+_PROOF_CONFIGS = [
+    ("", IsaConfig.small()),
+    ("xlen32-", IsaConfig(xlen=32, num_regs=8, imm_width=12)),
+    ("xlen4-imm2-", IsaConfig(xlen=4, num_regs=8, imm_width=2)),
+]
+
+
 class TestCuratedEquivalents:
     def test_covers_table1_targets(self, equivalents):
         for op in ("ADD", "SUB", "XOR", "OR", "AND", "SLT", "SLTU", "SRA",
@@ -76,12 +92,16 @@ class TestCuratedEquivalents:
             assert op in equivalents
 
     @pytest.mark.parametrize(
-        "op", ["ADD", "SUB", "XOR", "OR", "AND", "SLT", "SLTU", "SRA", "XORI",
-               "ORI", "ANDI", "ADDI", "SLLI", "SRLI", "SRAI", "SLTI", "SLTIU",
-               "LUI", "LW", "SW", "SLL", "SRL"]
+        "cfg, op",
+        [
+            pytest.param(cfg, op, id=prefix + op)
+            for prefix, cfg in _PROOF_CONFIGS
+            for op in _PROVED_OPS
+        ],
     )
-    def test_programs_are_equivalent(self, equivalents, op):
-        assert verify_equivalence(equivalents[op])
+    def test_programs_are_equivalent(self, cfg, op):
+        program = default_equivalent_programs(cfg, ops=[op])[op]
+        assert CegisEngine().find_counterexample(program.spec, program) is None
 
     def test_mul_family_checked_concretely(self, equivalents):
         """Multiplier equivalence is SAT-hard, so MUL/MULH are spot-checked."""
@@ -196,6 +216,17 @@ class TestFlows:
         assert outcome.detected is True
         assert outcome.counterexample_length is not None
         assert outcome.counterexample_length <= 10
+
+    def test_golden_rv32_slt_model_holds(self):
+        """At RV32's 12-bit immediate the sign bit fits neither an XORI nor a
+        LUI immediate; SLT's curated program builds it from immediates that
+        fit, so the bug-free SEPE-SQED model has no counterexample."""
+        isa = IsaConfig(xlen=32, num_regs=8, imm_width=12)
+        program = default_equivalent_programs(isa, ops=["SLT"])["SLT"]
+        pool = ("SLT", *dict.fromkeys(t.mnemonic for t in program.expand()))
+        config = ProcessorConfig(isa=isa, supported_ops=pool)
+        outcome = SepeSqedFlow(config).run(None, bound=8)
+        assert outcome.detected is False
 
     def test_sqed_cannot_detect_single_instruction_bug(self, isa, equivalents):
         bug = get_bug("single_add_off_by_one")

@@ -1,4 +1,4 @@
-"""Tests for the CEGIS engine and the three synthesis algorithms."""
+"""Tests for the CEGIS engine and the two multiset synthesis algorithms."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.errors import SynthesisError
 from repro.experiments import figure3
 from repro.isa.config import IsaConfig
 from repro.synth.cegis import CegisConfig, CegisEngine
-from repro.synth.classical import ClassicalCegis
 from repro.synth.hpf import HpfCegis, PriorityDict
 from repro.synth.iterative import IterativeCegis
 from repro.synth.search import count_multisets, enumerate_multisets
@@ -169,19 +168,6 @@ class TestAlgorithms:
         hpf.synthesize_all(specs)
         weights = set(hpf.priorities.choice.values()) | set(hpf.priorities.exclusion.values())
         assert weights != {1.0}
-
-    def test_classical_on_tiny_library(self, isa, small_library):
-        """Classical CEGIS works when the whole library is tiny."""
-        from repro.synth.components import ComponentLibrary
-
-        tiny = ComponentLibrary(
-            isa, [small_library.by_name("OR"), small_library.by_name("AND"),
-                  small_library.by_name("SUB")]
-        )
-        classical = ClassicalCegis(tiny, CegisConfig(max_iterations=10))
-        run = classical.synthesize_for(spec_from_instruction("XOR", isa))
-        assert run.succeeded
-        assert run.multisets_tried == 1
 
 
 class TestBudgetValidation:

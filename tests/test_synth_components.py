@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SynthesisError
 from repro.isa.config import IsaConfig
 from repro.isa.executor import ArchState, execute_program
+from repro.qed.equivalents import default_equivalent_programs
 from repro.smt import terms as T
 from repro.smt.evaluator import evaluate
 from repro.synth.components import ComponentClass, ComponentLibrary, build_default_library
 from repro.synth.program import ProgramSlot, SynthesizedProgram
-from repro.synth.spec import spec_from_instruction, synthesis_case_names
+from repro.synth.spec import SpecInput, SynthesisSpec, spec_from_instruction, synthesis_case_names
 from repro.utils.bitops import mask
 
 
@@ -74,6 +77,67 @@ class TestComponentSemantics:
                 small_isa, [T.bv_const(a, 8), T.bv_const(b, 8)], []
             )
             assert term.const_value() == result_value(small_isa, Instruction("MULH", 1, 2, 3), a, b)
+
+
+def _component_program(cfg, component, attributes) -> SynthesizedProgram:
+    """``component`` alone, reading one program input per component input."""
+    inputs = tuple(
+        SpecInput(f"in{k}", width, is_immediate=k in component.immediate_inputs)
+        for k, width in enumerate(component.input_widths)
+    )
+    spec = SynthesisSpec(
+        component.name, inputs, cfg.xlen, lambda c, terms: T.bv_const(0, c.xlen), cfg
+    )
+    wiring = tuple(("input", k) for k in range(component.arity))
+    return SynthesizedProgram(spec, [ProgramSlot(component, wiring, tuple(attributes))])
+
+
+def _run_on_executor(program: SynthesizedProgram, values) -> int:
+    """Run the program's instructions: register inputs in x1.., the output
+    in the next register, temporaries above it."""
+    cfg = program.config
+    inputs = program.spec.inputs
+    reg_inputs = [values[i] for i, inp in enumerate(inputs) if not inp.is_immediate]
+    imm_value = next((values[i] for i, inp in enumerate(inputs) if inp.is_immediate), 0)
+    dest = len(reg_inputs) + 1
+    state = ArchState(cfg)
+    for reg, value in enumerate(reg_inputs, start=1):
+        state.write_reg(reg, value)
+    instructions = program.to_concrete_instructions(
+        input_regs=list(range(1, dest)),
+        dest_reg=dest,
+        temp_regs=list(range(dest + 1, cfg.num_regs)),
+        imm_value=imm_value,
+    )
+    execute_program(state, instructions)
+    return state.read_reg(dest)
+
+
+class TestExpansionComputesSemantics:
+    """What CEGIS reasons about is what the DUV runs: every library
+    component and curated program, dispatched to the executor, computes
+    ``SynthesizedProgram.evaluate``."""
+
+    # x0, up to two register inputs, the output and MULH.C's six temporaries.
+    NUM_REGS = 16
+
+    @pytest.mark.parametrize("xlen, imm_width", [(8, 8), (4, 2), (32, 12)])
+    def test_executor_matches_evaluate(self, xlen, imm_width):
+        cfg = IsaConfig(xlen=xlen, num_regs=self.NUM_REGS, imm_width=imm_width)
+        rng = random.Random(xlen * 100 + imm_width)
+        programs = list(default_equivalent_programs(cfg).values())
+        for component in build_default_library(cfg):
+            for _ in range(4):
+                attributes = [rng.getrandbits(w) for w in component.attribute_widths]
+                programs.append(_component_program(cfg, component, attributes))
+        for program in programs:
+            for _ in range(16):
+                values = [
+                    rng.choice((0, 1, 1 << (inp.width - 1), mask(inp.width), rng.getrandbits(inp.width)))
+                    for inp in program.spec.inputs
+                ]
+                expected = program.evaluate(values)
+                assert _run_on_executor(program, values) == expected, (program, values)
 
 
 class TestSpecs:
